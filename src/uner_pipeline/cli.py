@@ -2,11 +2,13 @@
 
 Subcommands: extract, link, annotate, stats, enrich, eval, pipeline. A plain
 key=value configuration file supplies defaults; flags override it, and the
-UNER_SPARQL_ENDPOINT environment variable overrides the endpoint. All output
-files are written atomically (temp file + rename) and every run emits a
-manifest with per-stage counters and wall times. The pipeline itself is free
-of randomness: identical inputs produce byte-identical corpora at any
-concurrency level.
+UNER_SPARQL_ENDPOINT environment variable overrides the endpoint. Every
+RunConfig field is both a config key and a flag (batch_size is --batch-size).
+All output files are written atomically (temp file + rename) and every run
+emits a manifest with per-stage counters and wall times. The pipeline itself
+is free of randomness: documents are processed in input order, and
+--concurrency only bounds in-flight SPARQL requests, so identical inputs
+produce byte-identical corpora at any concurrency level.
 
 Exit codes: 0 success, 1 usage/configuration, 2 data error, 3 network
 exhaustion.
@@ -18,16 +20,16 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 import time
+import typing
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
 from . import annotator, enrich, evaluation, ingest, linker, mapping, stats
+from .atomic import atomic_output
 from .errors import (
     ConfigurationError,
     DataError,
@@ -38,31 +40,11 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
-CONFIG_KEYS = (
-    "input",
-    "format",
-    "out",
-    "equivalence",
-    "priority",
-    "cache",
-    "endpoint",
-    "resource_base",
-    "offline",
-    "batch_size",
-    "timeout",
-    "retries",
-    "rate_limit",
-    "concurrency",
-    "experiments",
-    "collapse_depth",
-    "kg_map",
-)
-
 
 @dataclass
 class RunConfig:
     input: Path | None = None
-    format: str = "json_lines"
+    format: str = field(default="json_lines", metadata={"choices": ingest.DUMP_FORMATS})
     out: Path = Path("out")
     equivalence: Path = field(default_factory=mapping.default_equivalence_path)
     priority: Path = field(default_factory=mapping.default_priority_path)
@@ -109,8 +91,34 @@ def _parse_experiments(value: str) -> tuple[int, ...]:
         raise UsageError(f"bad experiment list {value!r}; expected e.g. 1,4,6")
     for experiment_id in ids:
         if experiment_id not in enrich.EXPERIMENT_IDS:
-            raise ConfigurationError(f"unknown experiment id {experiment_id}; expected 1..7")
+            raise ConfigurationError(
+                f"unknown experiment id {experiment_id}; expected 1..{enrich.EXPERIMENT_IDS[-1]}"
+            )
+    if len(set(ids)) != len(ids):
+        raise UsageError(f"duplicate experiment id in {value!r}")
     return ids
+
+
+def _value_type(hint):
+    """The type a config value is cast to: ``X`` for ``X | None``."""
+    args = typing.get_args(hint)
+    return args[0] if type(None) in args else hint
+
+
+_CASTS_BY_TYPE = {
+    str: str,
+    Path: Path,
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    tuple[int, ...]: _parse_experiments,
+}
+
+# config key -> cast from its string form, one per RunConfig field, in field order
+CONFIG_CASTS = {
+    name: _CASTS_BY_TYPE[_value_type(hint)]
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
 
 
 def read_config_file(path: Path) -> dict[str, str]:
@@ -128,82 +136,38 @@ def read_config_file(path: Path) -> dict[str, str]:
             raise UsageError(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in CONFIG_CASTS:
             raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config-file values and CLI overrides into a validated RunConfig."""
-    config = RunConfig()
+    """Merge config-file values and CLI overrides into a validated RunConfig.
+
+    A flag wins over the file. An empty value keeps the field's default,
+    except a boolean, which must say yes or no.
+    """
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
         file_values = read_config_file(Path(args.config))
-
-    def pick(key: str, flag_value):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key)
-
-    raw_input = pick("input", getattr(args, "input", None))
-    if raw_input:
-        config.input = Path(raw_input)
-    fmt = pick("format", getattr(args, "format", None))
-    if fmt:
-        if fmt not in ingest.DUMP_FORMATS:
-            raise UsageError(f"unknown dump format {fmt!r}")
-        config.format = fmt
-    out = pick("out", getattr(args, "out", None))
-    if out:
-        config.out = Path(out)
-    for key in ("equivalence", "priority"):
-        value = pick(key, getattr(args, key, None))
-        if value:
-            setattr(config, key, Path(value))
-    cache = pick("cache", getattr(args, "cache", None))
-    if cache:
-        config.cache = Path(cache)
-    kg_map = pick("kg_map", getattr(args, "kg_map", None))
-    if kg_map:
-        config.kg_map = Path(kg_map)
-    endpoint = pick("endpoint", getattr(args, "endpoint", None))
-    if endpoint:
-        config.endpoint = endpoint
-    config.endpoint = linker.endpoint_from_environment(config.endpoint)
-    resource_base = pick("resource_base", None)
-    if resource_base:
-        config.resource_base = resource_base
-    if getattr(args, "offline", False):
-        config.offline = True
-    elif "offline" in file_values:
-        config.offline = _parse_bool(file_values["offline"])
-    for key, caster in (
-        ("batch_size", int),
-        ("timeout", float),
-        ("retries", int),
-        ("rate_limit", float),
-        ("concurrency", int),
-    ):
-        value = pick(key, getattr(args, key, None))
-        if value is not None and value != "":
-            try:
-                setattr(config, key, caster(value))
-            except ValueError:
-                raise UsageError(f"bad value for {key}: {value!r}")
-    experiments = pick("experiments", getattr(args, "experiments", None))
-    if experiments:
-        config.experiments = (
-            experiments if isinstance(experiments, tuple) else _parse_experiments(experiments)
-        )
-    collapse = pick("collapse_depth", getattr(args, "collapse_depth", None))
-    if collapse is not None and collapse != "":
+    values = {}
+    for f in dataclasses.fields(RunConfig):
+        flag_value = getattr(args, f.name, None)
+        raw = flag_value if flag_value is not None else file_values.get(f.name)
+        cast = CONFIG_CASTS[f.name]
+        if raw is None or (raw == "" and cast is not _parse_bool):
+            continue
         try:
-            config.collapse_depth = int(collapse)
+            values[f.name] = cast(raw)
         except ValueError:
-            raise UsageError(f"bad collapse depth {collapse!r}")
-        if config.collapse_depth < 1:
-            raise UsageError("collapse depth must be >= 1")
+            raise UsageError(f"bad value for {f.name}: {raw!r}")
+        if "choices" in f.metadata and values[f.name] not in f.metadata["choices"]:
+            raise UsageError(f"bad value for {f.name}: {raw!r}")
+    config = RunConfig(**values)
+    config.endpoint = linker.endpoint_from_environment(config.endpoint)
+    if config.collapse_depth is not None and config.collapse_depth < 1:
+        raise UsageError("collapse depth must be >= 1")
     if config.batch_size < 1 or config.concurrency < 1:
         raise UsageError("batch_size and concurrency must be >= 1")
     return config
@@ -211,8 +175,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def validate_config_paths(config: RunConfig, command: str) -> None:
     """Fail fast: every referenced path is checked before any stage runs."""
-    if command in ("extract", "pipeline"):
-        _require_input(config)
+    if command in ("extract", "pipeline") and config.input is None:
+        raise UsageError("no input file given (use --input or the config file)")
     if config.input is not None and not config.input.exists():
         raise UsageError(f"input file not found: {config.input}")
     if command in ("annotate", "enrich", "pipeline"):
@@ -220,7 +184,7 @@ def validate_config_paths(config: RunConfig, command: str) -> None:
             if not Path(path).exists():
                 raise UsageError(f"mapping table not found: {path}")
     if command in ("enrich", "pipeline"):
-        needing_kg = [e for e in config.experiments if e in (4, 5, 6, 7)]
+        needing_kg = [e for e in config.experiments if enrich.EXPERIMENTS[e].kg_filter]
         if needing_kg:
             if config.kg_map is None:
                 raise ConfigurationError(
@@ -228,30 +192,6 @@ def validate_config_paths(config: RunConfig, command: str) -> None:
                 )
             if not config.kg_map.exists():
                 raise UsageError(f"knowledge-graph map not found: {config.kg_map}")
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _write_conll(path: Path, corpus: annotator.AnnotatedCorpus) -> int:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            written = annotator.emit_conll(corpus, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return written
 
 
 class Manifest:
@@ -275,7 +215,8 @@ class Manifest:
         self.data["error"] = f"{type(error).__name__}: {error}"
 
     def write(self, out_dir: Path) -> None:
-        _atomic_write_text(out_dir / "manifest.json", json.dumps(self.data, indent=2) + "\n")
+        with atomic_output(out_dir / "manifest.json") as fh:
+            fh.write(json.dumps(self.data, indent=2) + "\n")
 
 
 class _StageTimer:
@@ -294,14 +235,6 @@ class _StageTimer:
             "wall_time_s": round(time.perf_counter() - self._start, 6),
         }
         return False
-
-
-def _require_input(config: RunConfig) -> Path:
-    if config.input is None:
-        raise UsageError("no input file given (use --input or the config file)")
-    if not config.input.exists():
-        raise UsageError(f"input file not found: {config.input}")
-    return config.input
 
 
 def _document_to_json(doc: ingest.Document) -> str:
@@ -340,9 +273,8 @@ def load_documents(path: Path) -> list[ingest.Document]:
 
 
 def stage_extract(config: RunConfig, counters: Counter) -> tuple[list[ingest.Document], list[str]]:
-    input_path = _require_input(config)
     documents: list[ingest.Document] = []
-    with open(input_path, encoding="utf-8") as fh:
+    with open(config.input, encoding="utf-8") as fh:
         for raw in ingest.parse_dump_stream(fh, config.format, counters):
             documents.append(ingest.build_document(raw, counters))
     counters["links"] += sum(len(doc.links) for doc in documents)
@@ -358,13 +290,10 @@ def stage_extract(config: RunConfig, counters: Counter) -> tuple[list[ingest.Doc
 def cmd_extract(config: RunConfig, manifest: Manifest) -> tuple[list[ingest.Document], list[str]]:
     with manifest.stage("extract") as counters:
         documents, targets = stage_extract(config, counters)
-    _atomic_write_text(
-        config.out / "documents.jsonl",
-        "".join(_document_to_json(doc) + "\n" for doc in documents),
-    )
-    _atomic_write_text(
-        config.out / "targets.txt", "".join(target + "\n" for target in targets)
-    )
+    with atomic_output(config.out / "documents.jsonl") as fh:
+        fh.writelines(_document_to_json(doc) + "\n" for doc in documents)
+    with atomic_output(config.out / "targets.txt") as fh:
+        fh.writelines(target + "\n" for target in targets)
     return documents, targets
 
 
@@ -395,7 +324,7 @@ def stage_link(
         "resolved %d targets (%d cache hits, %d unresolved)",
         counters["targets"], counters["cache_hits"], counters["unresolved"],
     )
-    if config.cache:
+    if config.cache and counters["resolved_by_query"] > 0:  # unchanged otherwise
         linker.save_catalog(cache, config.cache)
     if (
         client is not None
@@ -425,13 +354,6 @@ def cmd_link(config: RunConfig, manifest: Manifest, targets: list[str] | None = 
     return catalog
 
 
-def _load_tables(config: RunConfig) -> tuple[mapping.EquivalenceMap, mapping.PriorityMap]:
-    for path in (config.equivalence, config.priority):
-        if not Path(path).exists():
-            raise UsageError(f"mapping table not found: {path}")
-    return mapping.load_mapping_tables(config.equivalence, config.priority)
-
-
 def build_label_map(
     catalog: linker.ClassCatalog,
     equivalences: mapping.EquivalenceMap,
@@ -454,27 +376,13 @@ def stage_annotate(
     catalog: linker.ClassCatalog,
     counters: Counter,
 ) -> annotator.AnnotatedCorpus:
-    equivalences, priorities = _load_tables(config)
+    equivalences, priorities = mapping.load_mapping_tables(config.equivalence, config.priority)
     labels = build_label_map(catalog, equivalences, priorities, counters)
-
-    def annotate_one(doc: ingest.Document):
-        doc_counters: Counter = Counter()
-        sentences = annotator.annotate_document(doc, labels, doc_counters)
-        return doc.doc_id, sentences, doc_counters
-
-    # document-level parallelism; executor.map preserves input order, so the
-    # merged corpus is identical at any concurrency level
-    if config.concurrency > 1:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as executor:
-            outcomes = list(executor.map(annotate_one, documents))
-    else:
-        outcomes = [annotate_one(doc) for doc in documents]
-
     corpus = annotator.AnnotatedCorpus()
-    for doc_id, sentences, doc_counters in outcomes:
-        counters.update(doc_counters)
+    for doc in documents:
+        sentences = annotator.annotate_document(doc, labels, counters)
         if sentences:
-            corpus.documents.append((doc_id, sentences))
+            corpus.documents.append((doc.doc_id, sentences))
     counters["documents_kept"] += len(corpus.documents)
     counters["tokens"] += sum(
         len(sentence.tokens) for _, sentences in corpus.documents for sentence in sentences
@@ -503,7 +411,8 @@ def cmd_annotate(
             raise UsageError("no class catalog found (run link first or point --cache at one)")
     with manifest.stage("annotate") as counters:
         corpus = stage_annotate(config, documents, catalog, counters)
-    _write_conll(config.out / "corpus.conll", corpus)
+    with atomic_output(config.out / "corpus.conll") as fh:
+        annotator.emit_conll(corpus, fh)
     return corpus
 
 
@@ -524,12 +433,13 @@ def cmd_stats(
         entities = stats.list_entities(corpus)
         counters["total_tokens"] += report.total_tokens
         counters["entities"] += report.entity_count
-    _atomic_write_text(config.out / "stats.txt", stats.render_text(report))
-    _atomic_write_text(config.out / "stats.json", stats.render_json(report))
-    _atomic_write_text(
-        config.out / "entities.tsv",
-        "".join(f"{surface}\t{label}\n" for surface, label in entities),
-    )
+    for name, text in (
+        ("stats.txt", stats.render_text(report)),
+        ("stats.json", stats.render_json(report)),
+        ("entities.tsv", "".join(f"{surface}\t{label}\n" for surface, label in entities)),
+    ):
+        with atomic_output(config.out / name) as fh:
+            fh.write(text)
     return report
 
 
@@ -540,22 +450,14 @@ def stage_enrich(
     counters: Counter,
 ) -> tuple[dict[int, annotator.AnnotatedCorpus], enrich.ExperimentResources]:
     resources = enrich.ExperimentResources()
-    needs_global = any(e in (1, 4, 6) for e in experiment_ids)
-    needs_multi = any(e in (2, 5, 7) for e in experiment_ids)
-    if needs_global:
-        resources.global_dictionary = enrich.build_global_dictionary(corpus)
-        counters["global_dictionary_size"] += len(resources.global_dictionary.entries)
-    if needs_multi:
-        resources.global_multi_dictionary = enrich.build_global_dictionary(corpus, multi_token_only=True)
-        counters["global_multi_dictionary_size"] += len(resources.global_multi_dictionary.entries)
-    if any(e in (4, 5, 6, 7) for e in experiment_ids):
-        if config.kg_map is None or not config.kg_map.exists():
-            needing = [e for e in experiment_ids if e in (4, 5, 6, 7)]
-            raise ConfigurationError(
-                f"experiments {needing} need a knowledge-graph map (--kg-map)"
-            )
+    specs = [enrich.EXPERIMENTS[e] for e in experiment_ids]
+    for base in sorted({spec.dictionary for spec in specs} - {None}):  # global, then global_multi
+        dictionary = enrich.build_global_dictionary(corpus, multi_token_only=base == "global_multi")
+        setattr(resources, f"{base}_dictionary", dictionary)
+        counters[f"{base}_dictionary_size"] += len(dictionary.entries)
+    if any(spec.kg_filter for spec in specs):
         resources.kg_map = enrich.load_kg_map(config.kg_map)
-        resources.equivalences = _load_tables(config)[0]
+        resources.equivalences = mapping.load_mapping_tables(config.equivalence, config.priority)[0]
     results: dict[int, annotator.AnnotatedCorpus] = {}
     for experiment_id in experiment_ids:
         enriched = enrich.run_experiment(experiment_id, corpus, resources, counters)
@@ -574,15 +476,12 @@ def cmd_enrich(
     with manifest.stage("enrich") as counters:
         results, resources = stage_enrich(config, corpus, config.experiments, counters)
     # the built dictionaries are outputs too, in application order
-    config.out.mkdir(parents=True, exist_ok=True)
-    if resources.global_dictionary is not None:
-        enrich.save_dictionary(resources.global_dictionary, config.out / "dictionary_global.tsv")
-    if resources.global_multi_dictionary is not None:
-        enrich.save_dictionary(
-            resources.global_multi_dictionary, config.out / "dictionary_global_multi.tsv"
-        )
+    for dictionary in (resources.global_dictionary, resources.global_multi_dictionary):
+        if dictionary is not None:
+            enrich.save_dictionary(dictionary, config.out / f"dictionary_{dictionary.provenance}.tsv")
     for experiment_id, enriched in results.items():
-        _write_conll(config.out / f"corpus_exp{experiment_id}.conll", enriched)
+        with atomic_output(config.out / f"corpus_exp{experiment_id}.conll") as fh:
+            annotator.emit_conll(enriched, fh)
     return results
 
 
@@ -611,9 +510,11 @@ def cmd_eval(
         }
     except DataError:
         pass  # golden-style files with non-standard tags still get scored
-    _atomic_write_text(config.out / "eval.json", json.dumps(payload, indent=2) + "\n")
-    _atomic_write_text(config.out / "eval.txt", evaluation.render_text(report, include_o))
-    sys.stdout.write(evaluation.render_text(report, include_o))
+    text = evaluation.render_text(report, include_o)
+    for name, content in (("eval.json", json.dumps(payload, indent=2) + "\n"), ("eval.txt", text)):
+        with atomic_output(config.out / name) as fh:
+            fh.write(content)
+    sys.stdout.write(text)
     return report
 
 
@@ -638,22 +539,12 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--input", help="input file for this command")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=ingest.DUMP_FORMATS, default=None)
-        p.add_argument("--equivalence", help="class->label TSV")
-        p.add_argument("--priority", help="class->priority TSV")
-        p.add_argument("--cache", help="class catalog cache TSV")
-        p.add_argument("--endpoint", help="SPARQL endpoint URL")
-        p.add_argument("--offline", action="store_true", help="never touch the network")
-        p.add_argument("--batch-size", dest="batch_size")
-        p.add_argument("--timeout", dest="timeout")
-        p.add_argument("--retries", dest="retries")
-        p.add_argument("--rate-limit", dest="rate_limit")
-        p.add_argument("--concurrency", dest="concurrency")
-        p.add_argument("--experiments", help="comma-separated ids, e.g. 1,4,6")
-        p.add_argument("--collapse-depth", dest="collapse_depth")
-        p.add_argument("--kg-map", dest="kg_map", help="surface->class TSV")
+        for f in dataclasses.fields(RunConfig):  # every config key is also a flag
+            flag = "--" + f.name.replace("_", "-")
+            if CONFIG_CASTS[f.name] is _parse_bool:
+                p.add_argument(flag, dest=f.name, action="store_const", const="true")
+            else:
+                p.add_argument(flag, dest=f.name, choices=f.metadata.get("choices"))
 
     for name in ("extract", "link", "annotate", "stats", "enrich", "pipeline"):
         add_common(sub.add_parser(name))

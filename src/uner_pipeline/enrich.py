@@ -12,13 +12,34 @@ from __future__ import annotations
 import copy
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .annotator import AnnotatedCorpus, AnnotatedSentence, IobTag
+from .atomic import atomic_output
 from .errors import ConfigurationError, DataError
 from .mapping import EquivalenceMap, UnerLabel, map_to_uner, parse_uner_label
 from .stats import iter_entities
 
-EXPERIMENT_IDS = (1, 2, 3, 4, 5, 6, 7)
+
+class ExperimentSpec(NamedTuple):
+    """What one experiment needs and the order it applies things in."""
+
+    local_first: bool  # propagate per-document dictionaries before the base dictionary
+    dictionary: str | None  # base dictionary: "global", "global_multi" or None
+    kg_filter: bool  # filter and retype the base dictionary through the kg map
+
+
+EXPERIMENTS = {
+    1: ExperimentSpec(False, "global", False),
+    2: ExperimentSpec(False, "global_multi", False),
+    3: ExperimentSpec(True, None, False),
+    4: ExperimentSpec(False, "global", True),
+    5: ExperimentSpec(False, "global_multi", True),
+    6: ExperimentSpec(True, "global", True),
+    7: ExperimentSpec(True, "global_multi", True),
+}
+
+EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
 PROVENANCES = ("global", "global_multi", "kg_filtered", "kg_filtered_multi")
 
@@ -109,7 +130,7 @@ def load_dictionary(path, provenance: str = "global") -> Dictionary:
 
 def save_dictionary(dictionary: Dictionary, path) -> None:
     """Write entries in application order so the file mirrors matching behavior."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         fh.write(f"# provenance = {dictionary.provenance}\n")
         for surface in application_order(dictionary.entries):
             fh.write(f"{surface}\t{dictionary.entries[surface]}\n")
@@ -241,7 +262,10 @@ def apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
 
 @dataclass
 class ExperimentResources:
-    """Inputs the experiments draw on; unused fields may stay None."""
+    """Inputs the experiments draw on; unused fields may stay None.
+
+    A base dictionary named ``b`` in EXPERIMENTS lives in ``b_dictionary``.
+    """
 
     global_dictionary: Dictionary | None = None
     global_multi_dictionary: Dictionary | None = None
@@ -262,25 +286,20 @@ def run_experiment(
     counters: Counter | None = None,
 ) -> AnnotatedCorpus:
     """Run one of the seven completion strategies and return the new corpus."""
-    if experiment_id not in EXPERIMENT_IDS:
+    if experiment_id not in EXPERIMENTS:
         raise ConfigurationError(
             f"unknown experiment id {experiment_id}; expected 1..{EXPERIMENT_IDS[-1]}"
         )
-    if experiment_id == 1:
-        return apply_dictionary(corpus, _require(resources.global_dictionary, "the global dictionary", 1))
-    if experiment_id == 2:
-        return apply_dictionary(
-            corpus, _require(resources.global_multi_dictionary, "the multi-token global dictionary", 2)
+    local_first, base, kg_filter = EXPERIMENTS[experiment_id]
+    dictionary = None
+    if base is not None:
+        dictionary = _require(
+            getattr(resources, f"{base}_dictionary"), f"the {base} dictionary", experiment_id
         )
-    if experiment_id == 3:
-        return apply_local_dictionaries(corpus)
-    kg = _require(resources.kg_map, "a knowledge-graph class map", experiment_id)
-    equivalences = _require(resources.equivalences, "the equivalence table", experiment_id)
-    if experiment_id in (4, 6):
-        base = _require(resources.global_dictionary, "the global dictionary", experiment_id)
-    else:
-        base = _require(resources.global_multi_dictionary, "the multi-token global dictionary", experiment_id)
-    kg_dictionary = filter_by_kg(base, kg, equivalences, counters)
-    if experiment_id in (4, 5):
-        return apply_dictionary(corpus, kg_dictionary)
-    return apply_dictionary(apply_local_dictionaries(corpus), kg_dictionary)
+    if kg_filter:
+        kg = _require(resources.kg_map, "a knowledge-graph class map", experiment_id)
+        equivalences = _require(resources.equivalences, "the equivalence table", experiment_id)
+        dictionary = filter_by_kg(dictionary, kg, equivalences, counters)
+    if local_first:
+        corpus = apply_local_dictionaries(corpus)
+    return corpus if dictionary is None else apply_dictionary(corpus, dictionary)

@@ -22,6 +22,7 @@ from urllib.parse import unquote
 
 import requests
 
+from .atomic import atomic_output
 from .errors import DataError, QueryError
 
 log = logging.getLogger(__name__)
@@ -117,14 +118,10 @@ def load_catalog(path: str | Path) -> ClassCatalog:
 
 def save_catalog(catalog: ClassCatalog, path: str | Path) -> None:
     """Write the cache atomically, targets sorted, class order preserved."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         fh.write("# target<TAB>comma-separated classes in canonical order\n")
         for target in sorted(catalog.entries):
             fh.write(f"{target}\t{','.join(catalog.entries[target])}\n")
-    os.replace(tmp, path)
 
 
 class RateLimiter:

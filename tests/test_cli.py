@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
-from uner_pipeline import cli
+from uner_pipeline import cli, enrich, linker
 from uner_pipeline.annotator import AnnotatedCorpus
-from uner_pipeline.errors import DataError
+from uner_pipeline.atomic import atomic_output
+from uner_pipeline.errors import DataError, UsageError
+from uner_pipeline.mapping import parse_uner_label
 
 DUMP = FIXTURES / "dump.jsonl"
 CACHE = FIXTURES / "class_cache.tsv"
@@ -172,6 +176,11 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_duplicate_experiment_is_1(self, tmp_path):
+        code = run_pipeline(tmp_path / "out", "--experiments", "1,3,1")
+        assert code == 1
+        assert not (tmp_path / "out" / "corpus.conll").exists()
+
     def test_pipeline_kg_experiments_fail_before_any_work(self, tmp_path):
         out = tmp_path / "out"
         code = run_pipeline(out, "--experiments", "6")
@@ -215,6 +224,17 @@ class TestLinkCommand:
         )
         assert code == 0
         assert "Alpha\tdbo:City" in cache_path.read_text()
+
+    def test_offline_run_leaves_cache_file_alone(self, tmp_path):
+        cache = tmp_path / "cache.tsv"
+        cache.write_bytes(CACHE.read_bytes())
+        before = cache.stat()
+        code = cli.main(
+            ["pipeline", "--input", str(DUMP), "--cache", str(cache), "--offline", "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
+        after = cache.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 class TestEvalCommand:
@@ -306,6 +326,105 @@ class TestConfigFile:
         assert config.endpoint is None
 
 
+# (key, config-file value, expected snapshot value); flags take the same values
+ACCEPTED_VALUES = [
+    ("input", "dump.jsonl", "dump.jsonl"),
+    ("format", "plain_anchored", "plain_anchored"),
+    ("format", "", "json_lines"),
+    ("out", "results", "results"),
+    ("equivalence", "eq.tsv", "eq.tsv"),
+    ("priority", "prio.tsv", "prio.tsv"),
+    ("cache", "cache.tsv", "cache.tsv"),
+    ("endpoint", "http://sparql.test/q", "http://sparql.test/q"),
+    ("endpoint", "", None),
+    ("resource_base", "http://kb.test/resource", "http://kb.test/resource"),
+    ("offline", "yes", True),
+    ("offline", "Off", False),
+    ("batch_size", "7", 7),
+    ("batch_size", "", 50),
+    ("timeout", "2.5", 2.5),
+    ("retries", "0", 0),
+    ("rate_limit", "0.5", 0.5),
+    ("concurrency", "8", 8),
+    ("experiments", "3,1", [3, 1]),
+    ("experiments", "", []),
+    ("collapse_depth", "2", 2),
+    ("kg_map", "kg.tsv", "kg.tsv"),
+]
+
+# (key, config-file value); every one is a usage error, exit code 1
+REJECTED_VALUES = [
+    ("format", "xml"),
+    ("offline", "maybe"),
+    ("offline", ""),
+    ("batch_size", "x"),
+    ("batch_size", "0"),
+    ("timeout", "soon"),
+    ("retries", "1.5"),
+    ("rate_limit", "fast"),
+    ("concurrency", "0"),
+    ("experiments", "8"),
+    ("experiments", "1,x"),
+    ("experiments", "1,1"),
+    ("collapse_depth", "0"),
+    ("collapse_depth", "two"),
+    ("bogus", "1"),
+]
+
+
+def _flag_argv(key: str, value: str) -> list[str]:
+    if key == "offline":  # a switch: present means true
+        return ["--offline"] if cli._parse_bool(value) else []
+    return ["--" + key.replace("_", "-"), value]
+
+
+class TestConfigSurface:
+    @pytest.fixture(autouse=True)
+    def _no_endpoint_override(self, monkeypatch):
+        from uner_pipeline.linker import ENDPOINT_ENV_VAR
+
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+
+    def build(self, *argv: str) -> cli.RunConfig:
+        return cli.build_config(cli._build_parser().parse_args(["link", *argv]))
+
+    def test_table_covers_every_key(self):
+        assert {key for key, _, _ in ACCEPTED_VALUES} == set(cli.CONFIG_CASTS)
+        assert [f.name for f in dataclasses.fields(cli.RunConfig)] == list(cli.CONFIG_CASTS)
+
+    @pytest.mark.parametrize("key,value,expected", ACCEPTED_VALUES)
+    def test_accepted_value(self, tmp_path, key, value, expected):
+        want = cli.RunConfig().snapshot() | {key: expected}
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert self.build("--config", str(config_file)).snapshot() == want
+        if value or key == "offline":
+            assert self.build(*_flag_argv(key, value)).snapshot() == want
+
+    @pytest.mark.parametrize("key,value", REJECTED_VALUES)
+    def test_rejected_value(self, tmp_path, key, value):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(UsageError):
+            self.build("--config", str(config_file))
+        assert cli.main(["link", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 1
+        if key != "offline":
+            with pytest.raises(UsageError):
+                self.build(*_flag_argv(key, value))
+
+    def test_flag_wins_over_file(self, tmp_path):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("batch_size = 7\noffline = no\n", encoding="utf-8")
+        config = self.build("--config", str(config_file), "--batch-size", "9", "--offline")
+        assert (config.batch_size, config.offline) == (9, True)
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"`(\w+)`", re.search(r"Keys:(.*?)\.", section, re.S).group(1))
+        assert keys == [f.name for f in dataclasses.fields(cli.RunConfig)]
+
+
 class TestAtomicWrites:
     def test_failed_conll_write_leaves_no_final_file(self, tmp_path, monkeypatch):
         def explode(corpus, writer):
@@ -315,12 +434,44 @@ class TestAtomicWrites:
         monkeypatch.setattr(cli.annotator, "emit_conll", explode)
         target = tmp_path / "corpus.conll"
         with pytest.raises(OSError):
-            cli._write_conll(target, AnnotatedCorpus())
+            with atomic_output(target) as fh:
+                cli.annotator.emit_conll(AnnotatedCorpus(), fh)
         assert not target.exists()
         assert not target.with_name("corpus.conll.tmp").exists()
 
     def test_atomic_text_replaces_existing(self, tmp_path):
         target = tmp_path / "file.txt"
         target.write_text("old", encoding="utf-8")
-        cli._atomic_write_text(target, "new")
+        with atomic_output(target) as fh:
+            fh.write("new")
         assert target.read_text(encoding="utf-8") == "new"
+
+    @pytest.mark.parametrize(
+        "save",
+        [
+            # sorted targets: "a" is written, then joining the int classes of "b" raises
+            lambda path: linker.save_catalog(linker.ClassCatalog({"a": ["dbo:City"], "b": [1]}), path),
+            # application order: "Alpha" is written, then formatting the label of "Beta" raises
+            lambda path: enrich.save_dictionary(
+                enrich.Dictionary({"Alpha": parse_uner_label("Name-Person-Name"), "Beta": _Unprintable()}),
+                path,
+            ),
+        ],
+        ids=["save_catalog", "save_dictionary"],
+    )
+    def test_writer_failing_midway_keeps_previous_file(self, tmp_path, save):
+        target = tmp_path / "out.tsv"
+        target.write_bytes(b"previous\tcontent\n")
+        with pytest.raises((TypeError, OSError)):
+            save(target)
+        assert target.read_bytes() == b"previous\tcontent\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
+        target.unlink()
+        with pytest.raises((TypeError, OSError)):
+            save(target)
+        assert list(tmp_path.iterdir()) == []
+
+
+class _Unprintable:
+    def __format__(self, spec):
+        raise OSError("disk full")
