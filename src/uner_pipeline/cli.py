@@ -5,18 +5,20 @@ key=value configuration file supplies defaults; flags override it, and the
 UNER_SPARQL_ENDPOINT environment variable overrides the endpoint. Every
 RunConfig field is both a config key and a flag (batch_size is --batch-size).
 All output files are written atomically (temp file + rename) and every run
-emits a manifest with per-stage counters and wall times. The pipeline itself
-is free of randomness: documents are processed in input order, and
+emits a manifest with per-stage counters and wall times; a stage's wall time
+covers reading its inputs, the work and writing its outputs. The pipeline
+itself is free of randomness: documents are processed in input order, and
 --concurrency only bounds in-flight SPARQL requests, so identical inputs
 produce byte-identical corpora at any concurrency level.
 
-Exit codes: 0 success, 1 usage/configuration, 2 data error, 3 network
-exhaustion.
+Exit codes: 0 success, 1 usage/configuration, 2 data error (including input
+that is not valid UTF-8), 3 network exhaustion.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -207,8 +209,18 @@ class Manifest:
             "status": "ok",
         }
 
+    @contextlib.contextmanager
     def stage(self, name: str):
-        return _StageTimer(self, name)
+        """Time a stage and record its counters and wall time, also when it raises."""
+        counters: Counter = Counter()
+        start = time.perf_counter()
+        try:
+            yield counters
+        finally:
+            self.data["stages"][name] = {
+                "counters": dict(sorted(counters.items())),
+                "wall_time_s": round(time.perf_counter() - start, 6),
+            }
 
     def fail(self, error: Exception) -> None:
         self.data["status"] = "error"
@@ -217,24 +229,6 @@ class Manifest:
     def write(self, out_dir: Path) -> None:
         with atomic_output(out_dir / "manifest.json") as fh:
             fh.write(json.dumps(self.data, indent=2) + "\n")
-
-
-class _StageTimer:
-    def __init__(self, manifest: Manifest, name: str):
-        self.manifest = manifest
-        self.name = name
-        self.counters: Counter = Counter()
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self.counters
-
-    def __exit__(self, exc_type, exc, tb):
-        self.manifest.data["stages"][self.name] = {
-            "counters": dict(sorted(self.counters.items())),
-            "wall_time_s": round(time.perf_counter() - self._start, 6),
-        }
-        return False
 
 
 def _document_to_json(doc: ingest.Document) -> str:
@@ -272,28 +266,23 @@ def load_documents(path: Path) -> list[ingest.Document]:
     return documents
 
 
-def stage_extract(config: RunConfig, counters: Counter) -> tuple[list[ingest.Document], list[str]]:
-    documents: list[ingest.Document] = []
-    with open(config.input, encoding="utf-8") as fh:
-        for raw in ingest.parse_dump_stream(fh, config.format, counters):
-            documents.append(ingest.build_document(raw, counters))
-    counters["links"] += sum(len(doc.links) for doc in documents)
-    targets = ingest.collect_unique_targets(documents)
-    counters["unique_targets"] += len(targets)
-    log.info(
-        "extracted %d documents, %d links, %d unique targets",
-        counters["documents"], counters["links"], counters["unique_targets"],
-    )
-    return documents, targets
-
-
 def cmd_extract(config: RunConfig, manifest: Manifest) -> tuple[list[ingest.Document], list[str]]:
     with manifest.stage("extract") as counters:
-        documents, targets = stage_extract(config, counters)
-    with atomic_output(config.out / "documents.jsonl") as fh:
-        fh.writelines(_document_to_json(doc) + "\n" for doc in documents)
-    with atomic_output(config.out / "targets.txt") as fh:
-        fh.writelines(target + "\n" for target in targets)
+        documents: list[ingest.Document] = []
+        with open(config.input, encoding="utf-8") as fh:
+            for raw in ingest.parse_dump_stream(fh, config.format, counters):
+                documents.append(ingest.build_document(raw, counters))
+        counters["links"] += sum(len(doc.links) for doc in documents)
+        targets = ingest.collect_unique_targets(documents)
+        counters["unique_targets"] += len(targets)
+        log.info(
+            "extracted %d documents, %d links, %d unique targets",
+            counters["documents"], counters["links"], counters["unique_targets"],
+        )
+        with atomic_output(config.out / "documents.jsonl") as fh:
+            fh.writelines(_document_to_json(doc) + "\n" for doc in documents)
+        with atomic_output(config.out / "targets.txt") as fh:
+            fh.writelines(target + "\n" for target in targets)
     return documents, targets
 
 
@@ -311,33 +300,6 @@ def _make_client(config: RunConfig) -> linker.SparqlClient | None:
     )
 
 
-def stage_link(
-    config: RunConfig, targets: list[str], counters: Counter, client=None
-) -> linker.ClassCatalog:
-    cache = linker.ClassCatalog()
-    if config.cache and config.cache.exists():
-        cache = linker.load_catalog(config.cache)
-    if client is None:
-        client = _make_client(config)
-    catalog = linker.resolve_all(targets, cache, client, counters)
-    log.info(
-        "resolved %d targets (%d cache hits, %d unresolved)",
-        counters["targets"], counters["cache_hits"], counters["unresolved"],
-    )
-    if config.cache and counters["resolved_by_query"] > 0:  # unchanged otherwise
-        linker.save_catalog(cache, config.cache)
-    if (
-        client is not None
-        and counters["unresolved"] > 0
-        and counters["resolved_by_query"] == 0
-        and client.request_count > 0
-    ):
-        raise NetworkExhaustedError(
-            f"all {counters['unresolved']} queried targets failed; endpoint unreachable?"
-        )
-    return catalog
-
-
 def cmd_link(config: RunConfig, manifest: Manifest, targets: list[str] | None = None) -> linker.ClassCatalog:
     if targets is None:
         targets_path = config.out / "targets.txt"
@@ -345,12 +307,27 @@ def cmd_link(config: RunConfig, manifest: Manifest, targets: list[str] | None = 
             targets_path = config.input
         if not targets_path.exists():
             raise UsageError(f"targets file not found: {targets_path} (run extract first)")
-        targets = [
-            line.rstrip("\n") for line in targets_path.read_text(encoding="utf-8").splitlines() if line
-        ]
     with manifest.stage("link") as counters:
-        catalog = stage_link(config, targets, counters)
-    linker.save_catalog(catalog, config.out / "catalog.tsv")
+        if targets is None:
+            targets = [line for line in targets_path.read_text(encoding="utf-8").splitlines() if line]
+        cache = linker.ClassCatalog()
+        if config.cache and config.cache.exists():
+            cache = linker.load_catalog(config.cache)
+        client = _make_client(config)
+        catalog = linker.resolve_all(targets, cache, client, counters)
+        if client is not None:
+            counters["requests"] = client.request_count
+        log.info(
+            "resolved %d targets (%d cache hits, %d unresolved)",
+            counters["targets"], counters["cache_hits"], counters["unresolved"],
+        )
+        if config.cache and counters["resolved_by_query"] > 0:  # unchanged otherwise
+            linker.save_catalog(cache, config.cache)
+        if counters["unresolved"] > 0 and counters["resolved_by_query"] == 0 and counters["requests"] > 0:
+            raise NetworkExhaustedError(
+                f"all {counters['unresolved']} queried targets failed; endpoint unreachable?"
+            )
+        linker.save_catalog(catalog, config.out / "catalog.tsv")
     return catalog
 
 
@@ -370,26 +347,6 @@ def build_label_map(
     return labels
 
 
-def stage_annotate(
-    config: RunConfig,
-    documents: list[ingest.Document],
-    catalog: linker.ClassCatalog,
-    counters: Counter,
-) -> annotator.AnnotatedCorpus:
-    equivalences, priorities = mapping.load_mapping_tables(config.equivalence, config.priority)
-    labels = build_label_map(catalog, equivalences, priorities, counters)
-    corpus = annotator.AnnotatedCorpus()
-    for doc in documents:
-        sentences = annotator.annotate_document(doc, labels, counters)
-        if sentences:
-            corpus.documents.append((doc.doc_id, sentences))
-    counters["documents_kept"] += len(corpus.documents)
-    counters["tokens"] += sum(
-        len(sentence.tokens) for _, sentences in corpus.documents for sentence in sentences
-    )
-    return corpus
-
-
 def cmd_annotate(
     config: RunConfig,
     manifest: Manifest,
@@ -400,25 +357,42 @@ def cmd_annotate(
         documents_path = config.input if config.input else config.out / "documents.jsonl"
         if not documents_path.exists():
             raise UsageError(f"documents file not found: {documents_path} (run extract first)")
-        documents = load_documents(documents_path)
     if catalog is None:
         catalog_path = config.out / "catalog.tsv"
-        if catalog_path.exists():
-            catalog = linker.load_catalog(catalog_path)
-        elif config.cache and config.cache.exists():
-            catalog = linker.load_catalog(config.cache)
-        else:
+        if not catalog_path.exists():
+            catalog_path = config.cache
+        if catalog_path is None or not catalog_path.exists():
             raise UsageError("no class catalog found (run link first or point --cache at one)")
     with manifest.stage("annotate") as counters:
-        corpus = stage_annotate(config, documents, catalog, counters)
-    with atomic_output(config.out / "corpus.conll") as fh:
-        annotator.emit_conll(corpus, fh)
+        if documents is None:
+            documents = load_documents(documents_path)
+        if catalog is None:
+            catalog = linker.load_catalog(catalog_path)
+        equivalences, priorities = mapping.load_mapping_tables(config.equivalence, config.priority)
+        labels = build_label_map(catalog, equivalences, priorities, counters)
+        corpus = annotator.AnnotatedCorpus()
+        for doc in documents:
+            sentences = annotator.annotate_document(doc, labels, counters)
+            if sentences:
+                corpus.documents.append((doc.doc_id, sentences))
+        counters["documents_kept"] += len(corpus.documents)
+        counters["tokens"] += sum(
+            len(sentence.tokens) for _, sentences in corpus.documents for sentence in sentences
+        )
+        with atomic_output(config.out / "corpus.conll") as fh:
+            annotator.emit_conll(corpus, fh)
     return corpus
 
 
-def _load_corpus(path: Path) -> annotator.AnnotatedCorpus:
+def _corpus_path(config: RunConfig) -> Path:
+    """The corpus a standalone stats or enrich run reads."""
+    path = config.input if config.input else config.out / "corpus.conll"
     if not path.exists():
         raise UsageError(f"corpus file not found: {path}")
+    return path
+
+
+def _load_corpus(path: Path) -> annotator.AnnotatedCorpus:
     with open(path, encoding="utf-8") as fh:
         return annotator.parse_conll(fh)
 
@@ -427,43 +401,22 @@ def cmd_stats(
     config: RunConfig, manifest: Manifest, corpus: annotator.AnnotatedCorpus | None = None
 ) -> stats.CorpusStats:
     if corpus is None:
-        corpus = _load_corpus(config.input if config.input else config.out / "corpus.conll")
+        corpus_path = _corpus_path(config)
     with manifest.stage("stats") as counters:
+        if corpus is None:
+            corpus = _load_corpus(corpus_path)
         report = stats.compute_stats(corpus)
         entities = stats.list_entities(corpus)
         counters["total_tokens"] += report.total_tokens
         counters["entities"] += report.entity_count
-    for name, text in (
-        ("stats.txt", stats.render_text(report)),
-        ("stats.json", stats.render_json(report)),
-        ("entities.tsv", "".join(f"{surface}\t{label}\n" for surface, label in entities)),
-    ):
-        with atomic_output(config.out / name) as fh:
-            fh.write(text)
+        for name, text in (
+            ("stats.txt", stats.render_text(report)),
+            ("stats.json", stats.render_json(report)),
+            ("entities.tsv", "".join(f"{surface}\t{label}\n" for surface, label in entities)),
+        ):
+            with atomic_output(config.out / name) as fh:
+                fh.write(text)
     return report
-
-
-def stage_enrich(
-    config: RunConfig,
-    corpus: annotator.AnnotatedCorpus,
-    experiment_ids: tuple[int, ...],
-    counters: Counter,
-) -> tuple[dict[int, annotator.AnnotatedCorpus], enrich.ExperimentResources]:
-    resources = enrich.ExperimentResources()
-    specs = [enrich.EXPERIMENTS[e] for e in experiment_ids]
-    for base in sorted({spec.dictionary for spec in specs} - {None}):  # global, then global_multi
-        dictionary = enrich.build_global_dictionary(corpus, multi_token_only=base == "global_multi")
-        setattr(resources, f"{base}_dictionary", dictionary)
-        counters[f"{base}_dictionary_size"] += len(dictionary.entries)
-    if any(spec.kg_filter for spec in specs):
-        resources.kg_map = enrich.load_kg_map(config.kg_map)
-        resources.equivalences = mapping.load_mapping_tables(config.equivalence, config.priority)[0]
-    results: dict[int, annotator.AnnotatedCorpus] = {}
-    for experiment_id in experiment_ids:
-        enriched = enrich.run_experiment(experiment_id, corpus, resources, counters)
-        counters[f"exp{experiment_id}_entities"] += stats.compute_stats(enriched).entity_count
-        results[experiment_id] = enriched
-    return results, resources
 
 
 def cmd_enrich(
@@ -472,16 +425,31 @@ def cmd_enrich(
     if not config.experiments:
         raise UsageError("no experiments selected (use --experiments, e.g. 1,4,6)")
     if corpus is None:
-        corpus = _load_corpus(config.input if config.input else config.out / "corpus.conll")
+        corpus_path = _corpus_path(config)
     with manifest.stage("enrich") as counters:
-        results, resources = stage_enrich(config, corpus, config.experiments, counters)
-    # the built dictionaries are outputs too, in application order
-    for dictionary in (resources.global_dictionary, resources.global_multi_dictionary):
-        if dictionary is not None:
-            enrich.save_dictionary(dictionary, config.out / f"dictionary_{dictionary.provenance}.tsv")
-    for experiment_id, enriched in results.items():
-        with atomic_output(config.out / f"corpus_exp{experiment_id}.conll") as fh:
-            annotator.emit_conll(enriched, fh)
+        if corpus is None:
+            corpus = _load_corpus(corpus_path)
+        resources = enrich.ExperimentResources()
+        specs = [enrich.EXPERIMENTS[e] for e in config.experiments]
+        for base in sorted({spec.dictionary for spec in specs} - {None}):  # global, then global_multi
+            dictionary = enrich.build_global_dictionary(corpus, multi_token_only=base == "global_multi")
+            setattr(resources, f"{base}_dictionary", dictionary)
+            counters[f"{base}_dictionary_size"] += len(dictionary.entries)
+        if any(spec.kg_filter for spec in specs):
+            resources.kg_map = enrich.load_kg_map(config.kg_map)
+            resources.equivalences = mapping.load_mapping_tables(config.equivalence, config.priority)[0]
+        results: dict[int, annotator.AnnotatedCorpus] = {}
+        for experiment_id in config.experiments:
+            enriched = enrich.run_experiment(experiment_id, corpus, resources, counters)
+            counters[f"exp{experiment_id}_entities"] += stats.compute_stats(enriched).entity_count
+            results[experiment_id] = enriched
+        # the built dictionaries are outputs too, in application order
+        for dictionary in (resources.global_dictionary, resources.global_multi_dictionary):
+            if dictionary is not None:
+                enrich.save_dictionary(dictionary, config.out / f"dictionary_{dictionary.provenance}.tsv")
+        for experiment_id, enriched in results.items():
+            with atomic_output(config.out / f"corpus_exp{experiment_id}.conll") as fh:
+                annotator.emit_conll(enriched, fh)
     return results
 
 
@@ -501,20 +469,20 @@ def cmd_eval(
         report = evaluation.per_tag_metrics(pairs, config.collapse_depth)
         counters["aligned_tokens"] += len(pairs)
         counters["tags_scored"] += len(report.per_tag)
-    payload = json.loads(evaluation.render_json(report, include_o))
-    try:
-        with open(system, encoding="utf-8") as s:
-            coarse = evaluation.coarse_report(annotator.parse_conll(s))
-        payload["system_coarse_counts"] = {
-            name: {"count": count, "share": share} for name, (count, share) in coarse.items()
-        }
-    except DataError:
-        pass  # golden-style files with non-standard tags still get scored
-    text = evaluation.render_text(report, include_o)
-    for name, content in (("eval.json", json.dumps(payload, indent=2) + "\n"), ("eval.txt", text)):
-        with atomic_output(config.out / name) as fh:
-            fh.write(content)
-    sys.stdout.write(text)
+        payload = json.loads(evaluation.render_json(report, include_o))
+        try:
+            with open(system, encoding="utf-8") as s:
+                coarse = evaluation.coarse_report(annotator.parse_conll(s))
+            payload["system_coarse_counts"] = {
+                name: {"count": count, "share": share} for name, (count, share) in coarse.items()
+            }
+        except DataError:
+            pass  # golden-style files with non-standard tags still get scored
+        text = evaluation.render_text(report, include_o)
+        for name, content in (("eval.json", json.dumps(payload, indent=2) + "\n"), ("eval.txt", text)):
+            with atomic_output(config.out / name) as fh:
+                fh.write(content)
+        sys.stdout.write(text)
     return report
 
 
@@ -589,14 +557,17 @@ def main(argv: list[str] | None = None) -> int:
             cmd_pipeline(config, manifest)
         manifest.write(config.out)
         return 0
-    except (PipelineError, OSError) as exc:
+    except (PipelineError, OSError, UnicodeDecodeError) as exc:
         if manifest is not None:
             manifest.fail(exc)
             try:
                 manifest.write(config.out)
             except OSError:
                 pass
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, UnicodeDecodeError):
+            print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UsageError):
             return 1
         if isinstance(exc, NetworkExhaustedError):

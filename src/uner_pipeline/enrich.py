@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from .annotator import AnnotatedCorpus, AnnotatedSentence, IobTag
 from .atomic import atomic_output
-from .errors import ConfigurationError, DataError
-from .mapping import EquivalenceMap, UnerLabel, map_to_uner, parse_uner_label
+from .errors import ConfigurationError, DataError, LabelParseError
+from .mapping import EquivalenceMap, UnerLabel, iter_tsv, map_to_uner, parse_uner_label
 from .stats import iter_entities
 
 
@@ -110,21 +110,17 @@ def build_global_dictionary(
 def load_dictionary(path, provenance: str = "global") -> Dictionary:
     """Read a ``surface<TAB>label`` TSV; # comments allowed."""
     entries: dict[str, UnerLabel] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            surface, sep, label_string = line.partition("\t")
-            if not sep or not surface or not label_string:
-                raise DataError(f"{path}:{line_no}: expected 'surface<TAB>label'")
-            if surface in entries:
-                raise DataError(f"{path}:{line_no}: duplicate surface {surface!r}")
-            if not surface_is_admissible(surface):
-                raise DataError(f"{path}:{line_no}: inadmissible surface {surface!r}")
-            if provenance.endswith("_multi") and surface_token_count(surface) < 2:
-                raise DataError(f"{path}:{line_no}: single-token surface in multi dictionary")
+    for line_no, surface, label_string in iter_tsv(path):
+        if surface in entries:
+            raise DataError(f"{path}:{line_no}: duplicate surface {surface!r}")
+        if not surface_is_admissible(surface):
+            raise DataError(f"{path}:{line_no}: inadmissible surface {surface!r}")
+        if provenance.endswith("_multi") and surface_token_count(surface) < 2:
+            raise DataError(f"{path}:{line_no}: single-token surface in multi dictionary")
+        try:
             entries[surface] = parse_uner_label(label_string)
+        except LabelParseError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
     return Dictionary(entries, provenance)
 
 
@@ -137,16 +133,12 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
 
 
 def load_kg_map(path) -> KgClassMap:
+    """Read a ``surface<TAB>class`` TSV; a later line for a surface wins."""
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            key, sep, cls = line.partition("\t")
-            if not sep or not key or not cls:
-                raise DataError(f"{path}:{line_no}: expected 'surface<TAB>class'")
-            entries[key] = cls
+    for line_no, key, cls in iter_tsv(path):
+        if not cls:
+            raise DataError(f"{path}:{line_no}: empty class")
+        entries[key] = cls
     return KgClassMap(entries)
 
 

@@ -70,7 +70,10 @@ def parse_dump_stream(
 
     Malformed lines/blocks are skipped and counted under ``malformed_lines``;
     duplicate document ids are skipped and counted under ``duplicate_doc_id``.
-    Decoding failures abort with the offending line number.
+    Invalid UTF-8 in a bytes reader aborts with a DataError naming the line.
+    A text reader decodes on its own: the CLI opens the dump as UTF-8 text,
+    so a bad byte raises UnicodeDecodeError, which it reports as a data
+    error (exit 2).
     """
     if fmt not in DUMP_FORMATS:
         raise UsageError(f"unknown dump format {fmt!r}; expected one of {DUMP_FORMATS}")

@@ -24,6 +24,7 @@ import requests
 
 from .atomic import atomic_output
 from .errors import DataError, QueryError
+from .mapping import iter_tsv
 
 log = logging.getLogger(__name__)
 
@@ -99,20 +100,12 @@ class ClassCatalog:
 
 
 def load_catalog(path: str | Path) -> ClassCatalog:
-    """Read a ``target<TAB>class1,class2,...`` TSV cache; # comments allowed."""
-    path = Path(path)
+    """Read a ``target<TAB>class1,class2,...`` TSV cache; the class list may be empty."""
     entries: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            target, sep, classes_field = line.partition("\t")
-            if not sep or not target:
-                raise DataError(f"{path}:{line_no}: expected 'target<TAB>classes'")
-            if target in entries:
-                raise DataError(f"{path}:{line_no}: duplicate target {target!r}")
-            entries[target] = [c for c in classes_field.split(",") if c]
+    for line_no, target, classes_field in iter_tsv(path):
+        if target in entries:
+            raise DataError(f"{path}:{line_no}: duplicate target {target!r}")
+        entries[target] = [c for c in classes_field.split(",") if c]
     return ClassCatalog(entries)
 
 

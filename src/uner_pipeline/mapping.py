@@ -88,18 +88,24 @@ class PriorityMap:
     entries: dict[str, int] = field(default_factory=dict)
 
 
-def _iter_tsv(path: Path):
-    """Yield (line_no, key, value) for non-comment TSV lines."""
+def iter_tsv(path: str | Path):
+    """Yield (line_no, key, value) for each ``key<TAB>value`` line of a TSV table.
+
+    Blank and ``#`` lines are skipped. A line without a tab or with an empty
+    key raises a DataError starting with ``path:line``; each loader applies
+    its own rules to the value, which may be empty.
+    """
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+            head = line.lstrip()
+            if not head or head.startswith("#"):
                 continue
-            if "\t" not in line:
+            key, sep, value = line.partition("\t")
+            if not sep:
                 raise DataError(f"{path}:{line_no}: expected two tab-separated columns")
-            key, _, value = line.partition("\t")
             if not key:
-                raise DataError(f"{path}:{line_no}: empty class name")
+                raise DataError(f"{path}:{line_no}: empty first column")
             yield line_no, key, value
 
 
@@ -107,7 +113,7 @@ def load_equivalence_map(path: str | Path) -> EquivalenceMap:
     """Load the class -> label table; raises on duplicates or bad labels."""
     path = Path(path)
     entries: dict[str, UnerLabel | None] = {}
-    for line_no, cls, value in _iter_tsv(path):
+    for line_no, cls, value in iter_tsv(path):
         if cls in entries:
             raise DataError(f"{path}:{line_no}: duplicate class {cls!r}")
         if value == NULL_MARKER:
@@ -124,7 +130,7 @@ def load_priority_map(path: str | Path) -> PriorityMap:
     """Load the class -> priority table; priorities are integers >= 1."""
     path = Path(path)
     entries: dict[str, int] = {}
-    for line_no, cls, value in _iter_tsv(path):
+    for line_no, cls, value in iter_tsv(path):
         if cls in entries:
             raise DataError(f"{path}:{line_no}: duplicate class {cls!r}")
         try:

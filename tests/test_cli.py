@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,18 @@ class TestPipeline:
             == annotate["sentences_total"]
         )
         assert manifest["stages"]["link"]["counters"]["unresolved"] == 1
+
+    def test_stage_time_covers_output_writes(self, tmp_path, monkeypatch):
+        emit_conll = cli.annotator.emit_conll
+
+        def slow_emit_conll(corpus, writer):
+            time.sleep(0.3)
+            return emit_conll(corpus, writer)
+
+        monkeypatch.setattr(cli.annotator, "emit_conll", slow_emit_conll)
+        assert run_pipeline(tmp_path / "out") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["stages"]["annotate"]["wall_time_s"] >= 0.3
 
     def test_stats_outputs_written(self, tmp_path):
         run_pipeline(tmp_path / "out")
@@ -157,6 +170,27 @@ class TestExitCodes:
         assert manifest["status"] == "error"
         assert "stages" in manifest
 
+    @pytest.mark.parametrize(
+        "fixture, argv",
+        [
+            (DUMP, ["extract", "--input", "{bad}"]),
+            (CACHE, ["pipeline", "--input", str(DUMP), "--cache", "{bad}", "--offline"]),
+            (EXPECTED_CORPUS, ["stats", "--input", "{bad}"]),
+        ],
+        ids=["dump", "cache", "conll"],
+    )
+    def test_invalid_utf8_is_2(self, tmp_path, capsys, fixture, argv):
+        bad = tmp_path / fixture.name
+        bad.write_bytes(fixture.read_bytes() + b"caf\xe9\tO\n")  # Latin-1, not UTF-8
+        out = tmp_path / "out"
+        code = cli.main([arg.format(bad=bad) for arg in argv] + ["--out", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("UnicodeDecodeError")
+        [message] = capsys.readouterr().err.splitlines()
+        assert message.startswith("error: input is not valid UTF-8: ")
+
     def test_unknown_experiment_is_1(self, tmp_path):
         code = run_pipeline(tmp_path / "out", "--experiments", "8")
         assert code == 1
@@ -224,6 +258,21 @@ class TestLinkCommand:
         )
         assert code == 0
         assert "Alpha\tdbo:City" in cache_path.read_text()
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["stages"]["link"]["counters"]["requests"] == client.request_count == 1
+
+    def test_unreachable_endpoint_is_3_and_counts_requests(self, tmp_path, monkeypatch):
+        from test_linker import FakeSession, make_client
+
+        client = make_client(FakeSession(fail=True))
+        monkeypatch.setattr(cli, "_make_client", lambda config: client)
+        targets = tmp_path / "targets.txt"
+        targets.write_text("Alpha\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["link", "--input", str(targets), "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["stages"]["link"]["counters"]["requests"] == client.request_count > 0
 
     def test_offline_run_leaves_cache_file_alone(self, tmp_path):
         cache = tmp_path / "cache.tsv"

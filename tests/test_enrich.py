@@ -15,6 +15,7 @@ from uner_pipeline.enrich import (
     build_global_dictionary,
     filter_by_kg,
     load_dictionary,
+    load_kg_map,
     run_experiment,
     save_dictionary,
     surface_is_admissible,
@@ -428,3 +429,9 @@ def test_dictionary_save_load_round_trip(tmp_path):
     save_dictionary(dictionary, path)
     loaded = load_dictionary(path, "global")
     assert loaded.entries == dictionary.entries
+
+
+def test_kg_map_later_line_wins(tmp_path):
+    path = tmp_path / "kg.tsv"
+    path.write_text("Paris\tdbo:Person\nParis\tdbo:City\n", encoding="utf-8")
+    assert load_kg_map(path).entries == {"Paris": "dbo:City"}

@@ -1,9 +1,12 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
 
+from uner_pipeline.enrich import load_dictionary, load_kg_map
 from uner_pipeline.errors import DataError, LabelParseError
+from uner_pipeline.linker import load_catalog
 from uner_pipeline.mapping import (
     EquivalenceMap,
     PriorityMap,
@@ -170,6 +173,52 @@ class TestLoaders:
         pri.write_text("dbo:Event\t2\n", encoding="utf-8")
         with pytest.raises(DataError, match="dbo:City"):
             load_mapping_tables(eq, pri)
+
+
+# loader -> (a valid row, a row its own value rules reject)
+TSV_LOADERS = {
+    "catalog": (load_catalog, "Alpha\tdbo:Event,owl:Thing", "Alpha\tdbo:City"),
+    "dictionary": (load_dictionary, "Alpha Beta\tName-Person", "Gamma\tBogus-Label"),
+    "kg_map": (load_kg_map, "Alpha\tdbo:City", "Gamma\t"),
+    "equivalence": (load_equivalence_map, "dbo:Event\tName-Event", "dbo:City\tName--City"),
+    "priority": (load_priority_map, "dbo:Event\t2", "dbo:City\ttwo"),
+}
+
+
+@pytest.mark.parametrize("name", TSV_LOADERS)
+class TestTsvLoaders:
+    """The line rules every TSV table shares, checked through each loader."""
+
+    def load(self, tmp_path, name, text, newline="\n"):
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        return TSV_LOADERS[name][0](path)
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path, name):
+        row = TSV_LOADERS[name][1]
+        plain = self.load(tmp_path, name, row + "\n")
+        padded = self.load(tmp_path, name, "# header\n\n   \n" + row + "\n  # indented\n")
+        assert padded.entries == plain.entries and plain.entries
+
+    def test_crlf_loads_like_lf(self, tmp_path, name):
+        row = TSV_LOADERS[name][1]
+        lf = self.load(tmp_path, name, "# header\n" + row + "\n")
+        crlf = self.load(tmp_path, name, "# header\n" + row + "\n", newline="\r\n")
+        assert crlf.entries == lf.entries
+
+    @pytest.mark.parametrize("bad_line", ["no tab at all", "\tvalue without a key"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, name, bad_line):
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(f"# header\n{TSV_LOADERS[name][1]}\n{bad_line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: "):
+            TSV_LOADERS[name][0](path)
+
+    def test_rejected_value_names_path_and_line(self, tmp_path, name):
+        _, row, bad_row = TSV_LOADERS[name]
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(f"{row}\n\n{bad_row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: "):
+            TSV_LOADERS[name][0](path)
 
 
 class TestShippedTables:
