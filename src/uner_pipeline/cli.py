@@ -440,8 +440,11 @@ def cmd_enrich(
             resources.equivalences = mapping.load_mapping_tables(config.equivalence, config.priority)[0]
         results: dict[int, annotator.AnnotatedCorpus] = {}
         for experiment_id in config.experiments:
-            enriched = enrich.run_experiment(experiment_id, corpus, resources, counters)
-            counters[f"exp{experiment_id}_entities"] += stats.compute_stats(enriched).entity_count
+            experiment_counters: Counter = Counter()
+            enriched = enrich.run_experiment(experiment_id, corpus, resources, experiment_counters)
+            experiment_counters["entities"] += stats.compute_stats(enriched).entity_count
+            for name, count in experiment_counters.items():
+                counters[f"exp{experiment_id}_{name}"] += count
             results[experiment_id] = enriched
         # the built dictionaries are outputs too, in application order
         for dictionary in (resources.global_dictionary, resources.global_multi_dictionary):
@@ -469,17 +472,18 @@ def cmd_eval(
         report = evaluation.per_tag_metrics(pairs, config.collapse_depth)
         counters["aligned_tokens"] += len(pairs)
         counters["tags_scored"] += len(report.per_tag)
-        payload = json.loads(evaluation.render_json(report, include_o))
+        coarse = None
         try:
             with open(system, encoding="utf-8") as s:
                 coarse = evaluation.coarse_report(annotator.parse_conll(s))
-            payload["system_coarse_counts"] = {
-                name: {"count": count, "share": share} for name, (count, share) in coarse.items()
-            }
-        except DataError:
-            pass  # golden-style files with non-standard tags still get scored
+        except DataError as exc:  # files that break the IOB invariants still get scored
+            counters["system_coarse_counts_skipped"] += 1
+            log.warning("%s: eval.json left without system_coarse_counts: %s", system, exc)
         text = evaluation.render_text(report, include_o)
-        for name, content in (("eval.json", json.dumps(payload, indent=2) + "\n"), ("eval.txt", text)):
+        for name, content in (
+            ("eval.json", evaluation.render_json(report, include_o, coarse)),
+            ("eval.txt", text),
+        ):
             with atomic_output(config.out / name) as fh:
                 fh.write(content)
         sys.stdout.write(text)

@@ -41,8 +41,6 @@ EXPERIMENTS = {
 
 EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
-PROVENANCES = ("global", "global_multi", "kg_filtered", "kg_filtered_multi")
-
 MIN_SURFACE_CHARS = 3
 
 

@@ -30,11 +30,7 @@ class AlignmentError(DataError):
 
 
 class QueryError(PipelineError):
-    """A SPARQL request failed after all retries; carries the affected targets."""
-
-    def __init__(self, message: str, targets: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.targets = targets
+    """A SPARQL request failed after all retries."""
 
 
 class NetworkExhaustedError(PipelineError):

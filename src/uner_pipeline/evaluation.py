@@ -1,31 +1,36 @@
-"""Token-level scoring of a system corpus against a golden corpus.
+"""Token-level scoring of a system corpus against a golden corpus, and the
+``eval.txt``/``eval.json`` reports.
 
-B-X and I-X count as distinct classes. Per-tag precision/recall/F1 are
-computed from token-level confusion counts with the 0/0 -> 0 convention,
-and the macro mean runs over tags whose three values are not all zero.
-An optional collapse depth rewrites every non-O tag to its prefix plus the
-first d label segments before counting, scoring the hierarchy coarsely.
+Tags are scored as the plain strings the CoNLL files hold. B-X and I-X count
+as distinct classes. Per-tag precision/recall/F1 are computed from
+token-level confusion counts with the 0/0 -> 0 convention, and the macro
+mean runs over tags whose three values are not all zero. An optional
+collapse depth rewrites every non-O tag to its prefix plus the first d label
+segments before counting, scoring the hierarchy coarsely. ``eval.json``
+holds the collapse depth, the macro, the counted tags, the per-tag table and,
+when the caller passes them, the system file's coarse Person/Location/
+Organization counts.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .annotator import AnnotatedCorpus, IobTag, read_conll_events
+from .annotator import AnnotatedCorpus, read_conll_events
 from .errors import AlignmentError, DataError
-from .stats import COARSE_CLASSES, compute_stats
+from .stats import coarse_json, compute_stats
 
 
-@dataclass(frozen=True)
-class TagPair:
+class TagPair(NamedTuple):
     """One aligned token with its golden and system tags."""
 
     token_text: str
-    gold: IobTag | str
-    system: IobTag | str
+    gold: str
+    system: str
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,9 @@ def align(golden: Iterable[str], system: Iterable[str]) -> list[TagPair]:
             )
         for gold_sentence, sys_sentence in zip(gold_sentences, sys_sentences):
             if len(gold_sentence) != len(sys_sentence):
-                g_line = gold_sentence[0][2] if gold_sentence else 0
-                s_line = sys_sentence[0][2] if sys_sentence else 0
                 raise AlignmentError(
-                    f"sentence length mismatch near golden line {g_line} / system line {s_line}"
+                    f"sentence length mismatch near golden line {gold_sentence[0][2]} "
+                    f"/ system line {sys_sentence[0][2]}"
                 )
             for (g_text, g_tag, g_line), (s_text, s_tag, s_line) in zip(gold_sentence, sys_sentence):
                 if g_text != s_text:
@@ -82,16 +86,11 @@ def align(golden: Iterable[str], system: Iterable[str]) -> list[TagPair]:
     return pairs
 
 
-def _tag_string(tag: IobTag | str) -> str:
-    return tag if isinstance(tag, str) else str(tag)
-
-
-def collapse_tag(tag: IobTag | str, depth: int | None) -> str:
+def collapse_tag(tag: str, depth: int | None) -> str:
     """Rewrite a non-O tag to prefix + first ``depth`` label segments."""
-    s = _tag_string(tag)
-    if depth is None or s == "O":
-        return s
-    prefix, _, rest = s.partition("-")
+    if depth is None or tag == "O":
+        return tag
+    prefix, _, rest = tag.partition("-")
     segments = rest.split("-")
     return prefix + "-" + "-".join(segments[: max(1, depth)])
 
@@ -104,18 +103,18 @@ def per_tag_metrics(pairs: list[TagPair], collapse_depth: int | None = None) -> 
     """
     if not pairs:
         raise DataError("nothing to score: empty pair list")
-    gold_tags = [collapse_tag(pair.gold, collapse_depth) for pair in pairs]
-    system_tags = [collapse_tag(pair.system, collapse_depth) for pair in pairs]
-    tags = sorted(set(gold_tags) | set(system_tags))
-    true_positive: dict[str, int] = {t: 0 for t in tags}
-    false_positive: dict[str, int] = {t: 0 for t in tags}
-    false_negative: dict[str, int] = {t: 0 for t in tags}
-    for gold, system in zip(gold_tags, system_tags):
+    true_positive: Counter[str] = Counter()
+    false_positive: Counter[str] = Counter()
+    false_negative: Counter[str] = Counter()
+    for _, gold, system in pairs:
+        if collapse_depth is not None:
+            gold, system = collapse_tag(gold, collapse_depth), collapse_tag(system, collapse_depth)
         if gold == system:
             true_positive[gold] += 1
         else:
             false_negative[gold] += 1
             false_positive[system] += 1
+    tags = sorted(true_positive.keys() | false_positive.keys() | false_negative.keys())
     report = EvalReport(collapse_depth=collapse_depth)
     for tag in tags:
         tp, fp, fn = true_positive[tag], false_positive[tag], false_negative[tag]
@@ -142,8 +141,7 @@ def per_tag_metrics(pairs: list[TagPair], collapse_depth: int | None = None) -> 
 
 def coarse_report(corpus: AnnotatedCorpus) -> dict[str, tuple[int, float]]:
     """Entity counts and shares for the Person/Location/Organization buckets."""
-    coarse = compute_stats(corpus).coarse_counts
-    return {name: coarse[name] for name in COARSE_CLASSES}
+    return compute_stats(corpus).coarse_counts
 
 
 def round1(value: float) -> float:
@@ -170,7 +168,12 @@ def render_text(report: EvalReport, include_o: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: EvalReport, include_o: bool = False) -> str:
+def render_json(
+    report: EvalReport,
+    include_o: bool = False,
+    coarse: dict[str, tuple[int, float]] | None = None,
+) -> str:
+    """The ``eval.json`` text; ``coarse`` (from coarse_report) adds system_coarse_counts."""
     payload = {
         "collapse_depth": report.collapse_depth,
         "macro": {
@@ -190,4 +193,6 @@ def render_json(report: EvalReport, include_o: bool = False) -> str:
             if include_o or tag != "O"
         },
     }
+    if coarse is not None:
+        payload["system_coarse_counts"] = coarse_json(coarse)
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"

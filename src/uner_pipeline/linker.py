@@ -29,15 +29,10 @@ from .mapping import iter_tsv
 log = logging.getLogger(__name__)
 
 DEFAULT_RESOURCE_BASE = "http://dbpedia.org/resource"
-DEFAULT_ENDPOINT = "https://dbpedia.org/sparql"
 ENDPOINT_ENV_VAR = "UNER_SPARQL_ENDPOINT"
 
-# rdf:type lookup; the batch variant resolves many entities per request
-SINGLE_QUERY_TEMPLATE = (
-    "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
-    "SELECT ?type WHERE {{ <{uri}> rdf:type ?type }}"
-)
-BATCH_QUERY_TEMPLATE = (
+# rdf:type lookup for one or many entities per request
+QUERY_TEMPLATE = (
     "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
     "SELECT ?entity ?type WHERE {{ VALUES ?entity {{ {uris} }} ?entity rdf:type ?type }}"
 )
@@ -205,28 +200,15 @@ class SparqlClient:
                 self._sleep(self._backoff * (attempt + 1))
         raise QueryError(f"query failed after {self.retries} attempts: {last_error}")
 
-    def query_classes(self, uri: str) -> list[str]:
-        """Ordered, duplicate-free class list for one entity; [] if unknown."""
-        payload = self._request(SINGLE_QUERY_TEMPLATE.format(uri=uri))
-        classes: list[str] = []
-        for binding in payload["results"]["bindings"]:
-            value = binding.get("type", {}).get("value")
-            if value is None:
-                continue
-            name = compact_class_name(value)
-            if name not in classes:
-                classes.append(name)
-        return classes
-
     def query_batch(self, targets: list[str]) -> dict[str, list[str]]:
-        """Class lists for many targets in one request.
+        """Ordered, duplicate-free class lists for many targets in one request.
 
         Every requested target appears in the result; targets without rows map
         to []. Raises QueryError when the request fails after retries.
         """
         uri_to_target = {build_entity_uri(t, self.resource_base): t for t in targets}
         uris = " ".join(f"<{uri}>" for uri in uri_to_target)
-        payload = self._request(BATCH_QUERY_TEMPLATE.format(uris=uris))
+        payload = self._request(QUERY_TEMPLATE.format(uris=uris))
         result: dict[str, list[str]] = {t: [] for t in targets}
         for binding in payload["results"]["bindings"]:
             entity = binding.get("entity", {}).get("value")
@@ -250,7 +232,7 @@ class SparqlClient:
         result: dict[str, list[str] | None] = {}
         for target in targets:
             try:
-                result[target] = self.query_classes(build_entity_uri(target, self.resource_base))
+                result[target] = self.query_batch([target])[target]
             except QueryError:
                 result[target] = None
         return result

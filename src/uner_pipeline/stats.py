@@ -125,6 +125,11 @@ def render_text(stats: CorpusStats) -> str:
     return "\n".join(lines) + "\n"
 
 
+def coarse_json(coarse_counts: dict[str, tuple[int, float]]) -> dict[str, dict]:
+    """Coarse (count, share) pairs in the shape the JSON reports hold them."""
+    return {name: {"count": count, "share": share} for name, (count, share) in coarse_counts.items()}
+
+
 def render_json(stats: CorpusStats) -> str:
     payload = {
         "total_tokens": stats.total_tokens,
@@ -133,9 +138,6 @@ def render_json(stats: CorpusStats) -> str:
         "entity_count": stats.entity_count,
         "distinct_entity_count": stats.distinct_entity_count,
         "per_tag_counts": dict(_sorted_tag_counts(stats)),
-        "coarse_counts": {
-            name: {"count": count, "share": share}
-            for name, (count, share) in stats.coarse_counts.items()
-        },
+        "coarse_counts": coarse_json(stats.coarse_counts),
     }
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"

@@ -19,6 +19,8 @@ CACHE = FIXTURES / "class_cache.tsv"
 KG_MAP = FIXTURES / "kg_map.tsv"
 EXPECTED_CORPUS = FIXTURES / "expected_corpus.conll"
 EXPECTED_TARGETS = FIXTURES / "expected_targets.txt"
+EXPECTED_EVAL_JSON = FIXTURES / "expected_eval.json"
+EXPECTED_EVAL_TXT = FIXTURES / "expected_eval.txt"
 
 
 def run_pipeline(out: Path, *extra: str) -> int:
@@ -93,6 +95,15 @@ class TestPipeline:
         assert "Barack Obama\tName-Person-Name" in dictionary_file
         assert "EU\t" not in dictionary_file
         assert "747\t" not in dictionary_file
+
+    def test_kg_counters_are_per_experiment(self, tmp_path):
+        code = run_pipeline(tmp_path / "out", "--experiments", "4,6", "--kg-map", str(KG_MAP))
+        assert code == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        counters = manifest["stages"]["enrich"]["counters"]
+        # Asia maps to owl:Thing, whose UNER label is NULL: each experiment drops it once
+        assert counters["exp4_kg_entries_dropped"] == counters["exp6_kg_entries_dropped"] == 1
+        assert "kg_entries_dropped" not in counters
 
     def test_experiment_1_retags_repeated_surface(self, tmp_path):
         run_pipeline(tmp_path / "out", "--experiments", "1")
@@ -328,6 +339,44 @@ class TestEvalCommand:
         assert "O" in report["per_tag"]
         assert "O" not in report["counted_tags"]
         assert report["system_coarse_counts"]["Location"]["count"] > 0
+
+    def test_outputs_match_pinned_files(self, tmp_path, capsys):
+        run_pipeline(tmp_path / "out", "--experiments", "1")
+        code = cli.main(
+            [
+                "eval",
+                "--out",
+                str(tmp_path / "eval"),
+                "--collapse-depth",
+                "2",
+                "--include-o",
+                str(EXPECTED_CORPUS),
+                str(tmp_path / "out" / "corpus_exp1.conll"),
+            ]
+        )
+        assert code == 0
+        assert (tmp_path / "eval" / "eval.json").read_bytes() == EXPECTED_EVAL_JSON.read_bytes()
+        assert (tmp_path / "eval" / "eval.txt").read_bytes() == EXPECTED_EVAL_TXT.read_bytes()
+        assert capsys.readouterr().out == EXPECTED_EVAL_TXT.read_text(encoding="utf-8")
+        manifest = json.loads((tmp_path / "eval" / "manifest.json").read_text())
+        assert "system_coarse_counts_skipped" not in manifest["stages"]["eval"]["counters"]
+
+    def test_skipped_coarse_counts_are_counted_and_logged(self, tmp_path, caplog):
+        # parse_conll rejects a sentence without a B tag, so the coarse counts cannot be taken
+        system = tmp_path / "system.conll"
+        system.write_text(
+            "# doc_id = d1\nParis\tB-Name-Location-GPE-City\n\nnice\tO\n\n", encoding="utf-8"
+        )
+        code = cli.main(["eval", "--out", str(tmp_path / "eval"), str(system), str(system)])
+        assert code == 0
+        report = json.loads((tmp_path / "eval" / "eval.json").read_text())
+        assert "system_coarse_counts" not in report
+        assert report["macro"] == {"precision": 100.0, "recall": 100.0, "f1": 100.0}
+        manifest = json.loads((tmp_path / "eval" / "manifest.json").read_text())
+        assert manifest["stages"]["eval"]["counters"]["system_coarse_counts_skipped"] == 1
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert str(system) in warnings[0] and "no B tag" in warnings[0]
 
     def test_misaligned_files_exit_2(self, tmp_path):
         run_pipeline(tmp_path / "out")

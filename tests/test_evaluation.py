@@ -4,7 +4,6 @@ import random
 import pytest
 
 from helpers import LABEL_POOL, brute_force_metrics, corpus_from_rows, corpus_to_text
-from uner_pipeline.annotator import parse_iob_tag
 from uner_pipeline.errors import AlignmentError, DataError
 from uner_pipeline.evaluation import (
     EvalReport,
@@ -153,9 +152,6 @@ class TestCollapseTag:
 
     def test_o_unchanged(self):
         assert collapse_tag("O", 2) == "O"
-
-    def test_iob_tag_object(self):
-        assert collapse_tag(parse_iob_tag("I-Name-Location-GPE-City"), 1) == "I-Name"
 
 
 def test_coarse_report():

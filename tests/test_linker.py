@@ -119,23 +119,23 @@ class TestQueryClasses:
     def test_worked_entity_class_list(self):
         session = FakeSession({"2015 European Games": WORKED_TYPES})
         client = make_client(session)
-        classes = client.query_classes(build_entity_uri("2015 European Games"))
-        assert classes == WORKED_COMPACT
+        classes = client.query_batch(["2015 European Games"])
+        assert classes == {"2015 European Games": WORKED_COMPACT}
 
     def test_unknown_page_empty(self):
         client = make_client(FakeSession({}))
-        assert client.query_classes(build_entity_uri("Nowhere")) == []
+        assert client.query_batch(["Nowhere"]) == {"Nowhere": []}
 
     def test_duplicates_removed_keeping_first(self):
         session = FakeSession({"X": [WORKED_TYPES[0], WORKED_TYPES[0], WORKED_TYPES[1]]})
         client = make_client(session)
-        assert client.query_classes(build_entity_uri("X")) == ["dbo:Event", "dbo:SoccerTournament"]
+        assert client.query_batch(["X"]) == {"X": ["dbo:Event", "dbo:SoccerTournament"]}
 
     def test_failure_after_retries(self):
         session = FakeSession(fail=True)
         client = make_client(session, retries=3)
         with pytest.raises(QueryError, match="3 attempts"):
-            client.query_classes(build_entity_uri("X"))
+            client.query_batch(["X"])
         assert len(session.queries) == 3
 
 
@@ -184,7 +184,7 @@ class TestResolveAll:
     def test_batch_failure_falls_back_to_singles(self):
         class FlakySession(FakeSession):
             def post(self, url, data=None, headers=None, timeout=None):
-                if "VALUES" in data["query"]:
+                if data["query"].count(f"<{BASE}/") > 1:
                     self.queries.append(data["query"])
                     raise ConnectionError("batch refused")
                 return super().post(url, data=data, headers=headers, timeout=timeout)
@@ -196,6 +196,7 @@ class TestResolveAll:
         assert catalog.entries["X"] == WORKED_COMPACT
         assert catalog.entries["Y"] == ["dbo:Event"]
         assert counters["resolved_by_query"] == 2
+        assert len(session.queries) == 3  # the refused batch, then one query per target
 
     def test_total_failure_leaves_targets_unresolved(self):
         counters = Counter()
