@@ -3,13 +3,18 @@
 Builds annotation dictionaries out of an annotated corpus (global, global
 multi-token, knowledge-graph-filtered) and applies them to retag runs of
 O tokens, plus per-document local lookup propagation. Seven experiment
-wirings combine these strategies. Existing non-O tags are never overwritten,
-and dictionary application is longest-surface-first.
+wirings combine these strategies. Existing non-O tags are never overwritten.
+
+A dictionary is applied in (application rank, position) order over the runs
+that are still all O: surfaces longest first, each scanned left to right.
+Surfaces are indexed by their token tuple, so each token position is probed
+once per distinct surface length and the cost is O(tokens x distinct surface
+lengths), whatever the dictionary size. The result copies each sentence's
+token list and shares the frozen tokens and tags with its input.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -166,15 +171,21 @@ def filter_by_kg(
     return Dictionary(entries, provenance)
 
 
-def _match_at(sentence: AnnotatedSentence, start: int, parts: list[str]) -> bool:
-    """True if the all-O token run at ``start`` spells out ``parts``."""
-    if start + len(parts) > len(sentence.tokens):
-        return False
-    for offset, part in enumerate(parts):
-        token, tag = sentence.tokens[start + offset]
-        if tag.prefix != "O" or token.text != part:
-            return False
-    return True
+def _copy_sentences(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
+    """A corpus whose token lists can be changed without touching ``corpus``.
+
+    Tokens and tags are frozen, so the copies share them.
+    """
+    return AnnotatedCorpus(
+        [
+            (doc_id, [AnnotatedSentence(list(sentence.tokens)) for sentence in sentences])
+            for doc_id, sentences in corpus.documents
+        ]
+    )
+
+
+def _all_o(sentence: AnnotatedSentence, start: int, length: int) -> bool:
+    return all(tag.prefix == "O" for _, tag in sentence.tokens[start : start + length])
 
 
 def _retag(sentence: AnnotatedSentence, start: int, length: int, label: UnerLabel) -> None:
@@ -186,23 +197,33 @@ def _retag(sentence: AnnotatedSentence, start: int, length: int, label: UnerLabe
 def apply_dictionary(corpus: AnnotatedCorpus, dictionary: Dictionary) -> AnnotatedCorpus:
     """Retag O-token runs that spell out dictionary surfaces; input unchanged.
 
-    Surfaces are tried longest first; within one surface the scan is left to
-    right and never overlaps its own matches. Non-O tags are never modified.
+    Every run that spells a surface is a candidate. Candidates are applied in
+    (application rank, position) order, and one whose tokens are no longer
+    all O is skipped: surfaces go longest first, each left to right without
+    overlapping its own matches. Non-O tags are never modified. Each token
+    position is probed once per distinct surface length.
     """
-    result = copy.deepcopy(corpus)
-    ordered = [(s, s.split(" ")) for s in application_order(dictionary.entries)]
+    index = {
+        tuple(surface.split(" ")): (rank, dictionary.entries[surface])
+        for rank, surface in enumerate(application_order(dictionary.entries))
+    }
+    lengths = sorted({len(parts) for parts in index})
+    result = _copy_sentences(corpus)
     for _, sentences in result.documents:
         for sentence in sentences:
-            for surface, parts in ordered:
-                label = dictionary.entries[surface]
-                i = 0
-                limit = len(sentence.tokens) - len(parts)
-                while i <= limit:
-                    if _match_at(sentence, i, parts):
-                        _retag(sentence, i, len(parts), label)
-                        i += len(parts)
-                    else:
-                        i += 1
+            texts = [token.text for token, _ in sentence.tokens]
+            candidates = []
+            for start in range(len(texts)):
+                for length in lengths:
+                    if start + length > len(texts):
+                        break
+                    hit = index.get(tuple(texts[start : start + length]))
+                    if hit is not None:
+                        candidates.append((hit[0], start, length, hit[1]))
+            candidates.sort()  # (rank, start) pairs are unique, so labels are never compared
+            for _, start, length, label in candidates:
+                if _all_o(sentence, start, length):
+                    _retag(sentence, start, length, label)
     return result
 
 
@@ -211,40 +232,41 @@ def apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
 
     A single left-to-right pass: when an entity run is seen its surface is
     cached (first label wins); when an O run spells out a cached surface it is
-    retagged. Earlier occurrences are never back-filled, and nothing leaks
-    across documents.
+    retagged, the longest cached surface that matches there winning. Earlier
+    occurrences are never back-filled, and nothing leaks across documents.
     """
-    result = copy.deepcopy(corpus)
+    result = _copy_sentences(corpus)
     for _, sentences in result.documents:
-        cache: dict[str, UnerLabel] = {}
-        ordered_surfaces: list[tuple[str, list[str]]] = []
-        dirty = False
+        cache: dict[tuple[str, ...], UnerLabel] = {}  # surface.split(" ") -> label
+        lengths: set[int] = set()
         for sentence in sentences:
+            tokens = sentence.tokens
+            texts = [token.text for token, _ in tokens]
             i = 0
-            while i < len(sentence.tokens):
-                token, tag = sentence.tokens[i]
+            while i < len(tokens):
+                tag = tokens[i][1]
                 if tag.prefix == "B":
                     j = i + 1
-                    while j < len(sentence.tokens) and sentence.tokens[j][1].prefix == "I":
+                    while j < len(tokens) and tokens[j][1].prefix == "I":
                         j += 1
-                    surface = " ".join(t.text for t, _ in sentence.tokens[i:j])
-                    if surface not in cache:
-                        cache[surface] = tag.label
-                        dirty = True
+                    parts = tuple(" ".join(texts[i:j]).split(" "))
+                    if parts not in cache:
+                        cache[parts] = tag.label
+                        lengths.add(len(parts))
                     i = j
                     continue
-                if tag.prefix == "O" and cache:
-                    if dirty:
-                        ordered_surfaces = [(s, s.split(" ")) for s in application_order(cache)]
-                        dirty = False
-                    matched = False
-                    for surface, parts in ordered_surfaces:
-                        if _match_at(sentence, i, parts):
-                            _retag(sentence, i, len(parts), cache[surface])
-                            i += len(parts)
-                            matched = True
-                            break
-                    if matched:
+                if tag.prefix == "O":
+                    matches = [
+                        parts
+                        for parts in (tuple(texts[i : i + length]) for length in lengths)
+                        if parts in cache and _all_o(sentence, i, len(parts))
+                    ]
+                    if matches:
+                        # from one start a longer run has more characters, so
+                        # the most tokens is the first match in application order
+                        parts = max(matches, key=len)
+                        _retag(sentence, i, len(parts), cache[parts])
+                        i += len(parts)
                         continue
                 i += 1
     return result

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import unquote
 
-import requests
-
 from .atomic import atomic_output
 from .errors import DataError, QueryError
 from .mapping import iter_tsv
@@ -166,7 +164,11 @@ class SparqlClient:
         self.batch_size = max(1, batch_size)
         self.concurrency = max(1, concurrency)
         self._backoff = backoff
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # ~0.1 s to import, and offline and eval runs never send a request
+
+            session = requests.Session()
+        self._session = session
         self._sleep = sleep
         self._limiter = RateLimiter(rate_limit, clock=clock, sleep=sleep)
         self._count_lock = threading.Lock()

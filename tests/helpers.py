@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import random
 import string
 
-from uner_pipeline.annotator import AnnotatedCorpus, emit_conll, parse_conll
+from uner_pipeline.annotator import (
+    AnnotatedCorpus,
+    AnnotatedSentence,
+    IobTag,
+    emit_conll,
+    parse_conll,
+)
+from uner_pipeline.enrich import Dictionary, application_order
 from uner_pipeline.mapping import UnerLabel
 
 LABEL_POOL = [
@@ -136,3 +144,92 @@ def brute_force_metrics(
     else:
         macro = (0.0, 0.0, 0.0)
     return per_tag, macro, counted
+
+
+# The dictionary appliers as they were before the indexed rewrite in
+# ``enrich``: every surface tried at every position, on a deep copy. Kept
+# verbatim as differential oracles; they are quadratic, so keep inputs small.
+
+
+def _match_at(sentence: AnnotatedSentence, start: int, parts: list[str]) -> bool:
+    """True if the all-O token run at ``start`` spells out ``parts``."""
+    if start + len(parts) > len(sentence.tokens):
+        return False
+    for offset, part in enumerate(parts):
+        token, tag = sentence.tokens[start + offset]
+        if tag.prefix != "O" or token.text != part:
+            return False
+    return True
+
+
+def _retag(sentence: AnnotatedSentence, start: int, length: int, label: UnerLabel) -> None:
+    for offset in range(length):
+        token, _ = sentence.tokens[start + offset]
+        sentence.tokens[start + offset] = (token, IobTag("B" if offset == 0 else "I", label))
+
+
+def oracle_apply_dictionary(corpus: AnnotatedCorpus, dictionary: Dictionary) -> AnnotatedCorpus:
+    """Retag O-token runs that spell out dictionary surfaces; input unchanged.
+
+    Surfaces are tried longest first; within one surface the scan is left to
+    right and never overlaps its own matches. Non-O tags are never modified.
+    """
+    result = copy.deepcopy(corpus)
+    ordered = [(s, s.split(" ")) for s in application_order(dictionary.entries)]
+    for _, sentences in result.documents:
+        for sentence in sentences:
+            for surface, parts in ordered:
+                label = dictionary.entries[surface]
+                i = 0
+                limit = len(sentence.tokens) - len(parts)
+                while i <= limit:
+                    if _match_at(sentence, i, parts):
+                        _retag(sentence, i, len(parts), label)
+                        i += len(parts)
+                    else:
+                        i += 1
+    return result
+
+
+def oracle_apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
+    """Per document, propagate each linked entity's label forward.
+
+    A single left-to-right pass: when an entity run is seen its surface is
+    cached (first label wins); when an O run spells out a cached surface it is
+    retagged. Earlier occurrences are never back-filled, and nothing leaks
+    across documents.
+    """
+    result = copy.deepcopy(corpus)
+    for _, sentences in result.documents:
+        cache: dict[str, UnerLabel] = {}
+        ordered_surfaces: list[tuple[str, list[str]]] = []
+        dirty = False
+        for sentence in sentences:
+            i = 0
+            while i < len(sentence.tokens):
+                token, tag = sentence.tokens[i]
+                if tag.prefix == "B":
+                    j = i + 1
+                    while j < len(sentence.tokens) and sentence.tokens[j][1].prefix == "I":
+                        j += 1
+                    surface = " ".join(t.text for t, _ in sentence.tokens[i:j])
+                    if surface not in cache:
+                        cache[surface] = tag.label
+                        dirty = True
+                    i = j
+                    continue
+                if tag.prefix == "O" and cache:
+                    if dirty:
+                        ordered_surfaces = [(s, s.split(" ")) for s in application_order(cache)]
+                        dirty = False
+                    matched = False
+                    for surface, parts in ordered_surfaces:
+                        if _match_at(sentence, i, parts):
+                            _retag(sentence, i, len(parts), cache[surface])
+                            i += len(parts)
+                            matched = True
+                            break
+                    if matched:
+                        continue
+                i += 1
+    return result

@@ -2,8 +2,17 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import corpus_from_rows, random_corpus
+from helpers import (
+    LABEL_POOL,
+    corpus_from_rows,
+    corpus_to_text,
+    oracle_apply_dictionary,
+    oracle_apply_local_dictionaries,
+    random_corpus,
+)
 from uner_pipeline.annotator import AnnotatedCorpus
 from uner_pipeline.enrich import (
     Dictionary,
@@ -152,6 +161,18 @@ class TestApplyDictionary:
         twice = apply_dictionary(once, dictionary)
         assert once == twice
 
+    def test_later_longer_surface_beats_earlier_shorter(self):
+        corpus = corpus_from_rows(
+            [("d", [[("x", "B-Name-God"), ("a", "O"), ("bb", "O"), ("ccc", "O")]])]
+        )
+        result = apply_dictionary(corpus, Dictionary({"a bb": CITY, "bb ccc": PERSON}))
+        assert tags_of(result)[0] == [
+            "B-Name-God",
+            "O",
+            "B-Name-Person-Name",
+            "I-Name-Person-Name",
+        ]
+
     def test_partial_run_not_tagged(self):
         # only full, all-O runs spelling the surface match
         corpus = corpus_from_rows(
@@ -227,6 +248,14 @@ class TestApplyLocalDictionaries:
             "O",
             "B-Name-Person-Name",
         ]
+
+    def test_input_corpus_unchanged(self):
+        corpus = corpus_from_rows(
+            [("d", [[("Obama", "B-Name-Person-Name")], [("x", "B-Name-God"), ("Obama", "O")]])]
+        )
+        before = corpus_to_text(corpus)
+        apply_local_dictionaries(corpus)
+        assert corpus_to_text(corpus) == before
 
     def test_first_label_wins(self):
         corpus = corpus_from_rows(
@@ -378,6 +407,19 @@ class TestRunExperiment:
         expected = apply_dictionary(apply_local_dictionaries(self.corpus), kg_dict)
         assert got == expected
 
+    def test_results_share_no_token_lists(self):
+        base_before = corpus_to_text(self.corpus)
+        third = run_experiment(3, self.corpus, self.resources)
+        sixth = run_experiment(6, self.corpus, self.resources)
+        sixth_before = corpus_to_text(sixth)
+        for _, sentences in third.documents:
+            for sentence in sentences:
+                sentence.tokens.reverse()
+                sentence.tokens.pop()
+            sentences.append(sentences[0])
+        assert corpus_to_text(self.corpus) == base_before
+        assert corpus_to_text(sixth) == sixth_before
+
     def test_experiment_1_on_fully_tagged_corpus_is_identity(self):
         corpus = corpus_from_rows([("d", [[("Paris", "B-Name-Location-GPE-City")]])])
         resources = ExperimentResources(global_dictionary=build_global_dictionary(corpus))
@@ -435,3 +477,55 @@ def test_kg_map_later_line_wins(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("Paris\tdbo:Person\nParis\tdbo:City\n", encoding="utf-8")
     assert load_kg_map(path).entries == {"Paris": "dbo:City"}
+
+
+# Differential gate for the indexed appliers. A vocabulary this small makes
+# surfaces nest, overlap and repeat; "a b" is one CoNLL token whose text holds
+# a space, while the surface "a b" spells the two tokens "a" and "b".
+VOCABULARY = ["a", "b", "a b", "cc", "ddd", "x"]
+words = st.sampled_from(VOCABULARY)
+labels = st.sampled_from(LABEL_POOL[:3])
+# a sentence is a list of pieces: a plain O word, or a pre-tagged entity run
+pieces = st.one_of(
+    words.map(lambda word: [(word, "O")]),
+    st.tuples(labels, st.lists(words, min_size=1, max_size=3)).map(
+        lambda run: [(word, f"{'I' if k else 'B'}-{run[0]}") for k, word in enumerate(run[1])]
+    ),
+)
+
+
+@st.composite
+def small_corpora(draw):
+    rows = []
+    for d in range(draw(st.integers(1, 3))):
+        sentences = []
+        for _ in range(draw(st.integers(1, 4))):
+            sentence = [pair for piece in draw(st.lists(pieces, max_size=8)) for pair in piece]
+            if not any(tag.startswith("B-") for _, tag in sentence):
+                sentence.insert(draw(st.integers(0, len(sentence))), (draw(words), f"B-{draw(labels)}"))
+            sentences.append(sentence)
+        rows.append((f"doc{d}", sentences))
+    return corpus_from_rows(rows)
+
+
+dictionaries = st.dictionaries(
+    st.lists(words, min_size=1, max_size=3).map(" ".join), labels.map(parse_uner_label), max_size=8
+).map(Dictionary)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus=small_corpora(), dictionary=dictionaries)
+def test_apply_dictionary_matches_oracle(corpus, dictionary):
+    before = corpus_to_text(corpus)
+    got = corpus_to_text(apply_dictionary(corpus, dictionary))
+    assert got == corpus_to_text(oracle_apply_dictionary(corpus, dictionary))
+    assert corpus_to_text(corpus) == before
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus=small_corpora())
+def test_apply_local_dictionaries_matches_oracle(corpus):
+    before = corpus_to_text(corpus)
+    got = corpus_to_text(apply_local_dictionaries(corpus))
+    assert got == corpus_to_text(oracle_apply_local_dictionaries(corpus))
+    assert corpus_to_text(corpus) == before

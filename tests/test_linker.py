@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uner_pipeline
 from uner_pipeline.errors import DataError, QueryError
 from uner_pipeline.linker import (
     ClassCatalog,
@@ -304,3 +309,22 @@ def test_endpoint_environment_override(monkeypatch):
     assert endpoint_from_environment("http://configured") == "http://override"
     monkeypatch.setenv(ENDPOINT_ENV_VAR, "")
     assert endpoint_from_environment("http://configured") is None
+
+
+def test_requests_is_imported_only_for_a_real_session():
+    # offline and eval runs never send a request, so they skip its import time
+    probe = (
+        "import sys\n"
+        "import uner_pipeline.cli\n"
+        "from uner_pipeline.linker import SparqlClient\n"
+        "before = 'requests' in sys.modules\n"
+        "client = SparqlClient('http://localhost:9/sparql')\n"
+        "print(before, type(client._session).__module__)\n"
+    )
+    src = str(Path(uner_pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "requests.sessions"]
