@@ -5,13 +5,17 @@ character isolated into its own token; offsets always address the source
 text. Sentences are split by a deliberately simple rule (terminator followed
 by whitespace and an uppercase letter, or a blank line): determinism matters
 more here than linguistic perfection, and the known abbreviation errors are
-fixture-documented. Only sentences carrying at least one B tag survive
-projection.
+fixture-documented. Projection tags every token a link span overlaps
+(greedy inclusion), truncates a span at a sentence break, counts what became
+of each span, and finds each span's tokens by bisection, so it runs in
+O((tokens + spans) x log tokens). Only sentences carrying at least one B tag
+survive projection.
 """
 
 from __future__ import annotations
 
 import unicodedata
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
@@ -160,16 +164,24 @@ def project_annotations(
 
     A token overlapping a labeled span counts as inside the entity (greedy
     inclusion); the first overlapping token still untagged gets B, the rest I.
-    Spans whose target has no label are skipped; spans crossing a sentence
-    boundary are truncated at it, with a warning counted.
+    A span keeps only its tokens in the sentence of its first token: one
+    crossing a sentence break is truncated there. Each span lands in exactly
+    one of ``spans_unlabeled`` (its target has no label),
+    ``spans_without_tokens``, ``spans_shadowed`` (every token it keeps is
+    already tagged) and ``spans_projected`` (it tagged at least one token);
+    ``spans_truncated`` also counts truncated spans of the last two kinds.
+
+    Tokens come in order and never overlap, so their starts and ends are both
+    sorted: a span's tokens and its sentence's prefix of them are found by
+    bisection, and the sentences are grouped in one pass. The cost is
+    O((tokens + spans) x log tokens), plus the tokens the spans cover.
     """
     counters = counters if counters is not None else Counter()
-    sentence_of_token = []
-    sentence_idx = 0
-    for token in tokens:
-        while sentence_idx < len(sentences) and token.start >= sentences[sentence_idx][1]:
-            sentence_idx += 1
-        sentence_of_token.append(sentence_idx if sentence_idx < len(sentences) else -1)
+    starts = [token.start for token in tokens]
+    ends = [token.end for token in tokens]
+    sentence_ends = [end for _, end in sentences]
+    # non-decreasing; len(sentences) marks a token after the last sentence
+    sentence_of_token = [bisect_right(sentence_ends, start) for start in starts]
     tags: list[IobTag] = [O_TAG] * len(tokens)
 
     for span in doc.links:
@@ -177,41 +189,35 @@ def project_annotations(
         if label is None:
             counters["spans_unlabeled"] += 1
             continue
-        overlapping = [
-            i
-            for i, token in enumerate(tokens)
-            if token.start < span.end and token.end > span.start
-        ]
-        if not overlapping:
+        # the overlapping tokens are [lo, hi): end > span.start and start < span.end
+        lo = bisect_right(ends, span.start)
+        hi = bisect_left(starts, span.end)
+        if hi <= lo:
             counters["spans_without_tokens"] += 1
             continue
-        home = sentence_of_token[overlapping[0]]
-        in_home = [i for i in overlapping if sentence_of_token[i] == home]
-        if len(in_home) != len(overlapping):
+        home_end = bisect_right(sentence_of_token, sentence_of_token[lo], lo, hi)
+        if home_end != hi:
             counters["spans_truncated"] += 1
-        untagged = [i for i in in_home if tags[i].prefix == "O"]
+        untagged = [i for i in range(lo, home_end) if tags[i] is O_TAG]
         if not untagged:
             counters["spans_shadowed"] += 1
             continue
+        counters["spans_projected"] += 1
         tags[untagged[0]] = IobTag("B", label)
         for i in untagged[1:]:
             tags[i] = IobTag("I", label)
 
     result: list[AnnotatedSentence] = []
-    for s_idx in range(len(sentences)):
-        pairs = [
-            (tokens[i], tags[i])
-            for i in range(len(tokens))
-            if sentence_of_token[i] == s_idx
-        ]
-        if not pairs:
-            continue
+    lo = 0
+    while lo < len(tokens) and sentence_of_token[lo] < len(sentences):
+        hi = bisect_right(sentence_of_token, sentence_of_token[lo], lo)
         counters["sentences_total"] += 1
-        if any(tag.prefix == "B" for _, tag in pairs):
+        if any(tag.prefix == "B" for tag in tags[lo:hi]):
             counters["sentences_kept"] += 1
-            result.append(AnnotatedSentence(pairs))
+            result.append(AnnotatedSentence(list(zip(tokens[lo:hi], tags[lo:hi]))))
         else:
             counters["sentences_dropped"] += 1
+        lo = hi
     return result
 
 

@@ -249,10 +249,11 @@ def _document_to_json(doc: ingest.Document) -> str:
 def _document_from_json(line: str, line_no: int) -> ingest.Document:
     try:
         obj = json.loads(line)
-        links = tuple(
+        links = [
             ingest.LinkSpan(l["start"], l["end"], l["surface"], l["target"]) for l in obj["links"]
-        )
-        return ingest.Document(str(obj["id"]), obj.get("title", ""), obj["text"], links)
+        ]
+        links.sort(key=lambda span: span.start)  # a Document's order; stable, so file order breaks ties
+        return ingest.Document(str(obj["id"]), obj.get("title", ""), obj["text"], tuple(links))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"documents file line {line_no}: {exc}") from exc
 

@@ -277,12 +277,16 @@ class ExperimentResources:
     """Inputs the experiments draw on; unused fields may stay None.
 
     A base dictionary named ``b`` in EXPERIMENTS lives in ``b_dictionary``.
+    ``kg_filtered`` maps a base to its knowledge-graph-filtered dictionary and
+    the filter's counters; run_experiment fills it on first use, so
+    experiments that share a base filter it once.
     """
 
     global_dictionary: Dictionary | None = None
     global_multi_dictionary: Dictionary | None = None
     kg_map: KgClassMap | None = None
     equivalences: EquivalenceMap | None = None
+    kg_filtered: dict[str, tuple[Dictionary, Counter]] = field(default_factory=dict)
 
 
 def _require(resource, name: str, experiment_id: int):
@@ -309,9 +313,15 @@ def run_experiment(
             getattr(resources, f"{base}_dictionary"), f"the {base} dictionary", experiment_id
         )
     if kg_filter:
-        kg = _require(resources.kg_map, "a knowledge-graph class map", experiment_id)
-        equivalences = _require(resources.equivalences, "the equivalence table", experiment_id)
-        dictionary = filter_by_kg(dictionary, kg, equivalences, counters)
+        if base not in resources.kg_filtered:
+            kg = _require(resources.kg_map, "a knowledge-graph class map", experiment_id)
+            equivalences = _require(resources.equivalences, "the equivalence table", experiment_id)
+            filter_counters: Counter = Counter()
+            filtered = filter_by_kg(dictionary, kg, equivalences, filter_counters)
+            resources.kg_filtered[base] = (filtered, filter_counters)
+        dictionary, filter_counters = resources.kg_filtered[base]
+        if counters is not None:  # every experiment reports its filter's drops
+            counters.update(filter_counters)
     if local_first:
         corpus = apply_local_dictionaries(corpus)
     return corpus if dictionary is None else apply_dictionary(corpus, dictionary)

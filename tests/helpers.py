@@ -6,15 +6,19 @@ import copy
 import io
 import random
 import string
+from collections import Counter
 
 from uner_pipeline.annotator import (
+    O_TAG,
     AnnotatedCorpus,
     AnnotatedSentence,
     IobTag,
+    Token,
     emit_conll,
     parse_conll,
 )
 from uner_pipeline.enrich import Dictionary, application_order
+from uner_pipeline.ingest import Document
 from uner_pipeline.mapping import UnerLabel
 
 LABEL_POOL = [
@@ -232,4 +236,77 @@ def oracle_apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
                     if matched:
                         continue
                 i += 1
+    return result
+
+
+# ``annotator.project_annotations`` as it was before the bisection rewrite:
+# every token scanned once per span and once per sentence. Kept verbatim as a
+# differential oracle, apart from the ``spans_projected`` line; it is
+# quadratic, so keep inputs small.
+
+
+def oracle_project_annotations(
+    doc: Document,
+    labels: dict[str, UnerLabel],
+    tokens: list[Token],
+    sentences: list[tuple[int, int]],
+    counters: Counter | None = None,
+) -> list[AnnotatedSentence]:
+    """Project link spans onto tokens as B/I tags, keep entity sentences only.
+
+    A token overlapping a labeled span counts as inside the entity (greedy
+    inclusion); the first overlapping token still untagged gets B, the rest I.
+    Spans whose target has no label are skipped; spans crossing a sentence
+    boundary are truncated at it, with a warning counted.
+    """
+    counters = counters if counters is not None else Counter()
+    sentence_of_token = []
+    sentence_idx = 0
+    for token in tokens:
+        while sentence_idx < len(sentences) and token.start >= sentences[sentence_idx][1]:
+            sentence_idx += 1
+        sentence_of_token.append(sentence_idx if sentence_idx < len(sentences) else -1)
+    tags: list[IobTag] = [O_TAG] * len(tokens)
+
+    for span in doc.links:
+        label = labels.get(span.target)
+        if label is None:
+            counters["spans_unlabeled"] += 1
+            continue
+        overlapping = [
+            i
+            for i, token in enumerate(tokens)
+            if token.start < span.end and token.end > span.start
+        ]
+        if not overlapping:
+            counters["spans_without_tokens"] += 1
+            continue
+        home = sentence_of_token[overlapping[0]]
+        in_home = [i for i in overlapping if sentence_of_token[i] == home]
+        if len(in_home) != len(overlapping):
+            counters["spans_truncated"] += 1
+        untagged = [i for i in in_home if tags[i].prefix == "O"]
+        if not untagged:
+            counters["spans_shadowed"] += 1
+            continue
+        counters["spans_projected"] += 1  # the one added line: counted as the rewrite does
+        tags[untagged[0]] = IobTag("B", label)
+        for i in untagged[1:]:
+            tags[i] = IobTag("I", label)
+
+    result: list[AnnotatedSentence] = []
+    for s_idx in range(len(sentences)):
+        pairs = [
+            (tokens[i], tags[i])
+            for i in range(len(tokens))
+            if sentence_of_token[i] == s_idx
+        ]
+        if not pairs:
+            continue
+        counters["sentences_total"] += 1
+        if any(tag.prefix == "B" for _, tag in pairs):
+            counters["sentences_kept"] += 1
+            result.append(AnnotatedSentence(pairs))
+        else:
+            counters["sentences_dropped"] += 1
     return result

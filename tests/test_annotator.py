@@ -1,12 +1,13 @@
 import io
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_from_rows, corpus_to_text, random_corpus
+from helpers import corpus_from_rows, corpus_to_text, oracle_project_annotations, random_corpus
 from uner_pipeline.annotator import (
     AnnotatedCorpus,
     IobTag,
@@ -26,6 +27,7 @@ from uner_pipeline.mapping import parse_uner_label
 
 GAME = parse_uner_label("Name-Event-Occasion-Game")
 CITY = parse_uner_label("Name-Location-GPE-City")
+PERSON = parse_uner_label("Name-Person-Name")
 
 
 class TestTokenize:
@@ -250,3 +252,86 @@ def test_annotate_document_end_to_end():
     tags = [str(tag) for _, tag in sentences[0].tokens]
     assert tags.count("B-Name-Event-Occasion-Game") == 1
     assert tags.count("B-Name-Location-GPE-City") == 1
+
+
+# Differential gate for the bisection rewrite of project_annotations: the
+# sentences (token text, offsets, tag string) and every counter must equal
+# those of the old scan, kept in helpers as oracle_project_annotations.
+LABELS = {"P": PERSON, "C": CITY}  # target "U" has no label
+
+
+def project_both(text, links):
+    """Project ``links`` over ``text`` with both functions: (got, expected)."""
+    doc = Document("d", "t", text, tuple(LinkSpan(a, b, text[a:b], t) for a, b, t in links))
+    tokens, sentences = tokenize(text), split_sentences(text)
+    runs = []
+    for project in (project_annotations, oracle_project_annotations):
+        counters = Counter()
+        annotated = project(doc, LABELS, tokens, sentences, counters)
+        rows = [[(t.text, t.start, t.end, str(tag)) for t, tag in s.tokens] for s in annotated]
+        runs.append((rows, counters))
+    return runs
+
+
+PINNED_TEXT = "Ann Bob Cid went home. Dan saw St. Petersburg."
+
+
+@pytest.mark.parametrize(
+    "links, counter",
+    [
+        ([(4, 11, "P")], "spans_projected"),  # ends on a token boundary
+        ([(0, 6, "P")], "spans_projected"),  # ends inside "Bob"
+        ([(3, 4, "P")], "spans_without_tokens"),  # whitespace only
+        ([(17, 26, "C")], "spans_truncated"),  # "home. Dan" crosses a break
+        ([(0, 11, "P"), (4, 7, "C")], "spans_shadowed"),  # fully shadowed
+        ([(0, 7, "P"), (4, 11, "C")], "spans_projected"),  # partly shadowed
+        ([(4, 7, "C"), (0, 11, "P")], "spans_projected"),  # unsorted
+        ([(7, 4, "P")], "spans_without_tokens"),  # end < start
+        ([(5, 5, "P")], "spans_projected"),  # empty, inside "Bob": greedy
+        ([(0, 3, "U")], "spans_unlabeled"),
+    ],
+)
+def test_project_annotations_pinned_cases_match_oracle(links, counter):
+    (got_rows, got_counters), expected = project_both(PINNED_TEXT, links)
+    assert (got_rows, got_counters) == expected
+    assert got_counters[counter] >= 1
+
+
+# capitalized words after "." and "!" and blank lines make sentence breaks
+WORDS = ["Ann", "Bob", "cid", "went", "St", "x"]
+SEPARATORS = [" ", " ", "  ", ". ", "! ", ".\n", "\n\n", ", ", "-"]
+
+
+@st.composite
+def texts_with_links(draw):
+    words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=10))
+    text = words[0] + "".join(draw(st.sampled_from(SEPARATORS)) + word for word in words[1:])
+    text += draw(st.sampled_from(["", ".", " !"]))
+    tokens = tokenize(text)
+    gaps = [m.span() for m in re.finditer(r"\s+", text)]
+    links = []
+    # drawn in any order, so spans come unsorted, nested, overlapping and shadowed
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["tokens", "inside", "whitespace", "raw"]))
+        first = draw(st.integers(0, len(tokens) - 1))
+        last = draw(st.integers(first, min(first + 4, len(tokens) - 1)))
+        if kind == "tokens":  # from a token start to a token end, maybe across a break
+            start, end = tokens[first].start, tokens[last].end
+        elif kind == "inside":  # may start and end inside a token
+            start = draw(st.integers(tokens[first].start, tokens[first].end - 1))
+            end = draw(st.integers(tokens[last].start + 1, tokens[last].end))
+        elif kind == "whitespace" and gaps:
+            start, end = draw(st.sampled_from(gaps))
+        else:  # anything, including end <= start and offsets past the text
+            start = draw(st.integers(-1, len(text) + 1))
+            end = draw(st.integers(-1, len(text) + 1))
+        links.append((start, end, draw(st.sampled_from(["P", "C", "U"]))))
+    return text, links
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts_with_links())
+def test_project_annotations_matches_oracle(case):
+    text, links = case
+    got, expected = project_both(text, links)
+    assert got == expected

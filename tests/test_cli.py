@@ -105,6 +105,29 @@ class TestPipeline:
         assert counters["exp4_kg_entries_dropped"] == counters["exp6_kg_entries_dropped"] == 1
         assert "kg_entries_dropped" not in counters
 
+    def test_kg_filter_runs_once_per_base(self, tmp_path, monkeypatch):
+        filtered = []
+        filter_by_kg = enrich.filter_by_kg
+
+        def counting_filter_by_kg(dictionary, *args):
+            filtered.append(dictionary.provenance)
+            return filter_by_kg(dictionary, *args)
+
+        monkeypatch.setattr(enrich, "filter_by_kg", counting_filter_by_kg)
+        code = run_pipeline(
+            tmp_path / "out", "--experiments", "1,2,3,4,5,6,7", "--kg-map", str(KG_MAP)
+        )
+        assert code == 0
+        assert sorted(filtered) == ["global", "global_multi"]
+
+    def test_span_loss_counters_add_up_to_links(self, tmp_path):
+        assert run_pipeline(tmp_path / "out") == 0
+        stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+        annotate = stages["annotate"]["counters"]
+        reasons = ("spans_unlabeled", "spans_without_tokens", "spans_shadowed", "spans_projected")
+        assert sum(annotate.get(reason, 0) for reason in reasons) == stages["extract"]["counters"]["links"]
+        assert annotate["spans_projected"] > 0
+
     def test_experiment_1_retags_repeated_surface(self, tmp_path):
         run_pipeline(tmp_path / "out", "--experiments", "1")
         enriched = (tmp_path / "out" / "corpus_exp1.conll").read_text(encoding="utf-8")
@@ -231,6 +254,29 @@ class TestExitCodes:
         code = run_pipeline(out, "--experiments", "6")
         assert code == 1
         assert not (out / "corpus.conll").exists()  # validated before stages ran
+
+
+class TestAnnotateCommand:
+    def test_out_of_order_links_give_valid_iob(self, tmp_path):
+        text = "Ann Bob Cid went home."
+        links = [
+            {"start": 4, "end": 7, "surface": "Bob", "target": "Bob_Town"},
+            {"start": 0, "end": 11, "surface": "Ann Bob Cid", "target": "Ann_Bob_Cid"},
+        ]
+        documents = tmp_path / "documents.jsonl"
+        documents.write_text(json.dumps({"id": "1", "text": text, "links": links}) + "\n")
+        cache = tmp_path / "cache.tsv"
+        cache.write_text("Ann_Bob_Cid\tdbo:Person\nBob_Town\tdbo:City\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["--input", str(documents), "--cache", str(cache), "--out", str(out)]
+        assert cli.main(["annotate", *argv]) == 0
+        corpus = out / "corpus.conll"
+        assert corpus.read_text(encoding="utf-8").splitlines()[1:4] == [
+            "Ann\tB-Name-Person-Name",
+            "Bob\tI-Name-Person-Name",
+            "Cid\tI-Name-Person-Name",
+        ]
+        assert cli.main(["stats", "--input", str(corpus), "--out", str(out)]) == 0
 
 
 class TestLinkCommand:
