@@ -5,7 +5,9 @@ character isolated into its own token; offsets always address the source
 text. Sentences are split by a deliberately simple rule (terminator followed
 by whitespace and an uppercase letter, or a blank line): determinism matters
 more here than linguistic perfection, and the known abbreviation errors are
-fixture-documented. Projection tags every token a link span overlaps
+fixture-documented. Both scan the text with compiled regular expressions;
+the tokenizer loops over characters only inside a chunk that is not all
+letters and digits. Projection tags every token a link span overlaps
 (greedy inclusion), truncates a span at a sentence break, counts what became
 of each span, and finds each span's tokens by bisection, so it runs in
 O((tokens + spans) x log tokens). Only sentences carrying at least one B tag
@@ -14,6 +16,7 @@ survive projection.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -24,7 +27,11 @@ from .errors import DataError
 from .ingest import Document
 from .mapping import UnerLabel, parse_uner_label
 
-_TERMINATORS = frozenset(".!?")
+# ``\s`` is exactly ``str.isspace()``; tests check every code point
+_CHUNK = re.compile(r"\S+")
+# a terminator before whitespace, capturing the first character after it, or
+# a newline that ends a blank (whitespace-only) line
+_BREAK_CANDIDATE = re.compile(r"[.!?](?=\s+(\S))|\n(?=[^\S\n]*\n)")
 
 DOC_HEADER_PREFIX = "# doc_id = "
 
@@ -92,24 +99,28 @@ def tokenize(text: str) -> list[Token]:
     """Whitespace-split, then isolate each punctuation/symbol character.
 
     Offset-faithful: every token's text equals the source substring at its
-    offsets, so tokens plus the original whitespace reproduce the text.
+    offsets, so tokens plus the original whitespace reproduce the text. A
+    chunk of letters and digits only is one token as it stands (no P or S
+    character is alphanumeric); any other chunk is split character by
+    character.
     """
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for chunk in _CHUNK.finditer(text):
+        word = chunk.group()
+        i, n = chunk.span()
+        if word.isalnum():
+            tokens.append(Token(word, i, n))
             continue
-        if _is_punct(ch):
-            tokens.append(Token(ch, i, i + 1))
-            i += 1
-            continue
-        j = i + 1
-        while j < n and not text[j].isspace() and not _is_punct(text[j]):
-            j += 1
-        tokens.append(Token(text[i:j], i, j))
-        i = j
+        while i < n:
+            if _is_punct(text[i]):
+                tokens.append(Token(text[i], i, i + 1))
+                i += 1
+                continue
+            j = i + 1
+            while j < n and not _is_punct(text[j]):
+                j += 1
+            tokens.append(Token(text[i:j], i, j))
+            i = j
     return tokens
 
 
@@ -121,24 +132,12 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     surrounding whitespace and never overlap.
     """
     n = len(text)
-    breaks: list[int] = []  # positions where a new sentence may start
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINATORS:
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            if j > i + 1 and j < n and text[j].isupper():
-                breaks.append(i + 1)
-        elif ch == "\n":
-            # a blank (whitespace-only) line is an unconditional boundary
-            j = i + 1
-            while j < n and text[j] != "\n" and text[j].isspace():
-                j += 1
-            if j < n and text[j] == "\n":
-                breaks.append(i + 1)
-        i += 1
+    # positions where a new sentence may start
+    breaks = [
+        match.start() + 1
+        for match in _BREAK_CANDIDATE.finditer(text)
+        if match.group(1) is None or match.group(1).isupper()
+    ]
     ranges: list[tuple[int, int]] = []
     start = 0
     for brk in breaks + [n]:
@@ -256,21 +255,17 @@ def emit_conll(corpus: AnnotatedCorpus, writer: IO[str]) -> int:
     """Write the corpus in CoNLL layout; returns the UTF-8 byte count.
 
     Per document: a ``# doc_id = <id>`` header, one ``token<TAB>tag`` line per
-    token, and a blank line after every sentence.
+    token, and a blank line after every sentence. Each document is one write.
     """
     written = 0
-
-    def put(chunk: str) -> None:
-        nonlocal written
+    for doc_id, sentences in corpus.documents:
+        lines = [f"{DOC_HEADER_PREFIX}{doc_id}\n"]
+        for sentence in sentences:
+            lines.extend(f"{token.text}\t{tag}\n" for token, tag in sentence.tokens)
+            lines.append("\n")
+        chunk = "".join(lines)
         writer.write(chunk)
         written += len(chunk.encode("utf-8"))
-
-    for doc_id, sentences in corpus.documents:
-        put(f"{DOC_HEADER_PREFIX}{doc_id}\n")
-        for sentence in sentences:
-            for token, tag in sentence.tokens:
-                put(f"{token.text}\t{tag}\n")
-            put("\n")
     return written
 
 
@@ -317,19 +312,23 @@ def parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
     """Parse a CoNLL stream into a corpus, enforcing all invariants.
 
     Token offsets are synthesized canonically: tokens joined by single spaces,
-    sentences by single newlines, per document starting at zero.
+    sentences by single newlines, per document starting at zero. Each distinct
+    tag string is parsed once, and its frozen IobTag is shared.
     """
     corpus = AnnotatedCorpus()
+    tags: dict[str, IobTag] = {}
     for doc_id, raw_sentences in read_conll_events(lines):
         sentences: list[AnnotatedSentence] = []
         offset = 0
         for raw_sentence in raw_sentences:
             pairs: list[tuple[Token, IobTag]] = []
             for i, (text, tag_string, line_no) in enumerate(raw_sentence):
-                try:
-                    tag = parse_iob_tag(tag_string)
-                except DataError as exc:
-                    raise DataError(f"line {line_no}: {exc}") from exc
+                tag = tags.get(tag_string)
+                if tag is None:
+                    try:
+                        tag = tags[tag_string] = parse_iob_tag(tag_string)
+                    except DataError as exc:
+                        raise DataError(f"line {line_no}: {exc}") from exc
                 if i > 0:
                     offset += 1  # single space between tokens
                 pairs.append((Token(text, offset, offset + len(text)), tag))

@@ -252,6 +252,14 @@ def _document_from_json(line: str, line_no: int) -> ingest.Document:
         links = [
             ingest.LinkSpan(l["start"], l["end"], l["surface"], l["target"]) for l in obj["links"]
         ]
+        for span in links:
+            if type(span.start) is not int or type(span.end) is not int:  # bool is no offset either
+                raise DataError(
+                    f"documents file line {line_no}: link offsets must be integers, "
+                    f"got start={span.start!r} end={span.end!r}"
+                )
+        if not isinstance(obj["text"], str):
+            raise DataError(f"documents file line {line_no}: text must be a string, got {obj['text']!r}")
         links.sort(key=lambda span: span.start)  # a Document's order; stable, so file order breaks ties
         return ingest.Document(str(obj["id"]), obj.get("title", ""), obj["text"], tuple(links))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -311,10 +319,12 @@ def cmd_link(config: RunConfig, manifest: Manifest, targets: list[str] | None = 
     with manifest.stage("link") as counters:
         if targets is None:
             targets = [line for line in targets_path.read_text(encoding="utf-8").splitlines() if line]
+        client = _make_client(config)
         cache = linker.ClassCatalog()
         if config.cache and config.cache.exists():
-            cache = linker.load_catalog(config.cache)
-        client = _make_client(config)
+            # only a run that queries rewrites the cache, so only it needs all of it
+            keep = None if client is not None else set(targets)
+            cache = linker.load_catalog(config.cache, keep)
         catalog = linker.resolve_all(targets, cache, client, counters)
         if client is not None:
             counters["requests"] = client.request_count
@@ -406,8 +416,8 @@ def cmd_stats(
     with manifest.stage("stats") as counters:
         if corpus is None:
             corpus = _load_corpus(corpus_path)
-        report = stats.compute_stats(corpus)
         entities = stats.list_entities(corpus)
+        report = stats.compute_stats(corpus, entities)
         counters["total_tokens"] += report.total_tokens
         counters["entities"] += report.entity_count
         for name, text in (

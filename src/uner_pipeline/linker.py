@@ -5,7 +5,8 @@ from a persistent TSV cache or through a SPARQL endpoint (batched VALUES
 queries with single-entity fallback, retries, and client-side rate
 limiting). Response order is the canonical class order and is frozen into
 the cache so reruns are deterministic. Unresolved targets are recorded, not
-fatal.
+fatal. The cache can be loaded restricted to one run's targets, for a run
+that cannot query and so never rewrites it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection
 from urllib.parse import unquote
 
 from .atomic import atomic_output
@@ -92,13 +94,26 @@ class ClassCatalog:
     entries: dict[str, list[str]] = field(default_factory=dict)
 
 
-def load_catalog(path: str | Path) -> ClassCatalog:
-    """Read a ``target<TAB>class1,class2,...`` TSV cache; the class list may be empty."""
+def load_catalog(path: str | Path, keep: Collection[str] | None = None) -> ClassCatalog:
+    """Read a ``target<TAB>class1,class2,...`` TSV cache; the class list may be empty.
+
+    With ``keep``, only those targets are stored. Every line is still checked,
+    so a malformed or duplicate line anywhere in the file raises.
+    """
     entries: dict[str, list[str]] = {}
+    if keep is None:
+        for line_no, target, classes_field in iter_tsv(path):
+            if target in entries:
+                raise DataError(f"{path}:{line_no}: duplicate target {target!r}")
+            entries[target] = [c for c in classes_field.split(",") if c]
+        return ClassCatalog(entries)
+    seen: set[str] = set()
     for line_no, target, classes_field in iter_tsv(path):
-        if target in entries:
+        if target in seen:
             raise DataError(f"{path}:{line_no}: duplicate target {target!r}")
-        entries[target] = [c for c in classes_field.split(",") if c]
+        seen.add(target)
+        if target in keep:
+            entries[target] = [c for c in classes_field.split(",") if c]
     return ClassCatalog(entries)
 
 

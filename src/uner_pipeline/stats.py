@@ -71,8 +71,13 @@ def list_entities(corpus: AnnotatedCorpus) -> list[tuple[str, UnerLabel]]:
     return sorted(pairs, key=lambda pair: (pair[0], str(pair[1])))
 
 
-def compute_stats(corpus: AnnotatedCorpus) -> CorpusStats:
-    """Count tokens, entities, per-tag occurrences, and coarse classes."""
+def compute_stats(
+    corpus: AnnotatedCorpus, entities: list[tuple[str, UnerLabel]] | None = None
+) -> CorpusStats:
+    """Count tokens, entities, per-tag occurrences, and coarse classes.
+
+    ``entities`` is the corpus's ``list_entities``, when the caller has it.
+    """
     stats = CorpusStats()
     tag_counts: Counter[str] = Counter()
     coarse: Counter[str] = Counter()
@@ -95,7 +100,9 @@ def compute_stats(corpus: AnnotatedCorpus) -> CorpusStats:
         name: (coarse[name], coarse[name] / stats.entity_count if stats.entity_count else 0.0)
         for name in COARSE_CLASSES
     }
-    stats.distinct_entity_count = len(list_entities(corpus))
+    if entities is None:
+        entities = list_entities(corpus)
+    stats.distinct_entity_count = len(entities)
     assert stats.total_tokens == stats.non_entity_tokens + stats.entity_tokens
     return stats
 

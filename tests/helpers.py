@@ -6,6 +6,7 @@ import copy
 import io
 import random
 import string
+import unicodedata
 from collections import Counter
 
 from uner_pipeline.annotator import (
@@ -310,3 +311,80 @@ def oracle_project_annotations(
         else:
             counters["sentences_dropped"] += 1
     return result
+
+
+# ``annotator.tokenize`` and ``annotator.split_sentences`` as they were before
+# the compiled-regex rewrite: one Python loop over every character. Kept
+# verbatim as differential oracles, with the two module-level names they read
+# copied alongside; only the function names gained the prefix.
+
+_TERMINATORS = frozenset(".!?")
+
+
+def _is_punct(ch: str) -> bool:
+    return unicodedata.category(ch)[0] in ("P", "S")
+
+
+def oracle_tokenize(text: str) -> list[Token]:
+    """Whitespace-split, then isolate each punctuation/symbol character.
+
+    Offset-faithful: every token's text equals the source substring at its
+    offsets, so tokens plus the original whitespace reproduce the text.
+    """
+    tokens: list[Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if _is_punct(ch):
+            tokens.append(Token(ch, i, i + 1))
+            i += 1
+            continue
+        j = i + 1
+        while j < n and not text[j].isspace() and not _is_punct(text[j]):
+            j += 1
+        tokens.append(Token(text[i:j], i, j))
+        i = j
+    return tokens
+
+
+def oracle_split_sentences(text: str) -> list[tuple[int, int]]:
+    """Sentence ranges covering all non-whitespace text, in order.
+
+    Boundaries fall after ``.``, ``!``, ``?`` followed by whitespace and an
+    uppercase letter, and at blank lines. Returned ranges are trimmed of
+    surrounding whitespace and never overlap.
+    """
+    n = len(text)
+    breaks: list[int] = []  # positions where a new sentence may start
+    i = 0
+    while i < n:
+        ch = text[i]
+        if ch in _TERMINATORS:
+            j = i + 1
+            while j < n and text[j].isspace():
+                j += 1
+            if j > i + 1 and j < n and text[j].isupper():
+                breaks.append(i + 1)
+        elif ch == "\n":
+            # a blank (whitespace-only) line is an unconditional boundary
+            j = i + 1
+            while j < n and text[j] != "\n" and text[j].isspace():
+                j += 1
+            if j < n and text[j] == "\n":
+                breaks.append(i + 1)
+        i += 1
+    ranges: list[tuple[int, int]] = []
+    start = 0
+    for brk in breaks + [n]:
+        piece_start, piece_end = start, brk
+        while piece_start < piece_end and text[piece_start].isspace():
+            piece_start += 1
+        while piece_end > piece_start and text[piece_end - 1].isspace():
+            piece_end -= 1
+        if piece_start < piece_end:
+            ranges.append((piece_start, piece_end))
+        start = brk
+    return ranges

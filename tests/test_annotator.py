@@ -4,11 +4,19 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_from_rows, corpus_to_text, oracle_project_annotations, random_corpus
+from helpers import (
+    corpus_from_rows,
+    corpus_to_text,
+    oracle_project_annotations,
+    oracle_split_sentences,
+    oracle_tokenize,
+    random_corpus,
+)
 from uner_pipeline.annotator import (
+    O_TAG,
     AnnotatedCorpus,
     IobTag,
     Token,
@@ -63,6 +71,26 @@ def test_tokenize_reconstruction(text):
     assert covered == sorted(set(covered))
     outside = set(range(len(text))) - set(covered)
     assert all(text[i].isspace() for i in outside)
+
+
+# characters where the regex scan and the per-character loop could part ways:
+# Unicode spaces (no-break space, the \x1c separator), a combining accent,
+# numbers that are not decimal digits, "_" (punctuation, yet a regex word
+# character), sentence terminators, line breaks and capitals
+ODD_CHARACTERS = list(" \xa0\x1c\u0301\u00bd\u2460_.!?\n\r\tAb9-")
+texts_for_the_oracles = st.text(st.one_of(st.sampled_from(ODD_CHARACTERS), st.characters()), max_size=60)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(texts_for_the_oracles)
+@example("cafe\u0301 \u00bd\u2460 snake_case")  # combining accent, numbers, "_"
+@example("A.\xa0B. c.\x1cD")  # breaks after Unicode spaces
+@example("one\n \xa0\nTwo.\n\n\nthree")  # blank line of Unicode spaces, a run of blank lines
+@example("end. ")  # terminator before trailing whitespace only
+@example("x.\u0301Y")  # no whitespace after the terminator
+def test_tokenize_and_split_sentences_match_oracles(text):
+    assert tokenize(text) == oracle_tokenize(text)
+    assert split_sentences(text) == oracle_split_sentences(text)
 
 
 class TestSplitSentences:
@@ -177,6 +205,15 @@ class TestConllRoundTrip:
             reparsed = parse_conll(io.StringIO(text))
             assert reparsed == corpus
             assert corpus_to_text(reparsed) == text
+
+    def test_parse_shares_one_tag_per_distinct_string(self):
+        text = "# doc_id = d\na\tB-Name\nb\tO\n\nc\tB-Name\nd\tO\n\n# doc_id = e\nf\tB-Name\n\n"
+        corpus = parse_conll(io.StringIO(text))
+        tags = [tag for _, sentences in corpus.documents for s in sentences for _, tag in s.tokens]
+        assert [str(tag) for tag in tags] == ["B-Name", "O", "B-Name", "O", "B-Name"]
+        assert tags[0] is tags[2] is tags[4]
+        assert tags[1] is tags[3] is O_TAG
+        assert corpus_to_text(corpus) == text
 
     def test_parse_rejects_token_before_header(self):
         with pytest.raises(DataError, match="before any document header"):

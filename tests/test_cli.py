@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from uner_pipeline import cli, enrich, linker
+from uner_pipeline import cli, enrich, linker, stats
 from uner_pipeline.annotator import AnnotatedCorpus
 from uner_pipeline.atomic import atomic_output
 from uner_pipeline.errors import DataError, UsageError
@@ -77,6 +77,13 @@ class TestPipeline:
         assert run_pipeline(tmp_path / "out") == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["stages"]["annotate"]["wall_time_s"] >= 0.3
+
+    def test_stats_lists_the_entities_once(self, tmp_path, monkeypatch):
+        calls = []
+        list_entities = stats.list_entities
+        monkeypatch.setattr(stats, "list_entities", lambda corpus: calls.append(1) or list_entities(corpus))
+        assert run_pipeline(tmp_path / "out") == 0
+        assert len(calls) == 1
 
     def test_stats_outputs_written(self, tmp_path):
         run_pipeline(tmp_path / "out")
@@ -225,6 +232,49 @@ class TestExitCodes:
         [message] = capsys.readouterr().err.splitlines()
         assert message.startswith("error: input is not valid UTF-8: ")
 
+    @pytest.mark.parametrize(
+        "bad_line, line_no",
+        [("Oslo\tdbo:City\nOslo\tdbo:Place", 19), ("no tab at all", 18)],  # Oslo is no fixture target
+        ids=["duplicate", "no-tab"],
+    )
+    def test_bad_cache_line_outside_the_run_targets_is_2(self, tmp_path, bad_line, line_no):
+        # the offline run keeps only its own targets, yet checks every line
+        bad_cache = tmp_path / "cache.tsv"
+        bad_cache.write_text(CACHE.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli.main(
+            ["pipeline", "--input", str(DUMP), "--cache", str(bad_cache), "--offline", "--out", str(out)]
+        )
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert f"{bad_cache}:{line_no}: " in manifest["error"]
+
+    @pytest.mark.parametrize(
+        "text, offset, message",
+        [
+            ("Ann went home.", "0", "link offsets must be integers"),
+            ("Ann went home.", 0.0, "link offsets must be integers"),
+            ("Ann went home.", True, "link offsets must be integers"),
+            ("Ann went home.", None, "link offsets must be integers"),
+            (5, 0, "text must be a string"),
+        ],
+    )
+    def test_document_field_of_the_wrong_type_is_2(self, tmp_path, capsys, text, offset, message):
+        links = [{"start": offset, "end": 3, "surface": "Ann", "target": "Ann"}]
+        documents = tmp_path / "documents.jsonl"
+        documents.write_text(
+            json.dumps({"id": "1", "text": "Ann went home.", "links": []}) + "\n"
+            + json.dumps({"id": "2", "text": text, "links": links}) + "\n"
+        )
+        out = tmp_path / "out"
+        code = cli.main(["annotate", "--input", str(documents), "--cache", str(CACHE), "--out", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert f"documents file line 2: {message}" in manifest["error"]
+        assert "documents file line 2" in capsys.readouterr().err
+
     def test_unknown_experiment_is_1(self, tmp_path):
         code = run_pipeline(tmp_path / "out", "--experiments", "8")
         assert code == 1
@@ -317,6 +367,26 @@ class TestLinkCommand:
         assert "Alpha\tdbo:City" in cache_path.read_text()
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["stages"]["link"]["counters"]["requests"] == client.request_count == 1
+
+    def test_query_rewrites_the_cache_keeping_every_old_line(self, tmp_path, monkeypatch):
+        # a run that queries loads the whole cache, not only its targets
+        from test_linker import FakeSession, make_client
+
+        def data_lines(path):
+            return [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+
+        cache = tmp_path / "cache.tsv"
+        cache.write_bytes(CACHE.read_bytes())
+        old_lines = data_lines(CACHE)
+        session = FakeSession({"Alpha": ["http://dbpedia.org/ontology/City"]})
+        monkeypatch.setattr(cli, "_make_client", lambda config: make_client(session))
+        targets = tmp_path / "targets.txt"
+        targets.write_text("Alpha\nParis\n", encoding="utf-8")
+        argv = ["link", "--input", str(targets), "--cache", str(cache), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert data_lines(cache) == sorted(old_lines + ["Alpha\tdbo:City"])
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["stages"]["link"]["counters"]["cache_hits"] == 1
 
     def test_unreachable_endpoint_is_3_and_counts_requests(self, tmp_path, monkeypatch):
         from test_linker import FakeSession, make_client

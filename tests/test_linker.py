@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -251,6 +252,32 @@ class TestCatalogFile:
         path.write_text("just a target\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_catalog(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text("ab Z", min_size=1, max_size=3),
+            st.lists(st.sampled_from(["dbo:City", "dbo:Place", "owl:Thing"]), unique=True),
+        ),
+        st.sets(st.text("ab Z", min_size=1, max_size=3)),
+    )
+    def test_keep_loads_the_full_catalog_restricted_to_keep(self, tmp_path_factory, entries, keep):
+        path = tmp_path_factory.mktemp("keep") / "cache.tsv"
+        save_catalog(ClassCatalog(entries), path)
+        full = load_catalog(path).entries
+        kept = load_catalog(path, keep).entries
+        assert kept == {target: classes for target, classes in full.items() if target in keep}
+        assert list(kept) == [target for target in full if target in keep]
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [("B\tdbo:City", "duplicate target 'B'"), ("no tab at all", "expected two tab-separated columns")],
+    )
+    def test_bad_line_outside_keep_still_raises(self, tmp_path, bad_line, message):
+        path = tmp_path / "cache.tsv"
+        path.write_text(f"A\tdbo:Event\nB\towl:Thing\n{bad_line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: {message}"):
+            load_catalog(path, keep={"A"})
 
 
 class VirtualClock:
