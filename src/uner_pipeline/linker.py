@@ -100,21 +100,16 @@ def load_catalog(path: str | Path, keep: Collection[str] | None = None) -> Class
     With ``keep``, only those targets are stored. Every line is still checked,
     so a malformed or duplicate line anywhere in the file raises.
     """
-    entries: dict[str, list[str]] = {}
-    if keep is None:
-        for line_no, target, classes_field in iter_tsv(path):
-            if target in entries:
-                raise DataError(f"{path}:{line_no}: duplicate target {target!r}")
-            entries[target] = [c for c in classes_field.split(",") if c]
-        return ClassCatalog(entries)
-    seen: set[str] = set()
+    # every target seen is a key, for the duplicate check; one outside keep maps to None
+    seen: dict[str, list[str] | None] = {}
     for line_no, target, classes_field in iter_tsv(path):
         if target in seen:
             raise DataError(f"{path}:{line_no}: duplicate target {target!r}")
-        seen.add(target)
-        if target in keep:
-            entries[target] = [c for c in classes_field.split(",") if c]
-    return ClassCatalog(entries)
+        kept = keep is None or target in keep
+        seen[target] = [c for c in classes_field.split(",") if c] if kept else None
+    if keep is None:
+        return ClassCatalog(seen)
+    return ClassCatalog({target: classes for target, classes in seen.items() if classes is not None})
 
 
 def save_catalog(catalog: ClassCatalog, path: str | Path) -> None:

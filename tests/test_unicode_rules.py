@@ -4,12 +4,8 @@ checked over every code point of this interpreter's Unicode database.
 ``annotator`` finds chunks and blank lines with ``re``'s ``\\s``, where the
 old loop called ``str.isspace()``, and keeps an alphanumeric chunk whole,
 where the old loop tested each character for a P or S category. Each Python
-release ships its own Unicode database, so the check also runs as a plain
-script with no test dependencies::
-
-    python tests/test_unicode_rules.py
-
-which prints the Unicode version and exits 1 on any offending code point.
+release ships its own Unicode database, so every interpreter the tests run
+under checks it again.
 """
 
 from __future__ import annotations
@@ -48,13 +44,3 @@ def test_regex_whitespace_is_str_isspace():
 def test_no_punctuation_or_symbol_is_alphanumeric():
     assert alphanumeric_punctuation() == []
 
-
-if __name__ == "__main__":
-    failures = {
-        "re \\s differs from str.isspace()": regex_space_mismatches(),
-        "str.isalnum() holds for a P or S character": alphanumeric_punctuation(),
-    }
-    print(f"Python {sys.version.split()[0]}, Unicode {unicodedata.unidata_version}")
-    for rule, code_points in failures.items():
-        print(f"{rule}: {', '.join(f'U+{cp:04X}' for cp in code_points) or 'none'}")
-    sys.exit(1 if any(failures.values()) else 0)
