@@ -308,35 +308,55 @@ def read_conll_events(
         yield doc_id, sentences
 
 
-def parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
-    """Parse a CoNLL stream into a corpus, enforcing all invariants.
+class CorpusBuilder:
+    """Builds a strict corpus from ``read_conll_events`` one document at a time.
 
     Token offsets are synthesized canonically: tokens joined by single spaces,
     sentences by single newlines, per document starting at zero. Each distinct
-    tag string is parsed once, and its frozen IobTag is shared.
+    tag string is parsed once, and its frozen IobTag is shared by every
+    document the builder adds.
     """
-    corpus = AnnotatedCorpus()
-    tags: dict[str, IobTag] = {}
-    for doc_id, raw_sentences in read_conll_events(lines):
+
+    def __init__(self) -> None:
+        self._corpus = AnnotatedCorpus()
+        self._tags: dict[str, IobTag] = {}
+
+    def add(self, doc_id: str, raw_sentences: list[list[tuple[str, str, int]]]) -> None:
+        """Append one document; a tag that does not parse raises DataError naming its line."""
         sentences: list[AnnotatedSentence] = []
+        tags = self._tags
         offset = 0
         for raw_sentence in raw_sentences:
             pairs: list[tuple[Token, IobTag]] = []
-            for i, (text, tag_string, line_no) in enumerate(raw_sentence):
+            for text, tag_string, line_no in raw_sentence:
                 tag = tags.get(tag_string)
                 if tag is None:
                     try:
                         tag = tags[tag_string] = parse_iob_tag(tag_string)
                     except DataError as exc:
                         raise DataError(f"line {line_no}: {exc}") from exc
-                if i > 0:
-                    offset += 1  # single space between tokens
-                pairs.append((Token(text, offset, offset + len(text)), tag))
-                offset += len(text)
+                end = offset + len(text)
+                pairs.append((Token(text, offset, end), tag))
+                offset = end + 1  # one space, or one newline after the last token
             sentences.append(AnnotatedSentence(pairs))
-            offset += 1  # single newline between sentences
-        corpus.documents.append((doc_id, sentences))
-    violations = validate_iob(corpus)
-    if violations:
-        raise DataError("corpus violates IOB invariants: " + "; ".join(violations[:5]))
-    return corpus
+        self._corpus.documents.append((doc_id, sentences))
+
+    def finish(self) -> AnnotatedCorpus:
+        """The corpus built so far; DataError if it breaks the IOB invariants."""
+        violations = validate_iob(self._corpus)
+        if violations:
+            raise DataError("corpus violates IOB invariants: " + "; ".join(violations[:5]))
+        return self._corpus
+
+
+def parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
+    """Parse a CoNLL stream into a corpus, enforcing all invariants.
+
+    Layout errors come from ``read_conll_events``; tags and IOB rules are
+    checked by ``CorpusBuilder``, which ``evaluation.align`` also uses to build
+    the system corpus in its single pass.
+    """
+    builder = CorpusBuilder()
+    for doc_id, raw_sentences in read_conll_events(lines):
+        builder.add(doc_id, raw_sentences)
+    return builder.finish()

@@ -179,11 +179,13 @@ def validate_config_paths(config: RunConfig, command: str) -> None:
     """Fail fast: every referenced path is checked before any stage runs."""
     if command in ("extract", "pipeline") and config.input is None:
         raise UsageError("no input file given (use --input or the config file)")
-    if config.input is not None and not config.input.exists():
+    if config.input is not None and not config.input.is_file():
         raise UsageError(f"input file not found: {config.input}")
+    if config.cache is not None and config.cache.exists() and not config.cache.is_file():
+        raise UsageError(f"class cache is not a file: {config.cache}")
     if command in ("annotate", "enrich", "pipeline"):
         for path in (config.equivalence, config.priority):
-            if not Path(path).exists():
+            if not Path(path).is_file():
                 raise UsageError(f"mapping table not found: {path}")
     if command in ("enrich", "pipeline"):
         needing_kg = [e for e in config.experiments if enrich.EXPERIMENTS[e].kg_filter]
@@ -192,7 +194,7 @@ def validate_config_paths(config: RunConfig, command: str) -> None:
                 raise ConfigurationError(
                     f"experiments {needing_kg} need a knowledge-graph map (--kg-map)"
                 )
-            if not config.kg_map.exists():
+            if not config.kg_map.is_file():
                 raise UsageError(f"knowledge-graph map not found: {config.kg_map}")
 
 
@@ -314,14 +316,14 @@ def cmd_link(config: RunConfig, manifest: Manifest, targets: list[str] | None = 
         targets_path = config.out / "targets.txt"
         if config.input is not None and config.input.suffix == ".txt":
             targets_path = config.input
-        if not targets_path.exists():
+        if not targets_path.is_file():
             raise UsageError(f"targets file not found: {targets_path} (run extract first)")
     with manifest.stage("link") as counters:
         if targets is None:
             targets = [line for line in targets_path.read_text(encoding="utf-8").splitlines() if line]
         client = _make_client(config)
         cache = linker.ClassCatalog()
-        if config.cache and config.cache.exists():
+        if config.cache and config.cache.is_file():
             # only a run that queries rewrites the cache, so only it needs all of it
             keep = None if client is not None else set(targets)
             cache = linker.load_catalog(config.cache, keep)
@@ -366,13 +368,13 @@ def cmd_annotate(
 ) -> annotator.AnnotatedCorpus:
     if documents is None:
         documents_path = config.input if config.input else config.out / "documents.jsonl"
-        if not documents_path.exists():
+        if not documents_path.is_file():
             raise UsageError(f"documents file not found: {documents_path} (run extract first)")
     if catalog is None:
         catalog_path = config.out / "catalog.tsv"
-        if not catalog_path.exists():
+        if not catalog_path.is_file():
             catalog_path = config.cache
-        if catalog_path is None or not catalog_path.exists():
+        if catalog_path is None or not catalog_path.is_file():
             raise UsageError("no class catalog found (run link first or point --cache at one)")
     with manifest.stage("annotate") as counters:
         if documents is None:
@@ -398,7 +400,7 @@ def cmd_annotate(
 def _corpus_path(config: RunConfig) -> Path:
     """The corpus a standalone stats or enrich run reads."""
     path = config.input if config.input else config.out / "corpus.conll"
-    if not path.exists():
+    if not path.is_file():
         raise UsageError(f"corpus file not found: {path}")
     return path
 
@@ -475,21 +477,22 @@ def cmd_eval(
     include_o: bool = False,
 ) -> evaluation.EvalReport:
     for path in (golden, system):
-        if not path.exists():
+        if not path.is_file():
             raise UsageError(f"file not found: {path}")
     with manifest.stage("eval") as counters:
         with open(golden, encoding="utf-8") as g, open(system, encoding="utf-8") as s:
-            pairs = evaluation.align(g, s)
-        report = evaluation.per_tag_metrics(pairs, config.collapse_depth)
-        counters["aligned_tokens"] += len(pairs)
+            alignment = evaluation.align(g, s)
+        report = evaluation.per_tag_metrics(alignment.pair_counts, config.collapse_depth)
+        counters["aligned_tokens"] += len(alignment)
         counters["tags_scored"] += len(report.per_tag)
         coarse = None
-        try:
-            with open(system, encoding="utf-8") as s:
-                coarse = evaluation.coarse_report(annotator.parse_conll(s))
-        except DataError as exc:  # files that break the IOB invariants still get scored
+        if alignment.system_corpus is not None:
+            coarse = evaluation.coarse_report(alignment.system_corpus)
+        else:  # files that break the IOB invariants still get scored
             counters["system_coarse_counts_skipped"] += 1
-            log.warning("%s: eval.json left without system_coarse_counts: %s", system, exc)
+            log.warning(
+                "%s: eval.json left without system_coarse_counts: %s", system, alignment.system_error
+            )
         text = evaluation.render_text(report, include_o)
         for name, content in (
             ("eval.json", evaluation.render_json(report, include_o, coarse)),

@@ -1,10 +1,13 @@
 """Token-level scoring of a system corpus against a golden corpus, and the
 ``eval.txt``/``eval.json`` reports.
 
-Tags are scored as the plain strings the CoNLL files hold. B-X and I-X count
-as distinct classes. Per-tag precision/recall/F1 are computed from
-token-level confusion counts with the 0/0 -> 0 convention, and the macro
-mean runs over tags whose three values are not all zero. An optional
+Both CoNLL files are read once, side by side, one document at a time: the
+pass counts each (golden tag, system tag) pair and builds the system corpus
+that the coarse counts come from. Tags are scored as the plain strings the
+CoNLL files hold. B-X and I-X count as distinct classes. Per-tag
+precision/recall/F1 are computed from token-level confusion counts with the
+0/0 -> 0 convention, and the macro mean runs over tags whose three values
+are not all zero. An optional
 collapse depth rewrites every non-O tag to its prefix plus the first d label
 segments before counting, scoring the hierarchy coarsely. ``eval.json``
 holds the collapse depth, the macro, the counted tags, the per-tag table and,
@@ -18,19 +21,12 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, NamedTuple
+from itertools import zip_longest
+from typing import Iterable, Mapping
 
-from .annotator import AnnotatedCorpus, read_conll_events
+from .annotator import AnnotatedCorpus, CorpusBuilder, read_conll_events
 from .errors import AlignmentError, DataError
 from .stats import coarse_json, compute_stats
-
-
-class TagPair(NamedTuple):
-    """One aligned token with its golden and system tags."""
-
-    token_text: str
-    gold: str
-    system: str
 
 
 @dataclass(frozen=True)
@@ -49,20 +45,52 @@ class EvalReport:
     collapse_depth: int | None = None
 
 
-def align(golden: Iterable[str], system: Iterable[str]) -> list[TagPair]:
-    """Position-wise pairing of two CoNLL streams.
+@dataclass(frozen=True)
+class Alignment:
+    """The result of one lock-step pass over a golden and a system file.
 
-    Document ids, sentence boundaries, and token texts must coincide; the
-    first divergence aborts with both line numbers.
+    ``pair_counts`` counts each (golden tag, system tag) pair over the aligned
+    tokens; ``len()`` is the number of aligned tokens. ``system_corpus`` is
+    the system file as a strict corpus, or None when the file breaks a tag or
+    IOB rule; ``system_error`` then holds the first DataError met.
     """
-    golden_docs = list(read_conll_events(golden))
-    system_docs = list(read_conll_events(system))
-    if len(golden_docs) != len(system_docs):
-        raise AlignmentError(
-            f"document count differs: golden has {len(golden_docs)}, system has {len(system_docs)}"
-        )
-    pairs: list[TagPair] = []
-    for (gold_id, gold_sentences), (sys_id, sys_sentences) in zip(golden_docs, system_docs):
+
+    pair_counts: Counter[tuple[str, str]]
+    system_corpus: AnnotatedCorpus | None
+    system_error: DataError | None
+
+    def __len__(self) -> int:
+        return self.pair_counts.total()
+
+
+def align(golden: Iterable[str], system: Iterable[str]) -> Alignment:
+    """Position-wise pairing of two CoNLL streams in one lock-step pass.
+
+    The two files are read one document at a time, side by side, and each is
+    read once. Document ids, sentence boundaries, and token texts must
+    coincide; the first divergence aborts with both line numbers. When one
+    file runs out of documents first, the rest of the other is read so that
+    the error gives both document counts. Errors surface in reading order: a
+    divergence in an early document is reported before a layout error or a
+    count mismatch further on.
+
+    Each system document also goes through the ``CorpusBuilder`` that
+    ``parse_conll`` uses. The first DataError (a bad tag, or the IOB check at
+    the end) stops that build and is kept in the result, while the scoring
+    carries on. Memory holds the system corpus plus one document of each file.
+    """
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    builder: CorpusBuilder | None = CorpusBuilder()
+    system_error: DataError | None = None
+    golden_docs, system_docs = read_conll_events(golden), read_conll_events(system)
+    for index, (gold_doc, sys_doc) in enumerate(zip_longest(golden_docs, system_docs)):
+        if gold_doc is None or sys_doc is None:
+            golden_count = index + (gold_doc is not None) + sum(1 for _ in golden_docs)
+            system_count = index + (sys_doc is not None) + sum(1 for _ in system_docs)
+            raise AlignmentError(
+                f"document count differs: golden has {golden_count}, system has {system_count}"
+            )
+        (gold_id, gold_sentences), (sys_id, sys_sentences) = gold_doc, sys_doc
         if gold_id != sys_id:
             raise AlignmentError(f"document id mismatch: golden {gold_id!r} vs system {sys_id!r}")
         if len(gold_sentences) != len(sys_sentences):
@@ -82,8 +110,19 @@ def align(golden: Iterable[str], system: Iterable[str]) -> list[TagPair]:
                         f"token text mismatch at golden line {g_line} / system line {s_line}: "
                         f"{g_text!r} vs {s_text!r}"
                     )
-                pairs.append(TagPair(g_text, g_tag, s_tag))
-    return pairs
+                pair_counts[g_tag, s_tag] += 1
+        if builder is not None:
+            try:
+                builder.add(sys_id, sys_sentences)
+            except DataError as exc:
+                builder, system_error = None, exc
+    system_corpus = None
+    if builder is not None:
+        try:
+            system_corpus = builder.finish()
+        except DataError as exc:
+            system_error = exc
+    return Alignment(pair_counts, system_corpus, system_error)
 
 
 def collapse_tag(tag: str, depth: int | None) -> str:
@@ -95,25 +134,30 @@ def collapse_tag(tag: str, depth: int | None) -> str:
     return prefix + "-" + "-".join(segments[: max(1, depth)])
 
 
-def per_tag_metrics(pairs: list[TagPair], collapse_depth: int | None = None) -> EvalReport:
+def per_tag_metrics(
+    pair_counts: Mapping[tuple[str, str], int], collapse_depth: int | None = None
+) -> EvalReport:
     """Precision/recall/F1 per tag (percent), macro over non-all-zero tags.
 
-    O is scored in the per-tag table when present but never enters the macro.
-    Values are kept at full precision; rounding happens only at rendering.
+    ``pair_counts`` maps each (golden tag, system tag) pair to its token
+    count, as ``align`` returns it; each distinct pair is collapsed and
+    counted once. O is scored in the per-tag table when present but never
+    enters the macro. Values are kept at full precision; rounding happens
+    only at rendering.
     """
-    if not pairs:
-        raise DataError("nothing to score: empty pair list")
+    if not pair_counts:
+        raise DataError("nothing to score: empty pair counts")
     true_positive: Counter[str] = Counter()
     false_positive: Counter[str] = Counter()
     false_negative: Counter[str] = Counter()
-    for _, gold, system in pairs:
+    for (gold, system), count in pair_counts.items():
         if collapse_depth is not None:
             gold, system = collapse_tag(gold, collapse_depth), collapse_tag(system, collapse_depth)
         if gold == system:
-            true_positive[gold] += 1
+            true_positive[gold] += count
         else:
-            false_negative[gold] += 1
-            false_positive[system] += 1
+            false_negative[gold] += count
+            false_positive[system] += count
     tags = sorted(true_positive.keys() | false_positive.keys() | false_negative.keys())
     report = EvalReport(collapse_depth=collapse_depth)
     for tag in tags:

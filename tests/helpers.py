@@ -8,6 +8,7 @@ import random
 import string
 import unicodedata
 from collections import Counter
+from typing import Iterable, NamedTuple
 
 from uner_pipeline.annotator import (
     O_TAG,
@@ -17,10 +18,16 @@ from uner_pipeline.annotator import (
     Token,
     emit_conll,
     parse_conll,
+    parse_iob_tag,
+    read_conll_events,
+    validate_iob,
 )
 from uner_pipeline.enrich import Dictionary, application_order
+from uner_pipeline.errors import AlignmentError, DataError
+from uner_pipeline.evaluation import EvalReport, TagMetrics, collapse_tag
 from uner_pipeline.ingest import Document
 from uner_pipeline.mapping import UnerLabel
+from uner_pipeline.stats import compute_stats
 
 LABEL_POOL = [
     "Name-Person-Name",
@@ -149,6 +156,151 @@ def brute_force_metrics(
     else:
         macro = (0.0, 0.0, 0.0)
     return per_tag, macro, counted
+
+
+def pair_counts(gold_tags: list[str], system_tags: list[str]) -> Counter:
+    """The (gold tag, system tag) counts that ``evaluation.align`` would return."""
+    return Counter(zip(gold_tags, system_tags))
+
+
+# The eval path as it was before the lock-step ``align``: both files read in
+# full, one TagPair per token, each pair collapsed and counted on its own, and
+# the system file parsed a second time for the coarse counts. Kept verbatim as
+# differential oracles.
+
+
+class TagPair(NamedTuple):
+    """One aligned token with its golden and system tags."""
+
+    token_text: str
+    gold: str
+    system: str
+
+
+def oracle_align(golden: Iterable[str], system: Iterable[str]) -> list[TagPair]:
+    """Position-wise pairing of two CoNLL streams.
+
+    Document ids, sentence boundaries, and token texts must coincide; the
+    first divergence aborts with both line numbers.
+    """
+    golden_docs = list(read_conll_events(golden))
+    system_docs = list(read_conll_events(system))
+    if len(golden_docs) != len(system_docs):
+        raise AlignmentError(
+            f"document count differs: golden has {len(golden_docs)}, system has {len(system_docs)}"
+        )
+    pairs: list[TagPair] = []
+    for (gold_id, gold_sentences), (sys_id, sys_sentences) in zip(golden_docs, system_docs):
+        if gold_id != sys_id:
+            raise AlignmentError(f"document id mismatch: golden {gold_id!r} vs system {sys_id!r}")
+        if len(gold_sentences) != len(sys_sentences):
+            raise AlignmentError(
+                f"document {gold_id}: golden has {len(gold_sentences)} sentences, "
+                f"system has {len(sys_sentences)}"
+            )
+        for gold_sentence, sys_sentence in zip(gold_sentences, sys_sentences):
+            if len(gold_sentence) != len(sys_sentence):
+                raise AlignmentError(
+                    f"sentence length mismatch near golden line {gold_sentence[0][2]} "
+                    f"/ system line {sys_sentence[0][2]}"
+                )
+            for (g_text, g_tag, g_line), (s_text, s_tag, s_line) in zip(gold_sentence, sys_sentence):
+                if g_text != s_text:
+                    raise AlignmentError(
+                        f"token text mismatch at golden line {g_line} / system line {s_line}: "
+                        f"{g_text!r} vs {s_text!r}"
+                    )
+                pairs.append(TagPair(g_text, g_tag, s_tag))
+    return pairs
+
+
+def oracle_per_tag_metrics(pairs: list[TagPair], collapse_depth: int | None = None) -> EvalReport:
+    """Precision/recall/F1 per tag (percent), macro over non-all-zero tags.
+
+    O is scored in the per-tag table when present but never enters the macro.
+    Values are kept at full precision; rounding happens only at rendering.
+    """
+    if not pairs:
+        raise DataError("nothing to score: empty pair list")
+    true_positive: Counter[str] = Counter()
+    false_positive: Counter[str] = Counter()
+    false_negative: Counter[str] = Counter()
+    for _, gold, system in pairs:
+        if collapse_depth is not None:
+            gold, system = collapse_tag(gold, collapse_depth), collapse_tag(system, collapse_depth)
+        if gold == system:
+            true_positive[gold] += 1
+        else:
+            false_negative[gold] += 1
+            false_positive[system] += 1
+    tags = sorted(true_positive.keys() | false_positive.keys() | false_negative.keys())
+    report = EvalReport(collapse_depth=collapse_depth)
+    for tag in tags:
+        tp, fp, fn = true_positive[tag], false_positive[tag], false_negative[tag]
+        precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0
+        recall = 100.0 * tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        report.per_tag[tag] = TagMetrics(precision, recall, f1, support=tp + fn)
+    counted = [
+        tag
+        for tag in tags
+        if tag != "O"
+        and (report.per_tag[tag].precision, report.per_tag[tag].recall, report.per_tag[tag].f1)
+        != (0.0, 0.0, 0.0)
+    ]
+    report.counted_tags = counted
+    if counted:
+        report.macro = (
+            sum(report.per_tag[t].precision for t in counted) / len(counted),
+            sum(report.per_tag[t].recall for t in counted) / len(counted),
+            sum(report.per_tag[t].f1 for t in counted) / len(counted),
+        )
+    return report
+
+
+def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
+    """Parse a CoNLL stream into a corpus, enforcing all invariants.
+
+    Token offsets are synthesized canonically: tokens joined by single spaces,
+    sentences by single newlines, per document starting at zero. Each distinct
+    tag string is parsed once, and its frozen IobTag is shared.
+    """
+    corpus = AnnotatedCorpus()
+    tags: dict[str, IobTag] = {}
+    for doc_id, raw_sentences in read_conll_events(lines):
+        sentences: list[AnnotatedSentence] = []
+        offset = 0
+        for raw_sentence in raw_sentences:
+            pairs: list[tuple[Token, IobTag]] = []
+            for i, (text, tag_string, line_no) in enumerate(raw_sentence):
+                tag = tags.get(tag_string)
+                if tag is None:
+                    try:
+                        tag = tags[tag_string] = parse_iob_tag(tag_string)
+                    except DataError as exc:
+                        raise DataError(f"line {line_no}: {exc}") from exc
+                if i > 0:
+                    offset += 1  # single space between tokens
+                pairs.append((Token(text, offset, offset + len(text)), tag))
+                offset += len(text)
+            sentences.append(AnnotatedSentence(pairs))
+            offset += 1  # single newline between sentences
+        corpus.documents.append((doc_id, sentences))
+    violations = validate_iob(corpus)
+    if violations:
+        raise DataError("corpus violates IOB invariants: " + "; ".join(violations[:5]))
+    return corpus
+
+
+def oracle_eval(golden: str, system: str, collapse_depth: int | None = None):
+    """The two-pass eval of two CoNLL texts: (report, aligned tokens, coarse counts or the DataError)."""
+    pairs = oracle_align(io.StringIO(golden), io.StringIO(system))
+    report = oracle_per_tag_metrics(pairs, collapse_depth)
+    try:
+        coarse = compute_stats(oracle_parse_conll(io.StringIO(system))).coarse_counts
+    except DataError as exc:
+        coarse = exc
+    return report, len(pairs), coarse
 
 
 # The dictionary appliers as they were before the indexed rewrite in

@@ -18,6 +18,7 @@ from helpers import (
     brute_force_metrics,
     corpus_from_rows,
     corpus_to_text,
+    pair_counts,
     random_corpus,
     random_markup_document,
     random_word,
@@ -35,7 +36,7 @@ from uner_pipeline.enrich import (
     surface_token_count,
 )
 from uner_pipeline.errors import LabelParseError
-from uner_pipeline.evaluation import TagPair, per_tag_metrics
+from uner_pipeline.evaluation import per_tag_metrics
 from uner_pipeline.ingest import RawDocument, build_document
 from uner_pipeline.linker import ClassCatalog, load_catalog, resolve_all, save_catalog
 from uner_pipeline.mapping import (
@@ -179,9 +180,8 @@ def test_criterion_6_metrics_oracle():
         n = rng.randint(1, 50)
         gold = [rng.choice(tags) for _ in range(n)]
         system = [rng.choice(tags) for _ in range(n)]
-        pairs = [TagPair(f"t{i}", g, s) for i, (g, s) in enumerate(zip(gold, system))]
         depth = rng.choice([None, 1, 2])
-        report = per_tag_metrics(pairs, collapse_depth=depth)
+        report = per_tag_metrics(pair_counts(gold, system), collapse_depth=depth)
         per_tag, macro, counted = brute_force_metrics(gold, system, depth)
         assert set(report.per_tag) == set(per_tag)
         for tag, expected in per_tag.items():

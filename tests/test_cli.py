@@ -275,6 +275,31 @@ class TestExitCodes:
         assert f"documents file line 2: {message}" in manifest["error"]
         assert "documents file line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, made_dir",
+        [
+            (["eval", "{dir}", str(EXPECTED_CORPUS)], "in"),
+            (["eval", str(EXPECTED_CORPUS), "{dir}"], "in"),
+            (["pipeline", "--input", "{dir}", "--offline"], "in"),
+            (["pipeline", "--input", str(DUMP), "--cache", "{dir}", "--offline"], "in"),
+            (["pipeline", "--input", str(DUMP), "--cache", str(CACHE), "--offline",
+              "--experiments", "4", "--kg-map", "{dir}"], "in"),
+            (["pipeline", "--input", str(DUMP), "--cache", str(CACHE), "--offline",
+              "--equivalence", "{dir}"], "in"),
+            (["link", "--offline"], "out/targets.txt"),
+            (["annotate", "--cache", str(CACHE)], "out/documents.jsonl"),
+            (["stats"], "out/corpus.conll"),
+        ],
+        ids=["eval-golden", "eval-system", "input", "cache", "kg-map", "equivalence",
+             "targets", "documents", "corpus"],
+    )
+    def test_directory_given_as_input_file_is_1(self, tmp_path, capsys, argv, made_dir):
+        directory = tmp_path / made_dir
+        directory.mkdir(parents=True)
+        code = cli.main([arg.format(dir=directory) for arg in argv] + ["--out", str(tmp_path / "out")])
+        assert code == 1  # a usage error, not the OSError of opening a directory (exit 2)
+        assert "Is a directory" not in capsys.readouterr().err
+
     def test_unknown_experiment_is_1(self, tmp_path):
         code = run_pipeline(tmp_path / "out", "--experiments", "8")
         assert code == 1
@@ -478,7 +503,7 @@ class TestEvalCommand:
         assert "system_coarse_counts_skipped" not in manifest["stages"]["eval"]["counters"]
 
     def test_skipped_coarse_counts_are_counted_and_logged(self, tmp_path, caplog):
-        # parse_conll rejects a sentence without a B tag, so the coarse counts cannot be taken
+        # a sentence without a B tag breaks the IOB invariants, so the coarse counts cannot be taken
         system = tmp_path / "system.conll"
         system.write_text(
             "# doc_id = d1\nParis\tB-Name-Location-GPE-City\n\nnice\tO\n\n", encoding="utf-8"

@@ -1,13 +1,24 @@
 import io
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import LABEL_POOL, brute_force_metrics, corpus_from_rows, corpus_to_text
+from helpers import (
+    LABEL_POOL,
+    brute_force_metrics,
+    corpus_from_rows,
+    corpus_to_text,
+    oracle_align,
+    oracle_eval,
+    oracle_parse_conll,
+    pair_counts,
+)
 from uner_pipeline.errors import AlignmentError, DataError
 from uner_pipeline.evaluation import (
     EvalReport,
-    TagPair,
     align,
     collapse_tag,
     coarse_report,
@@ -18,18 +29,14 @@ from uner_pipeline.evaluation import (
 )
 
 
-def pairs_from(gold: list[str], system: list[str]) -> list[TagPair]:
-    return [TagPair(f"t{i}", g, s) for i, (g, s) in enumerate(zip(gold, system))]
-
-
 CONLL_A = "# doc_id = d1\nParis\tB-Name-Location-GPE-City\nis\tO\n\nnice\tO\ntown\tB-Name-Location-GPE-City\n\n"
 
 
 class TestAlign:
     def test_identical_files(self):
-        pairs = align(io.StringIO(CONLL_A), io.StringIO(CONLL_A))
-        assert len(pairs) == 4
-        assert all(pair.gold == pair.system for pair in pairs)
+        alignment = align(io.StringIO(CONLL_A), io.StringIO(CONLL_A))
+        assert len(alignment) == 4
+        assert all(gold == system for gold, system in alignment.pair_counts)
 
     def test_missing_token_reports_lines(self):
         broken = CONLL_A.replace("is\tO\n", "")
@@ -47,11 +54,187 @@ class TestAlign:
             align(io.StringIO(CONLL_A), io.StringIO(changed))
 
     def test_both_empty(self):
-        assert align(io.StringIO(""), io.StringIO("")) == []
+        alignment = align(io.StringIO(""), io.StringIO(""))
+        assert len(alignment) == 0
+        assert alignment.pair_counts == Counter()
 
     def test_document_count_mismatch(self):
         with pytest.raises(AlignmentError, match="document count"):
             align(io.StringIO(CONLL_A), io.StringIO(""))
+
+
+def guarded_lines(text: str, stop_line: int):
+    """The lines of ``text``; asking for line ``stop_line`` fails the test."""
+    for line_no, line in enumerate(text.splitlines(keepends=True), start=1):
+        if line_no == stop_line:
+            raise AssertionError(f"line {line_no} was read")
+        yield line
+
+
+def header_line(text: str, doc_id: str) -> int:
+    return text.splitlines().index(f"# doc_id = {doc_id}") + 1
+
+
+THREE_DOCS = "".join(CONLL_A.replace("d1", f"d{n}") for n in (1, 2, 3))
+# one more blank line after the first sentence of d1 shifts the system's later line numbers by one
+SHIFTED = THREE_DOCS.replace("is\tO\n\n", "is\tO\n\n\n", 1)
+
+
+class TestLockStep:
+    @pytest.mark.parametrize(
+        "system, message",
+        [
+            (THREE_DOCS.replace("d1", "d0", 1), "document id mismatch: golden 'd1' vs system 'd0'"),
+            (
+                SHIFTED.replace("nice", "fine", 1),
+                "token text mismatch at golden line 5 / system line 6: 'nice' vs 'fine'",
+            ),
+            (
+                SHIFTED.replace("town\tB-Name-Location-GPE-City\n", "", 1),
+                "sentence length mismatch near golden line 5 / system line 6",
+            ),
+            (
+                THREE_DOCS.replace("is\tO\n\n", "is\tO\n", 1),
+                "document d1: golden has 2 sentences, system has 1",
+            ),
+        ],
+        ids=["doc-id", "token-text", "sentence-length", "sentence-count"],
+    )
+    def test_divergence_in_document_1_is_reported_before_document_3_is_read(self, system, message):
+        golden_lines = guarded_lines(THREE_DOCS, header_line(THREE_DOCS, "d3"))
+        system_lines = guarded_lines(system, header_line(system, "d3"))
+        with pytest.raises(AlignmentError) as excinfo:
+            align(golden_lines, system_lines)
+        assert str(excinfo.value) == message
+        # the two-pass align reads every line before it compares
+        with pytest.raises(AssertionError, match="was read"):
+            oracle_align(
+                guarded_lines(THREE_DOCS, header_line(THREE_DOCS, "d3")),
+                guarded_lines(system, header_line(system, "d3")),
+            )
+
+    def test_document_count_mismatch_reads_the_longer_file_to_its_end(self):
+        for golden, system, counts in ((THREE_DOCS, CONLL_A, (3, 1)), (CONLL_A, THREE_DOCS, (1, 3))):
+            with pytest.raises(AlignmentError) as excinfo:
+                align(io.StringIO(golden), io.StringIO(system))
+            assert str(excinfo.value) == "document count differs: golden has %d, system has %d" % counts
+
+    @pytest.mark.parametrize(
+        "golden, system, lock_step, two_pass",
+        [
+            # golden breaks the layout in d3, system names d1 differently
+            (
+                THREE_DOCS.replace("is\tO", "is O").replace("is O", "is\tO", 2),
+                THREE_DOCS.replace("d1", "d0", 1),
+                (AlignmentError, "document id mismatch: golden 'd1' vs system 'd0'"),
+                (DataError, "line 17: expected 'token<TAB>tag', got 'is O'"),
+            ),
+            # system lacks d3 and names d2 differently
+            (
+                THREE_DOCS,
+                "".join(CONLL_A.replace("d1", name) for name in ("d1", "d9")),
+                (AlignmentError, "document id mismatch: golden 'd2' vs system 'd9'"),
+                (AlignmentError, "document count differs: golden has 3, system has 2"),
+            ),
+        ],
+        ids=["layout-after-id", "count-after-id"],
+    )
+    def test_with_two_faults_the_first_in_reading_order_is_reported(
+        self, golden, system, lock_step, two_pass
+    ):
+        # the lock-step pass meets faults in reading order; the two-pass align read whole files first
+        for run, (error, message) in ((align, lock_step), (oracle_align, two_pass)):
+            with pytest.raises(DataError) as excinfo:
+                run(io.StringIO(golden), io.StringIO(system))
+            assert type(excinfo.value) is error
+            assert str(excinfo.value) == message
+
+
+TOKEN_TEXT = st.text(alphabet="abcXYZ", min_size=1, max_size=3)
+ANY_TAG = st.sampled_from(["O"] + [f"{p}-{label}" for p in "BI" for label in LABEL_POOL[:3]])
+# a prefix that does not parse, an empty label, an unknown level-1 segment
+BAD_TAG = st.sampled_from(["X-Name-Person-Name", "B-", "I-Unknown-Thing"])
+ENTITY = st.tuples(st.sampled_from(LABEL_POOL[:3]), st.integers(1, 3))
+
+
+@st.composite
+def sentence_rows(draw):
+    """(text, gold tag, system tag) rows. The system tags keep the IOB rules, unless the
+    sentence is all O or one tag is swapped for a bad or a random one (an I- after O)."""
+    system_tags = []
+    for chunk in draw(st.lists(st.one_of(ENTITY, ENTITY, st.none()), min_size=1, max_size=4)):
+        if chunk is None:
+            system_tags.append("O")
+        else:
+            label, length = chunk
+            system_tags += [f"B-{label}"] + [f"I-{label}"] * (length - 1)
+    if draw(st.integers(0, 3)) == 0:
+        system_tags[draw(st.integers(0, len(system_tags) - 1))] = draw(st.one_of(BAD_TAG, ANY_TAG))
+    return [
+        (draw(TOKEN_TEXT), draw(st.one_of(st.just(tag), ANY_TAG)), tag) for tag in system_tags
+    ]
+
+
+DOCUMENTS = st.lists(st.lists(sentence_rows(), min_size=1, max_size=3), min_size=1, max_size=4)
+FAULTS = st.sampled_from([None, None, None, "token-text", "drop-token", "drop-last-document", "doc-id"])
+
+
+def conll_text(documents, column: int, doc_ids: list[str]) -> str:
+    lines = []
+    for doc_id, sentences in zip(doc_ids, documents):
+        lines.append(f"# doc_id = {doc_id}\n")
+        for sentence in sentences:
+            lines.extend(f"{row[0]}\t{row[column]}\n" for row in sentence)
+            lines.append("\n")
+    return "".join(lines)
+
+
+def lock_step_eval(golden: str, system: str, collapse_depth):
+    """The eval path of ``cmd_eval``: (report, aligned tokens, coarse counts or the DataError)."""
+    alignment = align(io.StringIO(golden), io.StringIO(system))
+    report = per_tag_metrics(alignment.pair_counts, collapse_depth)
+    if alignment.system_corpus is None:
+        return report, len(alignment), alignment.system_error
+    return report, len(alignment), coarse_report(alignment.system_corpus)
+
+
+def outcome(run, *args):
+    try:
+        report, aligned, coarse = run(*args)
+    except DataError as exc:
+        return type(exc), str(exc)
+    if isinstance(coarse, DataError):
+        coarse = (type(coarse), str(coarse))
+    return report, aligned, coarse
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS, FAULTS, st.sampled_from([None, 1, 2]), st.data())
+def test_lock_step_eval_matches_the_two_pass_eval(documents, fault, depth, data):
+    doc_ids = [f"d{i}" for i in range(len(documents))]
+    golden = conll_text(documents, 1, doc_ids)
+    system_documents = [[list(sentence) for sentence in sentences] for sentences in documents]
+    system_ids = list(doc_ids)
+    d = data.draw(st.integers(0, len(documents) - 1))
+    s = data.draw(st.integers(0, len(documents[d]) - 1))
+    t = data.draw(st.integers(0, len(documents[d][s]) - 1))
+    if fault == "token-text":
+        text, gold_tag, system_tag = system_documents[d][s][t]
+        system_documents[d][s][t] = (text + "q", gold_tag, system_tag)
+    elif fault == "drop-token":
+        del system_documents[d][s][t]  # an emptied sentence drops out of the file
+    elif fault == "drop-last-document":
+        system_documents.pop()
+    elif fault == "doc-id":
+        system_ids[d] = "renamed"
+    system = conll_text(system_documents, 2, system_ids)
+
+    expected = outcome(oracle_eval, golden, system, depth)
+    assert outcome(lock_step_eval, golden, system, depth) == expected
+    if fault is None:
+        alignment = align(io.StringIO(golden), io.StringIO(system))
+        if alignment.system_corpus is not None:
+            assert alignment.system_corpus == oracle_parse_conll(io.StringIO(system))
 
 
 class TestPerTagMetrics:
@@ -59,7 +242,7 @@ class TestPerTagMetrics:
         # gold [B-X, O, B-Y], system [B-X, O, O]:
         #   B-X: TP=1 FP=0 FN=0 -> P=R=F1=100
         #   B-Y: TP=0 FP=0 FN=1 -> all zero -> excluded from macro
-        report = per_tag_metrics(pairs_from(["B-X", "O", "B-Y"], ["B-X", "O", "O"]))
+        report = per_tag_metrics(pair_counts(["B-X", "O", "B-Y"], ["B-X", "O", "O"]))
         assert report.per_tag["B-X"].precision == 100.0
         assert report.per_tag["B-X"].recall == 100.0
         assert report.per_tag["B-Y"].f1 == 0.0
@@ -68,12 +251,12 @@ class TestPerTagMetrics:
 
     def test_identity_gives_perfect_macro(self):
         gold = ["B-X", "I-X", "O", "B-Y", "O"]
-        report = per_tag_metrics(pairs_from(gold, list(gold)))
+        report = per_tag_metrics(pair_counts(gold, list(gold)))
         assert report.macro == (100.0, 100.0, 100.0)
 
     def test_collapse_merges_location_tags(self):
         report = per_tag_metrics(
-            pairs_from(["B-Name-Location-GPE-City"], ["B-Name-Location-Region"]),
+            pair_counts(["B-Name-Location-GPE-City"], ["B-Name-Location-Region"]),
             collapse_depth=2,
         )
         assert set(report.per_tag) == {"B-Name-Location"}
@@ -81,18 +264,18 @@ class TestPerTagMetrics:
         assert report.per_tag["B-Name-Location"].recall == 100.0
 
     def test_o_never_in_macro(self):
-        report = per_tag_metrics(pairs_from(["O", "B-X"], ["O", "B-X"]))
+        report = per_tag_metrics(pair_counts(["O", "B-X"], ["O", "B-X"]))
         assert "O" in report.per_tag
         assert "O" not in report.counted_tags
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            per_tag_metrics([])
+            per_tag_metrics(Counter())
 
     def test_partial_scores(self):
         # gold: B-X B-X O ; system: B-X O B-X
         # B-X: TP=1 FP=1 FN=1 -> P=50 R=50 F1=50
-        report = per_tag_metrics(pairs_from(["B-X", "B-X", "O"], ["B-X", "O", "B-X"]))
+        report = per_tag_metrics(pair_counts(["B-X", "B-X", "O"], ["B-X", "O", "B-X"]))
         m = report.per_tag["B-X"]
         assert (m.precision, m.recall, m.f1) == (50.0, 50.0, 50.0)
         assert m.support == 2
@@ -102,8 +285,8 @@ class TestPerTagMetrics:
         tags = ["O"] + [f"B-{l}" for l in LABEL_POOL] + [f"I-{l}" for l in LABEL_POOL]
         gold = [rng.choice(tags) for _ in range(60)]
         system = [rng.choice(tags) for _ in range(60)]
-        forward = per_tag_metrics(pairs_from(gold, system))
-        backward = per_tag_metrics(pairs_from(system, gold))
+        forward = per_tag_metrics(pair_counts(gold, system))
+        backward = per_tag_metrics(pair_counts(system, gold))
         for tag, metrics in forward.per_tag.items():
             swapped = backward.per_tag[tag]
             assert metrics.precision == swapped.recall
@@ -118,7 +301,7 @@ class TestPerTagMetrics:
             gold = [rng.choice(tags) for _ in range(n)]
             system = [rng.choice(tags) for _ in range(n)]
             for depth in (None, 1, 2):
-                report = per_tag_metrics(pairs_from(gold, system), collapse_depth=depth)
+                report = per_tag_metrics(pair_counts(gold, system), collapse_depth=depth)
                 per_tag, macro, counted = brute_force_metrics(gold, system, depth)
                 assert set(report.per_tag) == set(per_tag)
                 for tag, expected in per_tag.items():
@@ -183,7 +366,7 @@ def test_round1_half_up():
 
 
 def test_renderers_smoke():
-    report = per_tag_metrics(pairs_from(["B-X", "O"], ["B-X", "O"]), collapse_depth=None)
+    report = per_tag_metrics(pair_counts(["B-X", "O"], ["B-X", "O"]), collapse_depth=None)
     text = render_text(report)
     assert "macro (1 tags)\t100.0\t100.0\t100.0" in text
     assert "O\t" not in text.splitlines()[1]
