@@ -12,6 +12,13 @@ letters and digits. Projection tags every token a link span overlaps
 of each span, and finds each span's tokens by bisection, so it runs in
 O((tokens + spans) x log tokens). Only sentences carrying at least one B tag
 survive projection.
+
+Reading CoNLL back is split in two. ``read_conll_events`` checks the layout
+and yields each sentence as its first line number and two string lists,
+token texts and tags. ``TagChecker`` applies the tag grammar and the IOB
+rules to those tag strings, parsing each distinct tag once; ``parse_conll``
+runs it to build a strict corpus, and ``evaluation`` runs it over the system
+file without building one.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import unicodedata
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import DataError
 from .ingest import Document
@@ -229,25 +236,35 @@ def annotate_document(
     return project_annotations(doc, labels, tokens, sentences, counters)
 
 
+def _sentence_violations(doc_id: str, s_idx: int, texts: list[str], tags: list[str]) -> Iterator[str]:
+    """IOB violations of one sentence whose tag strings all parse.
+
+    Such a tag is ``O`` or its prefix, a hyphen and its label, so two labels
+    are equal exactly when the tags agree from their third character on.
+    """
+    previous = "O"
+    saw_b = False
+    for t_idx, tag in enumerate(tags):
+        if tag[0] == "B":
+            saw_b = True
+        elif tag[0] == "I" and (previous == "O" or previous[2:] != tag[2:]):
+            yield (
+                f"doc {doc_id} sentence {s_idx} token {t_idx} ({texts[t_idx]!r}): "
+                f"{tag} not preceded by B/I of the same label"
+            )
+        previous = tag
+    if not saw_b:
+        yield f"doc {doc_id} sentence {s_idx}: no B tag"
+
+
 def validate_iob(corpus: AnnotatedCorpus) -> list[str]:
     """Return IOB well-formedness violations, one message per offense."""
     violations: list[str] = []
     for doc_id, sentences in corpus.documents:
         for s_idx, sentence in enumerate(sentences):
-            previous: IobTag = O_TAG
-            saw_b = False
-            for t_idx, (token, tag) in enumerate(sentence.tokens):
-                if tag.prefix == "B":
-                    saw_b = True
-                elif tag.prefix == "I":
-                    if previous.prefix == "O" or previous.label != tag.label:
-                        violations.append(
-                            f"doc {doc_id} sentence {s_idx} token {t_idx} ({token.text!r}): "
-                            f"I-{tag.label} not preceded by B/I of the same label"
-                        )
-                previous = tag
-            if not saw_b:
-                violations.append(f"doc {doc_id} sentence {s_idx}: no B tag")
+            texts = [token.text for token, _ in sentence.tokens]
+            tags = [str(tag) for _, tag in sentence.tokens]
+            violations.extend(_sentence_violations(doc_id, s_idx, texts, tags))
     return violations
 
 
@@ -269,22 +286,31 @@ def emit_conll(corpus: AnnotatedCorpus, writer: IO[str]) -> int:
     return written
 
 
-def read_conll_events(
-    lines: Iterable[str],
-) -> Iterator[tuple[str, list[list[tuple[str, str, int]]]]]:
-    """Structural CoNLL reader: yields (doc_id, sentences of (text, tag, line_no)).
+class ConllSentence(NamedTuple):
+    """One sentence as ``read_conll_events`` yields it: token ``i`` is on line ``first_line + i``."""
+
+    first_line: int
+    texts: list[str]
+    tags: list[str]
+
+
+def read_conll_events(lines: Iterable[str]) -> Iterator[tuple[str, list[ConllSentence]]]:
+    """Structural CoNLL reader: yields (doc_id, sentences) one document at a time.
 
     Validates layout only (headers, tab-separated token lines); tags are kept
-    as raw strings so files with unusual tag inventories still load.
+    as raw strings so files with unusual tag inventories still load. A
+    sentence's token lines are consecutive, so each sentence keeps only the
+    line number of its first token.
     """
     doc_id: str | None = None
-    sentences: list[list[tuple[str, str, int]]] = []
-    current: list[tuple[str, str, int]] = []
-    line_no = 0
+    sentences: list[ConllSentence] = []
+    texts: list[str] = []
+    tags: list[str] = []
+    first_line = 0
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if line.startswith(DOC_HEADER_PREFIX):
-            if current:
+            if texts:
                 raise DataError(f"line {line_no}: document header inside a sentence")
             if doc_id is not None:
                 yield doc_id, sentences
@@ -292,71 +318,88 @@ def read_conll_events(
             sentences = []
             continue
         if not line:
-            if current:
-                sentences.append(current)
-                current = []
+            if texts:
+                sentences.append(ConllSentence(first_line, texts, tags))
+                texts, tags = [], []
             continue
         if doc_id is None:
             raise DataError(f"line {line_no}: token line before any document header")
         text, sep, tag = line.partition("\t")
         if not sep or not text or not tag:
             raise DataError(f"line {line_no}: expected 'token<TAB>tag', got {line!r}")
-        current.append((text, tag, line_no))
-    if current:
-        sentences.append(current)
+        if not texts:
+            first_line = line_no
+        texts.append(text)
+        tags.append(tag)
+    if texts:
+        sentences.append(ConllSentence(first_line, texts, tags))
     if doc_id is not None:
         yield doc_id, sentences
 
 
-class CorpusBuilder:
-    """Builds a strict corpus from ``read_conll_events`` one document at a time.
+class TagChecker:
+    """The strict tag and IOB check of a CoNLL file, one document at a time.
 
-    Token offsets are synthesized canonically: tokens joined by single spaces,
-    sentences by single newlines, per document starting at zero. Each distinct
-    tag string is parsed once, and its frozen IobTag is shared by every
-    document the builder adds.
+    Each distinct tag string is parsed once; ``tags`` maps it to its IobTag.
+    The first tag that does not parse, in file order, is the error, and
+    ``check`` raises it. Otherwise the IOB rules of ``validate_iob`` are
+    applied to the tag strings, and the first five violations are kept for
+    ``iob_error``, which reports them once the whole file has been checked.
     """
 
     def __init__(self) -> None:
-        self._corpus = AnnotatedCorpus()
-        self._tags: dict[str, IobTag] = {}
+        self.tags: dict[str, IobTag] = {}
+        self.violations: list[str] = []
 
-    def add(self, doc_id: str, raw_sentences: list[list[tuple[str, str, int]]]) -> None:
-        """Append one document; a tag that does not parse raises DataError naming its line."""
-        sentences: list[AnnotatedSentence] = []
-        tags = self._tags
-        offset = 0
-        for raw_sentence in raw_sentences:
-            pairs: list[tuple[Token, IobTag]] = []
-            for text, tag_string, line_no in raw_sentence:
-                tag = tags.get(tag_string)
-                if tag is None:
+    def check(self, doc_id: str, sentences: list[ConllSentence]) -> None:
+        """Check one document; a tag that does not parse raises DataError naming its line."""
+        tags = self.tags
+        for first_line, _, sentence_tags in sentences:
+            if tags.keys() >= set(sentence_tags):
+                continue
+            for i, tag_string in enumerate(sentence_tags):
+                if tag_string not in tags:
                     try:
-                        tag = tags[tag_string] = parse_iob_tag(tag_string)
+                        tags[tag_string] = parse_iob_tag(tag_string)
                     except DataError as exc:
-                        raise DataError(f"line {line_no}: {exc}") from exc
-                end = offset + len(text)
-                pairs.append((Token(text, offset, end), tag))
-                offset = end + 1  # one space, or one newline after the last token
-            sentences.append(AnnotatedSentence(pairs))
-        self._corpus.documents.append((doc_id, sentences))
+                        raise DataError(f"line {first_line + i}: {exc}") from exc
+        for s_idx, (_, texts, sentence_tags) in enumerate(sentences):
+            if len(self.violations) >= 5:
+                break
+            self.violations.extend(_sentence_violations(doc_id, s_idx, texts, sentence_tags))
+        del self.violations[5:]
 
-    def finish(self) -> AnnotatedCorpus:
-        """The corpus built so far; DataError if it breaks the IOB invariants."""
-        violations = validate_iob(self._corpus)
-        if violations:
-            raise DataError("corpus violates IOB invariants: " + "; ".join(violations[:5]))
-        return self._corpus
+    def iob_error(self) -> DataError | None:
+        """The IOB error of everything checked so far, or None."""
+        if not self.violations:
+            return None
+        return DataError("corpus violates IOB invariants: " + "; ".join(self.violations))
 
 
 def parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
     """Parse a CoNLL stream into a corpus, enforcing all invariants.
 
     Layout errors come from ``read_conll_events``; tags and IOB rules are
-    checked by ``CorpusBuilder``, which ``evaluation.align`` also uses to build
-    the system corpus in its single pass.
+    checked by ``TagChecker``, which ``evaluation.align`` also runs over the
+    system file. Token offsets are synthesized canonically: tokens joined by
+    single spaces, sentences by single newlines, per document starting at
+    zero. Every token with the same tag string shares one frozen IobTag.
     """
-    builder = CorpusBuilder()
+    checker = TagChecker()
+    corpus = AnnotatedCorpus()
     for doc_id, raw_sentences in read_conll_events(lines):
-        builder.add(doc_id, raw_sentences)
-    return builder.finish()
+        checker.check(doc_id, raw_sentences)
+        sentences: list[AnnotatedSentence] = []
+        offset = 0
+        for _, texts, tag_strings in raw_sentences:
+            pairs: list[tuple[Token, IobTag]] = []
+            for text, tag_string in zip(texts, tag_strings):
+                end = offset + len(text)
+                pairs.append((Token(text, offset, end), checker.tags[tag_string]))
+                offset = end + 1  # one space, or one newline after the last token
+            sentences.append(AnnotatedSentence(pairs))
+        corpus.documents.append((doc_id, sentences))
+    error = checker.iob_error()
+    if error is not None:
+        raise error
+    return corpus

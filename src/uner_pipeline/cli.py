@@ -419,7 +419,7 @@ def cmd_stats(
         if corpus is None:
             corpus = _load_corpus(corpus_path)
         entities = stats.list_entities(corpus)
-        report = stats.compute_stats(corpus, entities)
+        report = stats.compute_stats(stats.tag_counts(corpus), entities)
         counters["total_tokens"] += report.total_tokens
         counters["entities"] += report.entity_count
         for name, text in (
@@ -455,7 +455,7 @@ def cmd_enrich(
         for experiment_id in config.experiments:
             experiment_counters: Counter = Counter()
             enriched = enrich.run_experiment(experiment_id, corpus, resources, experiment_counters)
-            experiment_counters["entities"] += stats.compute_stats(enriched).entity_count
+            experiment_counters["entities"] += stats.compute_stats(stats.tag_counts(enriched)).entity_count
             for name, count in experiment_counters.items():
                 counters[f"exp{experiment_id}_{name}"] += count
             results[experiment_id] = enriched
@@ -486,8 +486,8 @@ def cmd_eval(
         counters["aligned_tokens"] += len(alignment)
         counters["tags_scored"] += len(report.per_tag)
         coarse = None
-        if alignment.system_corpus is not None:
-            coarse = evaluation.coarse_report(alignment.system_corpus)
+        if alignment.system_error is None:
+            coarse = evaluation.coarse_report(alignment.pair_counts)
         else:  # files that break the IOB invariants still get scored
             counters["system_coarse_counts_skipped"] += 1
             log.warning(

@@ -1,10 +1,11 @@
 """Token-level scoring of a system corpus against a golden corpus, and the
 ``eval.txt``/``eval.json`` reports.
 
-Both CoNLL files are read once, side by side, one document at a time: the
-pass counts each (golden tag, system tag) pair and builds the system corpus
-that the coarse counts come from. Tags are scored as the plain strings the
-CoNLL files hold. B-X and I-X count as distinct classes. Per-tag
+Both CoNLL files are read once, side by side, one document at a time, so
+memory holds one document of each file. The pass counts each (golden tag,
+system tag) pair and runs the strict tag and IOB check over the system tags;
+no corpus is built. Tags are scored as the plain strings the CoNLL files
+hold. B-X and I-X count as distinct classes. Per-tag
 precision/recall/F1 are computed from token-level confusion counts with the
 0/0 -> 0 convention, and the macro mean runs over tags whose three values
 are not all zero. An optional
@@ -12,7 +13,7 @@ collapse depth rewrites every non-O tag to its prefix plus the first d label
 segments before counting, scoring the hierarchy coarsely. ``eval.json``
 holds the collapse depth, the macro, the counted tags, the per-tag table and,
 when the caller passes them, the system file's coarse Person/Location/
-Organization counts.
+Organization counts, which come from the system tag counts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from itertools import zip_longest
 from typing import Iterable, Mapping
 
-from .annotator import AnnotatedCorpus, CorpusBuilder, read_conll_events
+from .annotator import TagChecker, read_conll_events
 from .errors import AlignmentError, DataError
 from .stats import coarse_json, compute_stats
 
@@ -50,13 +51,12 @@ class Alignment:
     """The result of one lock-step pass over a golden and a system file.
 
     ``pair_counts`` counts each (golden tag, system tag) pair over the aligned
-    tokens; ``len()`` is the number of aligned tokens. ``system_corpus`` is
-    the system file as a strict corpus, or None when the file breaks a tag or
-    IOB rule; ``system_error`` then holds the first DataError met.
+    tokens; ``len()`` is the number of aligned tokens. ``system_error`` is the
+    first DataError the strict check of the system tags met (a tag that does
+    not parse, or else the IOB violations), or None when the file is clean.
     """
 
     pair_counts: Counter[tuple[str, str]]
-    system_corpus: AnnotatedCorpus | None
     system_error: DataError | None
 
     def __len__(self) -> int:
@@ -74,13 +74,13 @@ def align(golden: Iterable[str], system: Iterable[str]) -> Alignment:
     divergence in an early document is reported before a layout error or a
     count mismatch further on.
 
-    Each system document also goes through the ``CorpusBuilder`` that
-    ``parse_conll`` uses. The first DataError (a bad tag, or the IOB check at
-    the end) stops that build and is kept in the result, while the scoring
-    carries on. Memory holds the system corpus plus one document of each file.
+    Each system document also goes through the ``TagChecker`` that
+    ``parse_conll`` uses. Its first DataError (a tag that does not parse, or
+    at the end the IOB violations) is kept in the result, while the scoring
+    carries on. Memory holds one document of each file.
     """
     pair_counts: Counter[tuple[str, str]] = Counter()
-    builder: CorpusBuilder | None = CorpusBuilder()
+    checker = TagChecker()
     system_error: DataError | None = None
     golden_docs, system_docs = read_conll_events(golden), read_conll_events(system)
     for index, (gold_doc, sys_doc) in enumerate(zip_longest(golden_docs, system_docs)):
@@ -99,39 +99,39 @@ def align(golden: Iterable[str], system: Iterable[str]) -> Alignment:
                 f"system has {len(sys_sentences)}"
             )
         for gold_sentence, sys_sentence in zip(gold_sentences, sys_sentences):
-            if len(gold_sentence) != len(sys_sentence):
+            gold_texts, sys_texts = gold_sentence.texts, sys_sentence.texts
+            if len(gold_texts) != len(sys_texts):
                 raise AlignmentError(
-                    f"sentence length mismatch near golden line {gold_sentence[0][2]} "
-                    f"/ system line {sys_sentence[0][2]}"
+                    f"sentence length mismatch near golden line {gold_sentence.first_line} "
+                    f"/ system line {sys_sentence.first_line}"
                 )
-            for (g_text, g_tag, g_line), (s_text, s_tag, s_line) in zip(gold_sentence, sys_sentence):
-                if g_text != s_text:
-                    raise AlignmentError(
-                        f"token text mismatch at golden line {g_line} / system line {s_line}: "
-                        f"{g_text!r} vs {s_text!r}"
-                    )
-                pair_counts[g_tag, s_tag] += 1
-        if builder is not None:
+            if gold_texts != sys_texts:
+                i = next(i for i, (g, s) in enumerate(zip(gold_texts, sys_texts)) if g != s)
+                raise AlignmentError(
+                    f"token text mismatch at golden line {gold_sentence.first_line + i} / "
+                    f"system line {sys_sentence.first_line + i}: {gold_texts[i]!r} vs {sys_texts[i]!r}"
+                )
+            pair_counts.update(zip(gold_sentence.tags, sys_sentence.tags))
+        if system_error is None:
             try:
-                builder.add(sys_id, sys_sentences)
+                checker.check(sys_id, sys_sentences)
             except DataError as exc:
-                builder, system_error = None, exc
-    system_corpus = None
-    if builder is not None:
-        try:
-            system_corpus = builder.finish()
-        except DataError as exc:
-            system_error = exc
-    return Alignment(pair_counts, system_corpus, system_error)
+                system_error = exc
+    if system_error is None:
+        system_error = checker.iob_error()
+    return Alignment(pair_counts, system_error)
 
 
 def collapse_tag(tag: str, depth: int | None) -> str:
-    """Rewrite a non-O tag to prefix + first ``depth`` label segments."""
-    if depth is None or tag == "O":
+    """Rewrite a tag with a label to prefix + first ``depth`` label segments.
+
+    ``O``, and any other tag without a hyphen, has no label and is returned
+    unchanged.
+    """
+    prefix, sep, rest = tag.partition("-")
+    if depth is None or not sep:
         return tag
-    prefix, _, rest = tag.partition("-")
-    segments = rest.split("-")
-    return prefix + "-" + "-".join(segments[: max(1, depth)])
+    return prefix + "-" + "-".join(rest.split("-")[: max(1, depth)])
 
 
 def per_tag_metrics(
@@ -183,9 +183,17 @@ def per_tag_metrics(
     return report
 
 
-def coarse_report(corpus: AnnotatedCorpus) -> dict[str, tuple[int, float]]:
-    """Entity counts and shares for the Person/Location/Organization buckets."""
-    return compute_stats(corpus).coarse_counts
+def coarse_report(pair_counts: Mapping[tuple[str, str], int]) -> dict[str, tuple[int, float]]:
+    """Entity counts and shares of the Person/Location/Organization buckets in the system file.
+
+    The system tag counts are the system column of ``pair_counts``; the
+    system file must have passed the strict check (``Alignment.system_error``
+    is None).
+    """
+    system_counts: Counter[str] = Counter()
+    for (_, system), count in pair_counts.items():
+        system_counts[system] += count
+    return compute_stats(system_counts).coarse_counts
 
 
 def round1(value: float) -> float:

@@ -2,7 +2,11 @@
 
 Counts tokens, entity tokens (B/I), entities (B), occurrences per tag, and
 the coarse Person/Location/Organization split: Person is the exact label
-Name-Person-Name, Location and Organization are label-prefix families.
+Name-Person-Name, Location and Organization are label-prefix families. All
+of these come from a tag histogram (tag string -> token count), which
+``tag_counts`` builds from a corpus and ``evaluation`` builds from the system
+column of its tag pairs, so each distinct tag is looked at once. Only the
+distinct entity count needs the entities themselves (``list_entities``).
 """
 
 from __future__ import annotations
@@ -10,9 +14,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .annotator import AnnotatedCorpus
-from .mapping import UnerLabel
+from .mapping import UnerLabel, parse_uner_label
 
 COARSE_CLASSES = ("Person", "Location", "Organization")
 
@@ -27,7 +32,7 @@ class CorpusStats:
     non_entity_tokens: int = 0
     entity_tokens: int = 0
     entity_count: int = 0
-    distinct_entity_count: int = 0
+    distinct_entity_count: int | None = None  # known only when the entities are passed
     per_tag_counts: dict[str, int] = field(default_factory=dict)
     coarse_counts: dict[str, tuple[int, float]] = field(default_factory=dict)
 
@@ -71,38 +76,40 @@ def list_entities(corpus: AnnotatedCorpus) -> list[tuple[str, UnerLabel]]:
     return sorted(pairs, key=lambda pair: (pair[0], str(pair[1])))
 
 
+def tag_counts(corpus: AnnotatedCorpus) -> Counter[str]:
+    """How many tokens of the corpus carry each tag string, ``O`` included."""
+    return Counter(str(tag) for _, sentences in corpus.documents for s in sentences for _, tag in s.tokens)
+
+
 def compute_stats(
-    corpus: AnnotatedCorpus, entities: list[tuple[str, UnerLabel]] | None = None
+    counts: Mapping[str, int], entities: list[tuple[str, UnerLabel]] | None = None
 ) -> CorpusStats:
     """Count tokens, entities, per-tag occurrences, and coarse classes.
 
-    ``entities`` is the corpus's ``list_entities``, when the caller has it.
+    ``counts`` maps each tag string of well-formed IOB tags (``O``,
+    ``B-<label>``, ``I-<label>``) to its token count. ``entities`` is the
+    corpus's ``list_entities``; without it ``distinct_entity_count`` is None.
     """
     stats = CorpusStats()
-    tag_counts: Counter[str] = Counter()
     coarse: Counter[str] = Counter()
-    for _, sentences in corpus.documents:
-        for sentence in sentences:
-            for _, tag in sentence.tokens:
-                stats.total_tokens += 1
-                if tag.prefix == "O":
-                    stats.non_entity_tokens += 1
-                    continue
-                stats.entity_tokens += 1
-                tag_counts[str(tag)] += 1
-                if tag.prefix == "B":
-                    stats.entity_count += 1
-                    bucket = coarse_class(tag.label)
-                    if bucket is not None:
-                        coarse[bucket] += 1
-    stats.per_tag_counts = dict(tag_counts)
+    for tag, count in counts.items():
+        stats.total_tokens += count
+        if tag == "O":
+            stats.non_entity_tokens += count
+            continue
+        stats.entity_tokens += count
+        stats.per_tag_counts[tag] = count
+        if tag.startswith("B-"):
+            stats.entity_count += count
+            bucket = coarse_class(parse_uner_label(tag[2:]))
+            if bucket is not None:
+                coarse[bucket] += count
     stats.coarse_counts = {
         name: (coarse[name], coarse[name] / stats.entity_count if stats.entity_count else 0.0)
         for name in COARSE_CLASSES
     }
-    if entities is None:
-        entities = list_entities(corpus)
-    stats.distinct_entity_count = len(entities)
+    if entities is not None:
+        stats.distinct_entity_count = len(entities)
     assert stats.total_tokens == stats.non_entity_tokens + stats.entity_tokens
     return stats
 

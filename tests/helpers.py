@@ -8,9 +8,10 @@ import random
 import string
 import unicodedata
 from collections import Counter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from uner_pipeline.annotator import (
+    DOC_HEADER_PREFIX,
     O_TAG,
     AnnotatedCorpus,
     AnnotatedSentence,
@@ -19,15 +20,13 @@ from uner_pipeline.annotator import (
     emit_conll,
     parse_conll,
     parse_iob_tag,
-    read_conll_events,
-    validate_iob,
 )
 from uner_pipeline.enrich import Dictionary, application_order
 from uner_pipeline.errors import AlignmentError, DataError
 from uner_pipeline.evaluation import EvalReport, TagMetrics, collapse_tag
 from uner_pipeline.ingest import Document
 from uner_pipeline.mapping import UnerLabel
-from uner_pipeline.stats import compute_stats
+from uner_pipeline.stats import COARSE_CLASSES, CorpusStats, coarse_class, list_entities
 
 LABEL_POOL = [
     "Name-Person-Name",
@@ -183,8 +182,8 @@ def oracle_align(golden: Iterable[str], system: Iterable[str]) -> list[TagPair]:
     Document ids, sentence boundaries, and token texts must coincide; the
     first divergence aborts with both line numbers.
     """
-    golden_docs = list(read_conll_events(golden))
-    system_docs = list(read_conll_events(system))
+    golden_docs = list(oracle_read_conll_events(golden))
+    system_docs = list(oracle_read_conll_events(system))
     if len(golden_docs) != len(system_docs):
         raise AlignmentError(
             f"document count differs: golden has {len(golden_docs)}, system has {len(system_docs)}"
@@ -258,38 +257,162 @@ def oracle_per_tag_metrics(pairs: list[TagPair], collapse_depth: int | None = No
     return report
 
 
-def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
-    """Parse a CoNLL stream into a corpus, enforcing all invariants.
+# The CoNLL reader, the strict corpus builder, the IOB check and the corpus
+# statistics as they were before the system file was checked as tag strings:
+# one (text, tag, line) tuple per token, a frozen Token and IobTag per token,
+# and statistics counted token by token. Kept verbatim as differential
+# oracles; only the names gained their prefix.
+
+
+def oracle_read_conll_events(
+    lines: Iterable[str],
+) -> Iterator[tuple[str, list[list[tuple[str, str, int]]]]]:
+    """Structural CoNLL reader: yields (doc_id, sentences of (text, tag, line_no)).
+
+    Validates layout only (headers, tab-separated token lines); tags are kept
+    as raw strings so files with unusual tag inventories still load.
+    """
+    doc_id: str | None = None
+    sentences: list[list[tuple[str, str, int]]] = []
+    current: list[tuple[str, str, int]] = []
+    line_no = 0
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if line.startswith(DOC_HEADER_PREFIX):
+            if current:
+                raise DataError(f"line {line_no}: document header inside a sentence")
+            if doc_id is not None:
+                yield doc_id, sentences
+            doc_id = line[len(DOC_HEADER_PREFIX) :]
+            sentences = []
+            continue
+        if not line:
+            if current:
+                sentences.append(current)
+                current = []
+            continue
+        if doc_id is None:
+            raise DataError(f"line {line_no}: token line before any document header")
+        text, sep, tag = line.partition("\t")
+        if not sep or not text or not tag:
+            raise DataError(f"line {line_no}: expected 'token<TAB>tag', got {line!r}")
+        current.append((text, tag, line_no))
+    if current:
+        sentences.append(current)
+    if doc_id is not None:
+        yield doc_id, sentences
+
+
+def oracle_validate_iob(corpus: AnnotatedCorpus) -> list[str]:
+    """Return IOB well-formedness violations, one message per offense."""
+    violations: list[str] = []
+    for doc_id, sentences in corpus.documents:
+        for s_idx, sentence in enumerate(sentences):
+            previous: IobTag = O_TAG
+            saw_b = False
+            for t_idx, (token, tag) in enumerate(sentence.tokens):
+                if tag.prefix == "B":
+                    saw_b = True
+                elif tag.prefix == "I":
+                    if previous.prefix == "O" or previous.label != tag.label:
+                        violations.append(
+                            f"doc {doc_id} sentence {s_idx} token {t_idx} ({token.text!r}): "
+                            f"I-{tag.label} not preceded by B/I of the same label"
+                        )
+                previous = tag
+            if not saw_b:
+                violations.append(f"doc {doc_id} sentence {s_idx}: no B tag")
+    return violations
+
+
+class OracleCorpusBuilder:
+    """Builds a strict corpus from ``read_conll_events`` one document at a time.
 
     Token offsets are synthesized canonically: tokens joined by single spaces,
     sentences by single newlines, per document starting at zero. Each distinct
-    tag string is parsed once, and its frozen IobTag is shared.
+    tag string is parsed once, and its frozen IobTag is shared by every
+    document the builder adds.
     """
-    corpus = AnnotatedCorpus()
-    tags: dict[str, IobTag] = {}
-    for doc_id, raw_sentences in read_conll_events(lines):
+
+    def __init__(self) -> None:
+        self._corpus = AnnotatedCorpus()
+        self._tags: dict[str, IobTag] = {}
+
+    def add(self, doc_id: str, raw_sentences: list[list[tuple[str, str, int]]]) -> None:
+        """Append one document; a tag that does not parse raises DataError naming its line."""
         sentences: list[AnnotatedSentence] = []
+        tags = self._tags
         offset = 0
         for raw_sentence in raw_sentences:
             pairs: list[tuple[Token, IobTag]] = []
-            for i, (text, tag_string, line_no) in enumerate(raw_sentence):
+            for text, tag_string, line_no in raw_sentence:
                 tag = tags.get(tag_string)
                 if tag is None:
                     try:
                         tag = tags[tag_string] = parse_iob_tag(tag_string)
                     except DataError as exc:
                         raise DataError(f"line {line_no}: {exc}") from exc
-                if i > 0:
-                    offset += 1  # single space between tokens
-                pairs.append((Token(text, offset, offset + len(text)), tag))
-                offset += len(text)
+                end = offset + len(text)
+                pairs.append((Token(text, offset, end), tag))
+                offset = end + 1  # one space, or one newline after the last token
             sentences.append(AnnotatedSentence(pairs))
-            offset += 1  # single newline between sentences
-        corpus.documents.append((doc_id, sentences))
-    violations = validate_iob(corpus)
-    if violations:
-        raise DataError("corpus violates IOB invariants: " + "; ".join(violations[:5]))
-    return corpus
+        self._corpus.documents.append((doc_id, sentences))
+
+    def finish(self) -> AnnotatedCorpus:
+        """The corpus built so far; DataError if it breaks the IOB invariants."""
+        violations = oracle_validate_iob(self._corpus)
+        if violations:
+            raise DataError("corpus violates IOB invariants: " + "; ".join(violations[:5]))
+        return self._corpus
+
+
+def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
+    """Parse a CoNLL stream into a corpus, enforcing all invariants.
+
+    Layout errors come from ``read_conll_events``; tags and IOB rules are
+    checked by ``CorpusBuilder``, which ``evaluation.align`` also uses to build
+    the system corpus in its single pass.
+    """
+    builder = OracleCorpusBuilder()
+    for doc_id, raw_sentences in oracle_read_conll_events(lines):
+        builder.add(doc_id, raw_sentences)
+    return builder.finish()
+
+
+def oracle_compute_stats(
+    corpus: AnnotatedCorpus, entities: list[tuple[str, UnerLabel]] | None = None
+) -> CorpusStats:
+    """Count tokens, entities, per-tag occurrences, and coarse classes.
+
+    ``entities`` is the corpus's ``list_entities``, when the caller has it.
+    """
+    stats = CorpusStats()
+    tag_counts: Counter[str] = Counter()
+    coarse: Counter[str] = Counter()
+    for _, sentences in corpus.documents:
+        for sentence in sentences:
+            for _, tag in sentence.tokens:
+                stats.total_tokens += 1
+                if tag.prefix == "O":
+                    stats.non_entity_tokens += 1
+                    continue
+                stats.entity_tokens += 1
+                tag_counts[str(tag)] += 1
+                if tag.prefix == "B":
+                    stats.entity_count += 1
+                    bucket = coarse_class(tag.label)
+                    if bucket is not None:
+                        coarse[bucket] += 1
+    stats.per_tag_counts = dict(tag_counts)
+    stats.coarse_counts = {
+        name: (coarse[name], coarse[name] / stats.entity_count if stats.entity_count else 0.0)
+        for name in COARSE_CLASSES
+    }
+    if entities is None:
+        entities = list_entities(corpus)
+    stats.distinct_entity_count = len(entities)
+    assert stats.total_tokens == stats.non_entity_tokens + stats.entity_tokens
+    return stats
 
 
 def oracle_eval(golden: str, system: str, collapse_depth: int | None = None):
@@ -297,7 +420,7 @@ def oracle_eval(golden: str, system: str, collapse_depth: int | None = None):
     pairs = oracle_align(io.StringIO(golden), io.StringIO(system))
     report = oracle_per_tag_metrics(pairs, collapse_depth)
     try:
-        coarse = compute_stats(oracle_parse_conll(io.StringIO(system))).coarse_counts
+        coarse = oracle_compute_stats(oracle_parse_conll(io.StringIO(system))).coarse_counts
     except DataError as exc:
         coarse = exc
     return report, len(pairs), coarse

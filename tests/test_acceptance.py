@@ -49,7 +49,7 @@ from uner_pipeline.mapping import (
     parse_uner_label,
     select_class,
 )
-from uner_pipeline.stats import compute_stats
+from uner_pipeline.stats import compute_stats, tag_counts
 
 WORKED_CLASSES = [
     "dbo:Event",
@@ -161,7 +161,7 @@ def test_criterion_5_statistics_identities():
     checked = 0
     for _ in range(1_000):
         corpus = random_corpus(rng)
-        stats = compute_stats(corpus)
+        stats = compute_stats(tag_counts(corpus))
         assert stats.total_tokens == stats.non_entity_tokens + stats.entity_tokens
         text = corpus_to_text(corpus)
         b_lines = sum(1 for line in text.splitlines() if "\tB-" in line)
@@ -223,11 +223,11 @@ def test_criterion_7_enrichment_laws():
             equivalences=equivalences,
         )
         base_positions = non_o_positions(corpus)
-        base_entities = compute_stats(corpus).entity_count
+        base_entities = compute_stats(tag_counts(corpus)).entity_count
         for experiment_id in range(1, 8):
             result = run_experiment(experiment_id, corpus, resources)
             assert base_positions <= non_o_positions(result), f"exp {experiment_id} overwrote"
-            assert compute_stats(result).entity_count >= base_entities
+            assert compute_stats(tag_counts(result)).entity_count >= base_entities
         once = apply_dictionary(corpus, global_dictionary)
         assert apply_dictionary(once, global_dictionary) == once, "not idempotent"
         corpora += 1

@@ -84,6 +84,16 @@ class TestPipeline:
         monkeypatch.setattr(stats, "list_entities", lambda corpus: calls.append(1) or list_entities(corpus))
         assert run_pipeline(tmp_path / "out") == 0
         assert len(calls) == 1
+        # one call per stats stage; the seven experiments and eval list none
+        experiments = ["--experiments", "1,2,3,4,5,6,7", "--kg-map", str(KG_MAP)]
+        assert run_pipeline(tmp_path / "all", *experiments) == 0
+        assert len(calls) == 2
+        corpus = str(tmp_path / "all" / "corpus.conll")
+        assert cli.main(["enrich", "--input", corpus, "--out", str(tmp_path / "enrich"), *experiments]) == 0
+        assert cli.main(["eval", "--out", str(tmp_path / "eval"), corpus, corpus]) == 0
+        assert len(calls) == 2
+        assert cli.main(["stats", "--input", corpus, "--out", str(tmp_path / "stats")]) == 0
+        assert len(calls) == 3
 
     def test_stats_outputs_written(self, tmp_path):
         run_pipeline(tmp_path / "out")

@@ -35,7 +35,7 @@ from uner_pipeline.mapping import (
     default_equivalence_path,
     parse_uner_label,
 )
-from uner_pipeline.stats import compute_stats
+from uner_pipeline.stats import compute_stats, tag_counts
 
 CITY = parse_uner_label("Name-Location-GPE-City")
 PERSON = parse_uner_label("Name-Person-Name")
@@ -456,13 +456,13 @@ def test_experiment_laws_on_random_corpora():
             equivalences=equivalences,
         )
         base_positions = non_o_positions(corpus)
-        base_entities = compute_stats(corpus).entity_count
+        base_entities = compute_stats(tag_counts(corpus)).entity_count
         for experiment_id in range(1, 8):
             result = run_experiment(experiment_id, corpus, resources)
             # no-overwrite: original non-O tags survive unchanged
             assert base_positions <= non_o_positions(result)
             # monotonicity
-            assert compute_stats(result).entity_count >= base_entities
+            assert compute_stats(tag_counts(result)).entity_count >= base_entities
 
 
 def test_dictionary_save_load_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,6 +17,8 @@ from helpers import (
     oracle_parse_conll,
     pair_counts,
 )
+from uner_pipeline import annotator
+from uner_pipeline.annotator import parse_conll
 from uner_pipeline.errors import AlignmentError, DataError
 from uner_pipeline.evaluation import (
     EvalReport,
@@ -27,6 +30,7 @@ from uner_pipeline.evaluation import (
     render_text,
     round1,
 )
+from uner_pipeline.stats import tag_counts
 
 
 CONLL_A = "# doc_id = d1\nParis\tB-Name-Location-GPE-City\nis\tO\n\nnice\tO\ntown\tB-Name-Location-GPE-City\n\n"
@@ -176,7 +180,23 @@ def sentence_rows(draw):
 
 
 DOCUMENTS = st.lists(st.lists(sentence_rows(), min_size=1, max_size=3), min_size=1, max_size=4)
-FAULTS = st.sampled_from([None, None, None, "token-text", "drop-token", "drop-last-document", "doc-id"])
+FAULTS = st.sampled_from(
+    [None, None, None, "token-text", "drop-token", "drop-last-document", "doc-id", "iob", "iob-then-bad-tag"]
+)
+# three sentences of three tokens: with every system tag an I- of alternating
+# labels they break the IOB rules twelve times
+IOB_PREFIX_DOCUMENT = [[("v", "O", "O")] * 3] * 3
+
+
+def break_iob(system_documents, bad_tag: bool) -> None:
+    """Make every system tag an I- tag of alternating labels; then, if ``bad_tag``,
+    make the last one a tag that does not parse."""
+    for sentences in system_documents:
+        for sentence in sentences:
+            sentence[:] = [(text, gold, f"I-{LABEL_POOL[i % 2]}") for i, (text, gold, _) in enumerate(sentence)]
+    if bad_tag:
+        text, gold, _ = system_documents[-1][-1][-1]
+        system_documents[-1][-1][-1] = (text, gold, "X-Name-Person-Name")
 
 
 def conll_text(documents, column: int, doc_ids: list[str]) -> str:
@@ -193,9 +213,9 @@ def lock_step_eval(golden: str, system: str, collapse_depth):
     """The eval path of ``cmd_eval``: (report, aligned tokens, coarse counts or the DataError)."""
     alignment = align(io.StringIO(golden), io.StringIO(system))
     report = per_tag_metrics(alignment.pair_counts, collapse_depth)
-    if alignment.system_corpus is None:
+    if alignment.system_error is not None:
         return report, len(alignment), alignment.system_error
-    return report, len(alignment), coarse_report(alignment.system_corpus)
+    return report, len(alignment), coarse_report(alignment.pair_counts)
 
 
 def outcome(run, *args):
@@ -211,6 +231,8 @@ def outcome(run, *args):
 @settings(max_examples=300, deadline=None)
 @given(DOCUMENTS, FAULTS, st.sampled_from([None, 1, 2]), st.data())
 def test_lock_step_eval_matches_the_two_pass_eval(documents, fault, depth, data):
+    if fault in ("iob", "iob-then-bad-tag"):
+        documents = [IOB_PREFIX_DOCUMENT] + documents
     doc_ids = [f"d{i}" for i in range(len(documents))]
     golden = conll_text(documents, 1, doc_ids)
     system_documents = [[list(sentence) for sentence in sentences] for sentences in documents]
@@ -227,14 +249,112 @@ def test_lock_step_eval_matches_the_two_pass_eval(documents, fault, depth, data)
         system_documents.pop()
     elif fault == "doc-id":
         system_ids[d] = "renamed"
+    elif fault in ("iob", "iob-then-bad-tag"):
+        break_iob(system_documents, bad_tag=fault == "iob-then-bad-tag")
     system = conll_text(system_documents, 2, system_ids)
 
     expected = outcome(oracle_eval, golden, system, depth)
     assert outcome(lock_step_eval, golden, system, depth) == expected
-    if fault is None:
-        alignment = align(io.StringIO(golden), io.StringIO(system))
-        if alignment.system_corpus is not None:
-            assert alignment.system_corpus == oracle_parse_conll(io.StringIO(system))
+
+
+def parse_outcome(parse, text: str):
+    try:
+        return parse(io.StringIO(text))
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+LAYOUT_FAULTS = st.sampled_from(
+    [None, None, "iob", "iob-then-bad-tag", "untabbed", "header-in-sentence", "token-before-header"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS, LAYOUT_FAULTS, st.data())
+def test_parse_conll_matches_the_builder_parse(documents, fault, data):
+    if fault in ("iob", "iob-then-bad-tag"):
+        documents = [IOB_PREFIX_DOCUMENT] + documents
+    system_documents = [[list(sentence) for sentence in sentences] for sentences in documents]
+    if fault in ("iob", "iob-then-bad-tag"):
+        break_iob(system_documents, bad_tag=fault == "iob-then-bad-tag")
+    text = conll_text(system_documents, 2, [f"d{i}" for i in range(len(documents))])
+    lines = text.splitlines(keepends=True)
+    if fault == "untabbed":
+        i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if "\t" in line]))
+        lines[i] = lines[i].replace("\t", " ")
+    elif fault == "header-in-sentence":
+        i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if "\t" in line]))
+        lines.insert(i, "# doc_id = inserted\n")
+    elif fault == "token-before-header":
+        lines.insert(0, "stray\tO\n")
+    text = "".join(lines)
+    assert parse_outcome(parse_conll, text) == parse_outcome(oracle_parse_conll, text)
+
+
+class TestStrictCheckPrecedence:
+    # system d1 breaks the IOB rules fourteen times; system d2 may hold a tag
+    # that does not parse, on line 18
+    GOLDEN = "# doc_id = d1\n" + "a\tO\n\n" * 7 + "# doc_id = d2\nb\tO\nc\tO\n\n"
+    VIOLATIONS = "# doc_id = d1\n" + "a\tI-Name-God\n\n" * 7
+    FIRST_FIVE = [
+        "doc d1 sentence 0 token 0 ('a'): I-Name-God not preceded by B/I of the same label",
+        "doc d1 sentence 0: no B tag",
+        "doc d1 sentence 1 token 0 ('a'): I-Name-God not preceded by B/I of the same label",
+        "doc d1 sentence 1: no B tag",
+        "doc d1 sentence 2 token 0 ('a'): I-Name-God not preceded by B/I of the same label",
+    ]
+
+    @pytest.mark.parametrize("last_tag", ["Q-Name", "O"], ids=["then-bad-tag", "violations-only"])
+    def test_a_later_bad_tag_beats_more_than_five_iob_violations(self, last_tag):
+        system = self.VIOLATIONS + f"# doc_id = d2\nb\tB-Name-God\nc\t{last_tag}\n\n"
+        if last_tag == "O":
+            error = (DataError, "corpus violates IOB invariants: " + "; ".join(self.FIRST_FIVE))
+        else:
+            error = (DataError, "line 18: bad IOB tag 'Q-Name'")
+        alignment = align(io.StringIO(self.GOLDEN), io.StringIO(system))
+        assert len(alignment) == 9
+        assert (type(alignment.system_error), str(alignment.system_error)) == error
+        assert parse_outcome(parse_conll, system) == error
+        assert outcome(oracle_eval, self.GOLDEN, system, None)[2] == error
+
+
+def lazy_conll(documents: int, label: str):
+    """The lines of a CoNLL file of ``documents`` documents, each made when it is read.
+
+    Every sentence holds three four-token entities of ``label``; token texts
+    differ from document to document.
+    """
+    for d in range(documents):
+        yield f"# doc_id = d{d}\n"
+        for s in range(4):
+            for t in range(12):
+                yield f"w{d}.{s}.{t}\t{'I' if t % 4 else 'B'}-{label}\n"
+            yield "\n"
+
+
+def eval_peak_bytes(documents: int) -> int:
+    """Peak traced memory of ``align`` plus ``coarse_report`` over lazily made files."""
+    tracemalloc.start()
+    try:
+        alignment = align(lazy_conll(documents, "Name-Person-Name"), lazy_conll(documents, "Name-God"))
+        assert alignment.system_error is None and len(alignment) == documents * 48
+        assert coarse_report(alignment.pair_counts)["Person"] == (0, 0.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_builds_no_token(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval built a Token")
+
+    monkeypatch.setattr(annotator.Token, "__init__", refuse)
+    report, aligned, coarse = lock_step_eval(THREE_DOCS, THREE_DOCS, 2)
+    assert aligned == 12 and coarse["Location"] == (6, 1.0)
+
+
+def test_eval_memory_holds_one_document_of_each_file():
+    assert eval_peak_bytes(400) <= 1.2 * eval_peak_bytes(100)
 
 
 class TestPerTagMetrics:
@@ -336,6 +456,13 @@ class TestCollapseTag:
     def test_o_unchanged(self):
         assert collapse_tag("O", 2) == "O"
 
+    def test_tag_without_label_unchanged(self):
+        # golden tags are not validated; a collapsed tag never gains a hyphen
+        assert collapse_tag("B", 2) == "B"
+        assert collapse_tag("I", 1) == "I"
+        report = per_tag_metrics(pair_counts(["B", "B-Name-God"], ["B", "B-Name-God"]), collapse_depth=1)
+        assert set(report.per_tag) == {"B", "B-Name"}
+
 
 def test_coarse_report():
     corpus = corpus_from_rows(
@@ -352,7 +479,7 @@ def test_coarse_report():
             )
         ]
     )
-    report = coarse_report(corpus)
+    report = coarse_report({(tag, tag): count for tag, count in tag_counts(corpus).items()})
     assert report["Person"][0] == 1
     assert report["Location"][0] == 1
     assert report["Organization"][0] == 0

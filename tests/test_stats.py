@@ -1,8 +1,8 @@
 import random
 
-from helpers import corpus_from_rows, corpus_to_text, random_corpus
+from helpers import corpus_from_rows, corpus_to_text, oracle_compute_stats, random_corpus
 from uner_pipeline.annotator import AnnotatedCorpus
-from uner_pipeline.stats import compute_stats, list_entities, render_json, render_text
+from uner_pipeline.stats import compute_stats, list_entities, render_json, render_text, tag_counts
 
 
 def one_sentence_corpus():
@@ -13,7 +13,8 @@ def one_sentence_corpus():
 
 class TestComputeStats:
     def test_counting_definition(self):
-        stats = compute_stats(one_sentence_corpus())
+        corpus = one_sentence_corpus()
+        stats = compute_stats(tag_counts(corpus), list_entities(corpus))
         assert stats.total_tokens == 3
         assert stats.entity_tokens == 2
         assert stats.non_entity_tokens == 1
@@ -21,7 +22,7 @@ class TestComputeStats:
         assert stats.distinct_entity_count == 1
 
     def test_empty_corpus(self):
-        stats = compute_stats(AnnotatedCorpus())
+        stats = compute_stats(tag_counts(AnnotatedCorpus()))
         assert stats.total_tokens == 0
         assert stats.entity_tokens == 0
         assert stats.entity_count == 0
@@ -31,7 +32,7 @@ class TestComputeStats:
         rng = random.Random(7)
         for _ in range(100):
             corpus = random_corpus(rng)
-            stats = compute_stats(corpus)
+            stats = compute_stats(tag_counts(corpus), list_entities(corpus))
             assert stats.total_tokens == stats.non_entity_tokens + stats.entity_tokens
             text = corpus_to_text(corpus)
             b_lines = sum(1 for line in text.splitlines() if "\tB-" in line)
@@ -59,7 +60,7 @@ class TestComputeStats:
                 )
             ]
         )
-        stats = compute_stats(corpus)
+        stats = compute_stats(tag_counts(corpus))
         assert stats.coarse_counts["Person"] == (1, 0.2)
         assert stats.coarse_counts["Location"] == (2, 0.4)
         assert stats.coarse_counts["Organization"] == (1, 0.2)
@@ -67,7 +68,20 @@ class TestComputeStats:
     def test_fictional_character_not_coarse_person(self):
         # Person is the exact Name-Person-Name label, not the Person family
         corpus = corpus_from_rows([("d", [[("x", "B-Name-Person-Fictional_Character")]])])
-        assert compute_stats(corpus).coarse_counts["Person"] == (0, 0.0)
+        assert compute_stats(tag_counts(corpus)).coarse_counts["Person"] == (0, 0.0)
+
+
+    def test_distinct_entity_count_needs_the_entities(self):
+        stats = compute_stats(tag_counts(one_sentence_corpus()))
+        assert stats.entity_count == 1
+        assert stats.distinct_entity_count is None
+
+    def test_matches_the_token_by_token_count(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            corpus = random_corpus(rng)
+            entities = list_entities(corpus)
+            assert compute_stats(tag_counts(corpus), entities) == oracle_compute_stats(corpus, entities)
 
 
 class TestListEntities:
@@ -132,7 +146,8 @@ class TestListEntities:
 
 
 def test_renderers_smoke():
-    stats = compute_stats(one_sentence_corpus())
+    corpus = one_sentence_corpus()
+    stats = compute_stats(tag_counts(corpus), list_entities(corpus))
     text = render_text(stats)
     assert "total_tokens\t3" in text
     assert "B-Name-Person-Name\t1" in text
