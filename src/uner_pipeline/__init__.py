@@ -14,4 +14,4 @@ from .annotator import (  # noqa: F401
     tokenize,
 )
 from .ingest import Document, LinkSpan, RawDocument, extract_links, parse_dump_stream  # noqa: F401
-from .mapping import UnerLabel, parse_uner_label  # noqa: F401
+from .mapping import parse_uner_label  # noqa: F401

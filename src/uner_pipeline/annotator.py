@@ -32,7 +32,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import DataError
 from .ingest import Document
-from .mapping import UnerLabel, parse_uner_label
+from .mapping import parse_uner_label
 
 # ``\s`` is exactly ``str.isspace()``; tests check every code point
 _CHUNK = re.compile(r"\S+")
@@ -57,7 +57,7 @@ class IobTag:
     """IOB tag: prefix O carries no label, B/I carry exactly one."""
 
     prefix: str  # "B", "I", or "O"
-    label: UnerLabel | None = None
+    label: str | None = None
 
     def __post_init__(self) -> None:
         if self.prefix not in ("B", "I", "O"):
@@ -161,7 +161,7 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 
 def project_annotations(
     doc: Document,
-    labels: dict[str, UnerLabel],
+    labels: dict[str, str],
     tokens: list[Token],
     sentences: list[tuple[int, int]],
     counters: Counter | None = None,
@@ -228,7 +228,7 @@ def project_annotations(
 
 
 def annotate_document(
-    doc: Document, labels: dict[str, UnerLabel], counters: Counter | None = None
+    doc: Document, labels: dict[str, str], counters: Counter | None = None
 ) -> list[AnnotatedSentence]:
     """Tokenize, split, and project one document."""
     tokens = tokenize(doc.text)
@@ -268,22 +268,18 @@ def validate_iob(corpus: AnnotatedCorpus) -> list[str]:
     return violations
 
 
-def emit_conll(corpus: AnnotatedCorpus, writer: IO[str]) -> int:
-    """Write the corpus in CoNLL layout; returns the UTF-8 byte count.
+def emit_conll(corpus: AnnotatedCorpus, writer: IO[str]) -> None:
+    """Write the corpus in CoNLL layout.
 
     Per document: a ``# doc_id = <id>`` header, one ``token<TAB>tag`` line per
     token, and a blank line after every sentence. Each document is one write.
     """
-    written = 0
     for doc_id, sentences in corpus.documents:
         lines = [f"{DOC_HEADER_PREFIX}{doc_id}\n"]
         for sentence in sentences:
             lines.extend(f"{token.text}\t{tag}\n" for token, tag in sentence.tokens)
             lines.append("\n")
-        chunk = "".join(lines)
-        writer.write(chunk)
-        written += len(chunk.encode("utf-8"))
-    return written
+        writer.write("".join(lines))
 
 
 class ConllSentence(NamedTuple):

@@ -349,8 +349,8 @@ def build_label_map(
     equivalences: mapping.EquivalenceMap,
     priorities: mapping.PriorityMap,
     counters: Counter,
-) -> dict[str, mapping.UnerLabel]:
-    labels: dict[str, mapping.UnerLabel] = {}
+) -> dict[str, str]:
+    labels: dict[str, str] = {}
     for target, classes in catalog.entries.items():
         label = mapping.label_for_classes(classes, equivalences, priorities, counters)
         if label is None:

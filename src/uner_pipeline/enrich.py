@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .annotator import AnnotatedCorpus, AnnotatedSentence, IobTag
 from .atomic import atomic_output
 from .errors import ConfigurationError, DataError, LabelParseError
-from .mapping import EquivalenceMap, UnerLabel, iter_tsv, map_to_uner, parse_uner_label
+from .mapping import EquivalenceMap, iter_tsv, map_to_uner, parse_uner_label
 from .stats import iter_entities
 
 
@@ -58,7 +58,7 @@ class Dictionary:
     multi-token variants hold only surfaces spanning two or more tokens.
     """
 
-    entries: dict[str, UnerLabel] = field(default_factory=dict)
+    entries: dict[str, str] = field(default_factory=dict)
     provenance: str = "global"
 
 
@@ -95,25 +95,22 @@ def build_global_dictionary(
     excluded; with ``multi_token_only`` single-token surfaces are dropped too.
     """
     occurrences: dict[str, Counter[str]] = {}
-    labels_by_string: dict[str, UnerLabel] = {}
     for _, surface, label in iter_entities(corpus):
-        occurrences.setdefault(surface, Counter())[str(label)] += 1
-        labels_by_string[str(label)] = label
-    entries: dict[str, UnerLabel] = {}
+        occurrences.setdefault(surface, Counter())[label] += 1
+    entries: dict[str, str] = {}
     for surface, counts in occurrences.items():
         if not surface_is_admissible(surface):
             continue
         if multi_token_only and surface_token_count(surface) < 2:
             continue
-        best = min(counts, key=lambda label_string: (-counts[label_string], label_string))
-        entries[surface] = labels_by_string[best]
+        entries[surface] = min(counts, key=lambda label: (-counts[label], label))
     return Dictionary(entries, "global_multi" if multi_token_only else "global")
 
 
 def load_dictionary(path, provenance: str = "global") -> Dictionary:
-    """Read a ``surface<TAB>label`` TSV; # comments allowed."""
-    entries: dict[str, UnerLabel] = {}
-    for line_no, surface, label_string in iter_tsv(path):
+    """Read a ``surface<TAB>label`` TSV; ``#`` lines without a tab are comments."""
+    entries: dict[str, str] = {}
+    for line_no, surface, label in iter_tsv(path):
         if surface in entries:
             raise DataError(f"{path}:{line_no}: duplicate surface {surface!r}")
         if not surface_is_admissible(surface):
@@ -121,7 +118,7 @@ def load_dictionary(path, provenance: str = "global") -> Dictionary:
         if provenance.endswith("_multi") and surface_token_count(surface) < 2:
             raise DataError(f"{path}:{line_no}: single-token surface in multi dictionary")
         try:
-            entries[surface] = parse_uner_label(label_string)
+            entries[surface] = parse_uner_label(label)
         except LabelParseError as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
     return Dictionary(entries, provenance)
@@ -157,7 +154,7 @@ def filter_by_kg(
     table are dropped and counted.
     """
     counters = counters if counters is not None else Counter()
-    entries: dict[str, UnerLabel] = {}
+    entries: dict[str, str] = {}
     for surface in dictionary.entries:
         cls = kg.entries.get(surface)
         if cls is None:
@@ -188,7 +185,7 @@ def _all_o(sentence: AnnotatedSentence, start: int, length: int) -> bool:
     return all(tag.prefix == "O" for _, tag in sentence.tokens[start : start + length])
 
 
-def _retag(sentence: AnnotatedSentence, start: int, length: int, label: UnerLabel) -> None:
+def _retag(sentence: AnnotatedSentence, start: int, length: int, label: str) -> None:
     for offset in range(length):
         token, _ = sentence.tokens[start + offset]
         sentence.tokens[start + offset] = (token, IobTag("B" if offset == 0 else "I", label))
@@ -237,7 +234,7 @@ def apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
     """
     result = _copy_sentences(corpus)
     for _, sentences in result.documents:
-        cache: dict[tuple[str, ...], UnerLabel] = {}  # surface.split(" ") -> label
+        cache: dict[tuple[str, ...], str] = {}  # surface.split(" ") -> label
         lengths: set[int] = set()
         for sentence in sentences:
             tokens = sentence.tokens

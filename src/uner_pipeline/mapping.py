@@ -1,10 +1,12 @@
 """UNER label grammar and the knowledge-base class translation tables.
 
-A label is 1-4 hyphen-joined segments under an implicit root, e.g.
-``Name-Event-Natural_Phenomenon-Earthquake``. Two checked-in TSV tables drive
-annotation: an equivalence table mapping ontology classes to labels (or NULL
-for "never annotate") and a priority table that ranks classes by specificity
-so one class can be selected per entity.
+A label is a string of 1-4 hyphen-joined segments under an implicit root,
+e.g. ``Name-Event-Natural_Phenomenon-Earthquake``. ``parse_uner_label`` checks
+the grammar and returns the string itself; every table and file holds labels
+in that form, so no other representation exists. Two checked-in TSV tables
+drive annotation: an equivalence table mapping ontology classes to labels (or
+NULL for "never annotate") and a priority table that ranks classes by
+specificity so one class can be selected per entity.
 """
 
 from __future__ import annotations
@@ -24,30 +26,12 @@ NULL_MARKER = "NULL"
 _DATA_PACKAGE = "uner_pipeline"
 
 
-@dataclass(frozen=True, order=True)
-class UnerLabel:
-    """Ordered multi-level entity label; ``levels[0]`` is the level-1 segment."""
-
-    levels: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return "-".join(self.levels)
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    def truncated(self, depth: int) -> "UnerLabel":
-        """Label cut down to its first ``depth`` segments (at least one)."""
-        return UnerLabel(self.levels[: max(1, depth)])
-
-
-def parse_uner_label(s: str) -> UnerLabel:
-    """Parse and validate a hyphen-joined label string.
+def parse_uner_label(s: str) -> str:
+    """Check a hyphen-joined label string and return it unchanged.
 
     Raises LabelParseError naming the offending segment and its character
-    position for empty segments, more than four segments, or an unknown
-    level-1 segment.
+    position for empty segments, segments holding whitespace, more than four
+    segments, or an unknown level-1 segment.
     """
     if not s:
         raise LabelParseError("empty label string")
@@ -62,22 +46,27 @@ def parse_uner_label(s: str) -> UnerLabel:
             raise LabelParseError(
                 f"label {s!r} has an empty segment at position {offset} (segment {i + 1})"
             )
+        if any(ch.isspace() for ch in segment):
+            raise LabelParseError(
+                f"label {s!r} has whitespace in segment {segment!r} at position {offset} "
+                f"(segment {i + 1})"
+            )
         offset += len(segment) + 1
     if segments[0] not in LEVEL1_SEGMENTS:
         raise LabelParseError(
             f"label {s!r} starts with unknown level-1 segment {segments[0]!r}; "
             f"expected one of {', '.join(LEVEL1_SEGMENTS)}"
         )
-    return UnerLabel(tuple(segments))
+    return s
 
 
 @dataclass
 class EquivalenceMap:
-    """Ontology class name -> UnerLabel, or None for classes never annotated."""
+    """Ontology class name -> label, or None for classes never annotated."""
 
-    entries: dict[str, UnerLabel | None] = field(default_factory=dict)
+    entries: dict[str, str | None] = field(default_factory=dict)
 
-    def distinct_labels(self) -> set[UnerLabel]:
+    def distinct_labels(self) -> set[str]:
         return {label for label in self.entries.values() if label is not None}
 
 
@@ -91,15 +80,17 @@ class PriorityMap:
 def iter_tsv(path: str | Path):
     """Yield (line_no, key, value) for each ``key<TAB>value`` line of a TSV table.
 
-    Blank and ``#`` lines are skipped. A line without a tab or with an empty
-    key raises a DataError starting with ``path:line``; each loader applies
-    its own rules to the value, which may be empty.
+    Blank lines are skipped, and so are comments: lines that start with
+    ``#`` after any leading whitespace and hold no tab, so a ``#`` key such as
+    the surface ``# MeToo`` is still read. A line without a tab or with an
+    empty key raises a DataError starting with ``path:line``; each loader
+    applies its own rules to the value, which may be empty.
     """
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             head = line.lstrip()
-            if not head or head.startswith("#"):
+            if not head or (head[0] == "#" and "\t" not in head):
                 continue
             key, sep, value = line.partition("\t")
             if not sep:
@@ -112,7 +103,7 @@ def iter_tsv(path: str | Path):
 def load_equivalence_map(path: str | Path) -> EquivalenceMap:
     """Load the class -> label table; raises on duplicates or bad labels."""
     path = Path(path)
-    entries: dict[str, UnerLabel | None] = {}
+    entries: dict[str, str | None] = {}
     for line_no, cls, value in iter_tsv(path):
         if cls in entries:
             raise DataError(f"{path}:{line_no}: duplicate class {cls!r}")
@@ -186,7 +177,7 @@ def select_class(
 
 def map_to_uner(
     cls: str | None, equivalences: EquivalenceMap, counters: Counter | None = None
-) -> UnerLabel | None:
+) -> str | None:
     """Translate a class to its label; None for NULL-mapped or unknown classes."""
     if cls is None:
         return None
@@ -202,22 +193,9 @@ def label_for_classes(
     equivalences: EquivalenceMap,
     priorities: PriorityMap,
     counters: Counter | None = None,
-) -> UnerLabel | None:
+) -> str | None:
     """Full selection chain: pick the top-priority class, translate it."""
     return map_to_uner(select_class(classes, priorities, counters), equivalences, counters)
-
-
-def hierarchy_level_counts(equivalences: EquivalenceMap) -> dict[int, int]:
-    """Distinct node count per hierarchy level over all non-NULL labels.
-
-    Level n counts unique n-segment prefixes; reported for inspection, not
-    asserted against any fixed shape.
-    """
-    nodes: dict[int, set[tuple[str, ...]]] = {}
-    for label in equivalences.distinct_labels():
-        for depth in range(1, label.depth + 1):
-            nodes.setdefault(depth, set()).add(label.levels[:depth])
-    return {depth: len(prefixes) for depth, prefixes in sorted(nodes.items())}
 
 
 def default_equivalence_path() -> Path:

@@ -2,7 +2,8 @@
 
 Counts tokens, entity tokens (B/I), entities (B), occurrences per tag, and
 the coarse Person/Location/Organization split: Person is the exact label
-Name-Person-Name, Location and Organization are label-prefix families. All
+Name-Person-Name, Location and Organization are label-prefix families. A
+label is the string a tag carries after its ``B-``/``I-`` prefix. All
 of these come from a tag histogram (tag string -> token count), which
 ``tag_counts`` builds from a corpus and ``evaluation`` builds from the system
 column of its tag pairs, so each distinct tag is looked at once. Only the
@@ -17,13 +18,13 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .annotator import AnnotatedCorpus
-from .mapping import UnerLabel, parse_uner_label
 
 COARSE_CLASSES = ("Person", "Location", "Organization")
 
-_PERSON_LABEL = ("Name", "Person", "Name")
-_LOCATION_PREFIX = ("Name", "Location")
-_ORGANIZATION_PREFIX = ("Name", "Organization")
+_PERSON_LABEL = "Name-Person-Name"
+# a family is the label itself or any label under it
+_LOCATION_FAMILY = "Name-Location-"
+_ORGANIZATION_FAMILY = "Name-Organization-"
 
 
 @dataclass
@@ -37,13 +38,14 @@ class CorpusStats:
     coarse_counts: dict[str, tuple[int, float]] = field(default_factory=dict)
 
 
-def coarse_class(label: UnerLabel) -> str | None:
+def coarse_class(label: str) -> str | None:
     """Coarse bucket for a label, or None if it falls outside all three."""
-    if label.levels == _PERSON_LABEL:
+    if label == _PERSON_LABEL:
         return "Person"
-    if label.levels[:2] == _LOCATION_PREFIX:
+    family = label + "-"
+    if family.startswith(_LOCATION_FAMILY):
         return "Location"
-    if label.levels[:2] == _ORGANIZATION_PREFIX:
+    if family.startswith(_ORGANIZATION_FAMILY):
         return "Organization"
     return None
 
@@ -53,7 +55,7 @@ def iter_entities(corpus: AnnotatedCorpus):
     for doc_id, sentences in corpus.documents:
         for sentence in sentences:
             run_tokens: list[str] = []
-            run_label: UnerLabel | None = None
+            run_label: str | None = None
             for token, tag in sentence.tokens:
                 if tag.prefix == "B":
                     if run_tokens:
@@ -70,10 +72,9 @@ def iter_entities(corpus: AnnotatedCorpus):
                 yield doc_id, " ".join(run_tokens), run_label
 
 
-def list_entities(corpus: AnnotatedCorpus) -> list[tuple[str, UnerLabel]]:
+def list_entities(corpus: AnnotatedCorpus) -> list[tuple[str, str]]:
     """Distinct (surface, label) pairs, sorted by surface then label."""
-    pairs = {(surface, label) for _, surface, label in iter_entities(corpus)}
-    return sorted(pairs, key=lambda pair: (pair[0], str(pair[1])))
+    return sorted({(surface, label) for _, surface, label in iter_entities(corpus)})
 
 
 def tag_counts(corpus: AnnotatedCorpus) -> Counter[str]:
@@ -82,7 +83,7 @@ def tag_counts(corpus: AnnotatedCorpus) -> Counter[str]:
 
 
 def compute_stats(
-    counts: Mapping[str, int], entities: list[tuple[str, UnerLabel]] | None = None
+    counts: Mapping[str, int], entities: list[tuple[str, str]] | None = None
 ) -> CorpusStats:
     """Count tokens, entities, per-tag occurrences, and coarse classes.
 
@@ -101,7 +102,7 @@ def compute_stats(
         stats.per_tag_counts[tag] = count
         if tag.startswith("B-"):
             stats.entity_count += count
-            bucket = coarse_class(parse_uner_label(tag[2:]))
+            bucket = coarse_class(tag[2:])
             if bucket is not None:
                 coarse[bucket] += count
     stats.coarse_counts = {

@@ -25,7 +25,6 @@ from uner_pipeline.enrich import Dictionary, application_order
 from uner_pipeline.errors import AlignmentError, DataError
 from uner_pipeline.evaluation import EvalReport, TagMetrics, collapse_tag
 from uner_pipeline.ingest import Document
-from uner_pipeline.mapping import UnerLabel
 from uner_pipeline.stats import COARSE_CLASSES, CorpusStats, coarse_class, list_entities
 
 LABEL_POOL = [
@@ -87,7 +86,7 @@ def random_corpus(rng: random.Random, max_docs: int = 3) -> AnnotatedCorpus:
     return corpus_from_rows(rows)
 
 
-def random_markup_document(rng: random.Random, labeled_targets: dict[str, UnerLabel]):
+def random_markup_document(rng: random.Random, labeled_targets: dict[str, str]):
     """Random markup text mixing plain words, linked spans, and noise.
 
     Returns (markup_text, expected-labelable target pool was given).
@@ -380,7 +379,7 @@ def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
 
 
 def oracle_compute_stats(
-    corpus: AnnotatedCorpus, entities: list[tuple[str, UnerLabel]] | None = None
+    corpus: AnnotatedCorpus, entities: list[tuple[str, str]] | None = None
 ) -> CorpusStats:
     """Count tokens, entities, per-tag occurrences, and coarse classes.
 
@@ -442,7 +441,7 @@ def _match_at(sentence: AnnotatedSentence, start: int, parts: list[str]) -> bool
     return True
 
 
-def _retag(sentence: AnnotatedSentence, start: int, length: int, label: UnerLabel) -> None:
+def _retag(sentence: AnnotatedSentence, start: int, length: int, label: str) -> None:
     for offset in range(length):
         token, _ = sentence.tokens[start + offset]
         sentence.tokens[start + offset] = (token, IobTag("B" if offset == 0 else "I", label))
@@ -481,7 +480,7 @@ def oracle_apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
     """
     result = copy.deepcopy(corpus)
     for _, sentences in result.documents:
-        cache: dict[str, UnerLabel] = {}
+        cache: dict[str, str] = {}
         ordered_surfaces: list[tuple[str, list[str]]] = []
         dirty = False
         for sentence in sentences:
@@ -523,7 +522,7 @@ def oracle_apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
 
 def oracle_project_annotations(
     doc: Document,
-    labels: dict[str, UnerLabel],
+    labels: dict[str, str],
     tokens: list[Token],
     sentences: list[tuple[int, int]],
     counters: Counter | None = None,

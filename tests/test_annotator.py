@@ -187,14 +187,12 @@ class TestConllRoundTrip:
     def test_layout_single_sentence(self):
         corpus = corpus_from_rows([("d7", [[("Hello", "B-Name"), ("there", "O")]])])
         out = io.StringIO()
-        written = emit_conll(corpus, out)
-        expected = "# doc_id = d7\nHello\tB-Name\nthere\tO\n\n"
-        assert out.getvalue() == expected
-        assert written == len(expected.encode("utf-8"))
+        assert emit_conll(corpus, out) is None
+        assert out.getvalue() == "# doc_id = d7\nHello\tB-Name\nthere\tO\n\n"
 
     def test_empty_corpus(self):
         out = io.StringIO()
-        assert emit_conll(AnnotatedCorpus(), out) == 0
+        emit_conll(AnnotatedCorpus(), out)
         assert out.getvalue() == ""
 
     def test_round_trip_random_corpora(self):

@@ -21,6 +21,8 @@ EXPECTED_CORPUS = FIXTURES / "expected_corpus.conll"
 EXPECTED_TARGETS = FIXTURES / "expected_targets.txt"
 EXPECTED_EVAL_JSON = FIXTURES / "expected_eval.json"
 EXPECTED_EVAL_TXT = FIXTURES / "expected_eval.txt"
+# outputs of the fixture pipeline run with experiments 1-7 and the kg map
+EXPECTED_ENRICH = FIXTURES / "expected_enrich"
 
 
 def run_pipeline(out: Path, *extra: str) -> int:
@@ -44,6 +46,17 @@ class TestPipeline:
         assert run_pipeline(tmp_path / "out") == 0
         assert (tmp_path / "out" / "corpus.conll").read_bytes() == EXPECTED_CORPUS.read_bytes()
         assert (tmp_path / "out" / "targets.txt").read_bytes() == EXPECTED_TARGETS.read_bytes()
+
+    def test_enrich_outputs_match_pinned_files(self, tmp_path):
+        experiments = ",".join(str(i) for i in enrich.EXPERIMENT_IDS)
+        assert run_pipeline(tmp_path / "out", "--experiments", experiments, "--kg-map", str(KG_MAP)) == 0
+        pinned = sorted(EXPECTED_ENRICH.iterdir())
+        assert [path.name for path in pinned] == sorted(
+            ["stats.txt", "stats.json", "entities.tsv", "dictionary_global.tsv", "dictionary_global_multi.tsv"]
+            + [f"corpus_exp{i}.conll" for i in enrich.EXPERIMENT_IDS]
+        )
+        for expected in pinned:
+            assert (tmp_path / "out" / expected.name).read_bytes() == expected.read_bytes(), expected.name
 
     def test_determinism_across_concurrency(self, tmp_path):
         assert run_pipeline(tmp_path / "c1", "--concurrency", "1") == 0

@@ -466,7 +466,10 @@ def test_experiment_laws_on_random_corpora():
 
 
 def test_dictionary_save_load_round_trip(tmp_path):
-    dictionary = Dictionary({"New York": CITY, "Paris": PERSON}, provenance="global")
+    # a "#MeToo" link tokenizes to "#" and "MeToo"; its line holds a tab, so it is no comment
+    dictionary = Dictionary(
+        {"New York": CITY, "Paris": PERSON, "# MeToo": parse_uner_label("Name-Event")}, provenance="global"
+    )
     path = tmp_path / "dict.tsv"
     save_dictionary(dictionary, path)
     loaded = load_dictionary(path, "global")

@@ -10,10 +10,8 @@ from uner_pipeline.linker import load_catalog
 from uner_pipeline.mapping import (
     EquivalenceMap,
     PriorityMap,
-    UnerLabel,
     default_equivalence_path,
     default_priority_path,
-    hierarchy_level_counts,
     label_for_classes,
     load_equivalence_map,
     load_mapping_tables,
@@ -45,12 +43,25 @@ WORKED_PRIORITIES = PriorityMap(
 
 class TestParseUnerLabel:
     def test_four_level_label(self):
-        label = parse_uner_label("Name-Event-Natural_Phenomenon-Earthquake")
-        assert label.levels == ("Name", "Event", "Natural_Phenomenon", "Earthquake")
-        assert str(label) == "Name-Event-Natural_Phenomenon-Earthquake"
+        label = "Name-Event-Natural_Phenomenon-Earthquake"
+        assert parse_uner_label(label) is label
 
     def test_single_level(self):
-        assert parse_uner_label("Name").levels == ("Name",)
+        assert parse_uner_label("Name") == "Name"
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("Name--Event", "an empty segment at position 5 (segment 2)"),
+            ("Name-Person\tX", "whitespace in segment 'Person\\tX' at position 5 (segment 2)"),
+            ("Name-New York", "whitespace in segment 'New York' at position 5 (segment 2)"),
+            ("Name-Location-GPE-City\u00a0", "whitespace in segment 'City\\xa0' at position 18 (segment 4)"),
+            (" Name", "whitespace in segment ' Name' at position 0 (segment 1)"),
+        ],
+    )
+    def test_bad_segment_rejected(self, label, message):
+        with pytest.raises(LabelParseError, match=re.escape(message)):
+            parse_uner_label(label)
 
     def test_empty_segment_rejected(self):
         with pytest.raises(LabelParseError, match="empty segment"):
@@ -69,8 +80,8 @@ class TestParseUnerLabel:
             parse_uner_label("")
 
     def test_time_and_numerical_roots_accepted(self):
-        assert parse_uner_label("Time_Expression-Timex-Era").depth == 3
-        assert parse_uner_label("Numerical_Expression-Unit").depth == 2
+        assert parse_uner_label("Time_Expression-Timex-Era") == "Time_Expression-Timex-Era"
+        assert parse_uner_label("Numerical_Expression-Unit") == "Numerical_Expression-Unit"
 
 
 class TestSelectClass:
@@ -121,7 +132,7 @@ class TestMapToUner:
 
     def test_mapped_class(self):
         label = map_to_uner("dbo:SportsEvent", self.make_equivalences())
-        assert str(label) == "Name-Event-Occasion-Game"
+        assert label == "Name-Event-Occasion-Game"
 
     def test_null_class(self):
         assert map_to_uner("owl:Thing", self.make_equivalences()) is None
@@ -142,7 +153,7 @@ class TestLoaders:
             encoding="utf-8",
         )
         loaded = load_equivalence_map(eq)
-        assert str(loaded.entries["dbo:SoccerTournament"]) == "Name-Event-Occasion-Game"
+        assert loaded.entries["dbo:SoccerTournament"] == "Name-Event-Occasion-Game"
         assert loaded.entries["owl:Thing"] is None
 
     def test_duplicate_class_rejected(self, tmp_path):
@@ -153,9 +164,11 @@ class TestLoaders:
 
     def test_bad_label_rejected_at_load(self, tmp_path):
         eq = tmp_path / "eq.tsv"
-        eq.write_text("dbo:Event\tBogus-Event\n", encoding="utf-8")
-        with pytest.raises(DataError):
-            load_equivalence_map(eq)
+        # a third column would otherwise reach the CoNLL tag as a tab
+        for bad in ("Bogus-Event", "Name-Person\tX", "Name-New York"):
+            eq.write_text(f"dbo:Event\t{bad}\n", encoding="utf-8")
+            with pytest.raises(DataError, match=f"^{re.escape(str(eq))}:1: label "):
+                load_equivalence_map(eq)
 
     def test_priority_must_be_positive_integer(self, tmp_path):
         pri = tmp_path / "pri.tsv"
@@ -239,7 +252,7 @@ class TestShippedTables:
         for cls, expected in WORKED_PRIORITIES.entries.items():
             assert priorities.entries[cls] == expected
         label = label_for_classes(WORKED_CLASSES, equivalences, priorities)
-        assert str(label) == "Name-Event-Occasion-Game"
+        assert label == "Name-Event-Occasion-Game"
 
     def test_pinned_equivalences(self):
         equivalences = load_equivalence_map(default_equivalence_path())
@@ -253,18 +266,5 @@ class TestShippedTables:
             "dbo:Person": "Name-Person-Name",
         }
         for cls, label in pinned.items():
-            assert str(equivalences.entries[cls]) == label
+            assert equivalences.entries[cls] == label
         assert equivalences.entries["owl:Thing"] is None
-
-    def test_level_counts_reported(self):
-        equivalences = load_equivalence_map(default_equivalence_path())
-        counts = hierarchy_level_counts(equivalences)
-        assert set(counts) <= {1, 2, 3, 4}
-        assert counts[1] >= 1
-
-
-def test_truncated_label():
-    label = UnerLabel(("Name", "Location", "GPE", "City"))
-    assert str(label.truncated(2)) == "Name-Location"
-    assert str(label.truncated(1)) == "Name"
-    assert str(label.truncated(9)) == str(label)
