@@ -22,6 +22,7 @@ import contextlib
 import dataclasses
 import json
 import logging
+import resource
 import sys
 import time
 import typing
@@ -199,7 +200,7 @@ def validate_config_paths(config: RunConfig, command: str) -> None:
 
 
 class Manifest:
-    """Per-run record: config snapshot, per-stage counters, wall times."""
+    """Per-run record: config snapshot, per-stage counters, wall times, peak RSS."""
 
     def __init__(self, config: RunConfig, command: str):
         self.data = {
@@ -229,6 +230,8 @@ class Manifest:
         self.data["error"] = f"{type(error).__name__}: {error}"
 
     def write(self, out_dir: Path) -> None:
+        # the process's high-water mark so far; Linux reports it in KiB
+        self.data["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         with atomic_output(out_dir / "manifest.json") as fh:
             fh.write(json.dumps(self.data, indent=2) + "\n")
 
@@ -326,7 +329,7 @@ def cmd_link(config: RunConfig, manifest: Manifest, targets: list[str] | None = 
         if config.cache and config.cache.is_file():
             # only a run that queries rewrites the cache, so only it needs all of it
             keep = None if client is not None else set(targets)
-            cache = linker.load_catalog(config.cache, keep)
+            cache = linker.load_catalog(config.cache, keep, counters)
         catalog = linker.resolve_all(targets, cache, client, counters)
         if client is not None:
             counters["requests"] = client.request_count

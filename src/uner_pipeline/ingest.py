@@ -6,6 +6,11 @@ markups are recognized: HTML-style anchors ``<a href="TARGET">SURFACE</a>``
 (href percent-decoded, underscores kept) and wiki brackets
 ``[[TARGET|SURFACE]]`` / ``[[TARGET]]``. Malformed markup never aborts a run;
 it degrades to plain text and is counted.
+
+An id or a target must fit on one line of every file the pipeline writes:
+a document whose id holds a line break is dropped, and a link whose target
+holds a line break or a tab is kept as plain text; both are counted. A line
+break is any character ``str.splitlines`` breaks on.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ _ANCHOR_OPEN = re.compile(r'<a\s+href="([^"]*)"[^>]*>')
 _MARKUP_START = re.compile(r'<a\s+href="|\[\[')
 _DOC_OPEN = re.compile(r"<doc\b([^>]*)>")
 _DOC_ATTR = re.compile(r'(\w+)="([^"]*)"')
+
+# every character str.splitlines breaks a line on; tests/test_unicode_rules.py checks it
+LINE_BREAKS = frozenset("\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
+_TARGET_BREAKS = LINE_BREAKS | {"\t"}
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,8 @@ def parse_dump_stream(
     """Yield documents from an extracted-dump stream in file order.
 
     Malformed lines/blocks are skipped and counted under ``malformed_lines``;
-    duplicate document ids are skipped and counted under ``duplicate_doc_id``.
+    documents whose id holds a line break under ``unwritable_doc_id``, and
+    duplicate document ids under ``duplicate_doc_id``.
     Invalid UTF-8 in a bytes reader aborts with a DataError naming the line.
     A text reader decodes on its own: the CLI opens the dump as UTF-8 text,
     so a bad byte raises UnicodeDecodeError, which it reports as a data
@@ -113,11 +123,8 @@ def _parse_json_lines(lines: Iterator[str], counters: Counter) -> Iterator[RawDo
         if not doc_id:
             counters["malformed_lines"] += 1
             continue
-        if doc_id in seen_ids:
-            counters["duplicate_doc_id"] += 1
+        if not _is_new_id(doc_id, seen_ids, counters):
             continue
-        seen_ids.add(doc_id)
-        counters["documents"] += 1
         yield RawDocument(
             doc_id=doc_id,
             title=str(obj["title"]),
@@ -159,17 +166,27 @@ def _finish_block(attrs, body, seen_ids, counters) -> RawDocument | None:
     if not doc_id or "title" not in attrs:
         counters["malformed_lines"] += 1
         return None
-    if doc_id in seen_ids:
-        counters["duplicate_doc_id"] += 1
+    if not _is_new_id(doc_id, seen_ids, counters):
         return None
-    seen_ids.add(doc_id)
-    counters["documents"] += 1
     return RawDocument(
         doc_id=doc_id,
         title=attrs["title"],
         source_url=attrs.get("url", ""),
         markup_text="".join(body),
     )
+
+
+def _is_new_id(doc_id: str, seen_ids: set[str], counters: Counter) -> bool:
+    """Admit a document id that fits on one line and was not seen before."""
+    if not LINE_BREAKS.isdisjoint(doc_id):
+        counters["unwritable_doc_id"] += 1
+        return False
+    if doc_id in seen_ids:
+        counters["duplicate_doc_id"] += 1
+        return False
+    seen_ids.add(doc_id)
+    counters["documents"] += 1
+    return True
 
 
 class _PlainTextBuilder:
@@ -212,7 +229,9 @@ def extract_links(
     constructs (unclosed or nested markup, empty targets or surfaces) lose
     their recognized delimiters and keep their content as plain text, counted
     under ``malformed_markup``; the output never re-parses as markup, so the
-    function is idempotent on its own text output.
+    function is idempotent on its own text output. A link whose target holds
+    a line break or a tab keeps its surface as plain text, counted under
+    ``unwritable_target``.
     """
     counters = counters if counters is not None else Counter()
     out = _PlainTextBuilder()
@@ -247,11 +266,7 @@ def _consume_anchor(markup_text: str, start: int, out: _PlainTextBuilder, counte
         counters["malformed_markup"] += 1
         return m.end()
     target = unquote(_strip_fragment(m.group(1), counters))
-    if not target or not surface:
-        counters["malformed_markup"] += 1
-        out.emit(surface)
-        return close + len("</a>")
-    out.emit_link(surface, target)
+    _emit_link(out, surface, target, counters)
     return close + len("</a>")
 
 
@@ -268,12 +283,21 @@ def _consume_wiki(markup_text: str, start: int, out: _PlainTextBuilder, counters
     if not sep:
         surface = target_part
     target = _strip_fragment(target_part, counters)
+    _emit_link(out, surface, target, counters)
+    return close + 2
+
+
+def _emit_link(out: _PlainTextBuilder, surface: str, target: str, counters: Counter) -> None:
+    """Emit a link span, or only its surface when the target is empty or
+    holds a line break or a tab."""
     if not target or not surface:
         counters["malformed_markup"] += 1
         out.emit(surface)
-        return close + 2
-    out.emit_link(surface, target)
-    return close + 2
+    elif not _TARGET_BREAKS.isdisjoint(target):
+        counters["unwritable_target"] += 1
+        out.emit(surface)
+    else:
+        out.emit_link(surface, target)
 
 
 def build_document(raw: RawDocument, counters: Counter | None = None) -> Document:

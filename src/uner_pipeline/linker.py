@@ -89,24 +89,44 @@ def compact_class_name(class_uri: str) -> str:
 
 @dataclass
 class ClassCatalog:
-    """Target -> ordered, duplicate-free list of class names."""
+    """Target -> ordered, duplicate-free list of class names.
+
+    The lists are shared and read-only: targets with the same classes may
+    hold the very same list, and a catalog that ``resolve_all`` returns
+    shares its lists with the cache. Replace an entry; never mutate one.
+    """
 
     entries: dict[str, list[str]] = field(default_factory=dict)
 
 
-def load_catalog(path: str | Path, keep: Collection[str] | None = None) -> ClassCatalog:
+def load_catalog(
+    path: str | Path, keep: Collection[str] | None = None, counters: Counter | None = None
+) -> ClassCatalog:
     """Read a ``target<TAB>class1,class2,...`` TSV cache; the class list may be empty.
 
     With ``keep``, only those targets are stored. Every line is still checked,
-    so a malformed or duplicate line anywhere in the file raises.
+    so a malformed or duplicate line anywhere in the file raises. Targets
+    whose class fields are equal share one list, and equal class names one
+    string, so memory grows with the targets plus the distinct lists and
+    names; ``cache_class_lists`` counts the lists.
     """
     # every target seen is a key, for the duplicate check; one outside keep maps to None
     seen: dict[str, list[str] | None] = {}
+    lists: dict[str, list[str]] = {}  # class field -> its one list
+    names: dict[str, str] = {}  # class name -> its one string
     for line_no, target, classes_field in iter_tsv(path):
         if target in seen:
             raise DataError(f"{path}:{line_no}: duplicate target {target!r}")
-        kept = keep is None or target in keep
-        seen[target] = [c for c in classes_field.split(",") if c] if kept else None
+        if keep is not None and target not in keep:
+            seen[target] = None
+            continue
+        classes = lists.get(classes_field)
+        if classes is None:
+            classes = [names.setdefault(c, c) for c in classes_field.split(",") if c]
+            lists[classes_field] = classes
+        seen[target] = classes
+    if counters is not None:
+        counters["cache_class_lists"] += len(lists)
     if keep is None:
         return ClassCatalog(seen)
     return ClassCatalog({target: classes for target, classes in seen.items() if classes is not None})
@@ -258,17 +278,19 @@ def resolve_all(
 ) -> ClassCatalog:
     """Resolve every target via the cache, then the endpoint for the misses.
 
-    Returns the catalog restricted to the requested targets; newly queried
-    entries are also added to ``cache`` (the caller persists it). Cache hits
-    are never re-queried; without a client, misses are simply unresolved.
+    Returns the catalog restricted to the requested targets, sharing its
+    lists with ``cache``; newly queried entries are also added to ``cache``
+    (the caller persists it). Cache hits are never re-queried; without a
+    client, misses are simply unresolved.
     """
     counters = counters if counters is not None else Counter()
     counters["targets"] += len(targets)
     result = ClassCatalog()
     misses: list[str] = []
     for target in targets:
-        if target in cache.entries:
-            result.entries[target] = list(cache.entries[target])
+        classes = cache.entries.get(target)
+        if classes is not None:
+            result.entries[target] = classes
             counters["cache_hits"] += 1
         else:
             misses.append(target)
@@ -288,8 +310,8 @@ def resolve_all(
                 counters["unresolved"] += 1
                 continue
             counters["resolved_by_query"] += 1
-            result.entries[target] = list(classes)
-            cache.entries[target] = list(classes)
+            counters["cache_class_lists"] += 1
+            result.entries[target] = cache.entries[target] = classes
     return result
 
 

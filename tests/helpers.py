@@ -8,7 +8,8 @@ import random
 import string
 import unicodedata
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple
+from pathlib import Path
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from uner_pipeline.annotator import (
     DOC_HEADER_PREFIX,
@@ -25,6 +26,8 @@ from uner_pipeline.enrich import Dictionary, application_order
 from uner_pipeline.errors import AlignmentError, DataError
 from uner_pipeline.evaluation import EvalReport, TagMetrics, collapse_tag
 from uner_pipeline.ingest import Document
+from uner_pipeline.linker import ClassCatalog
+from uner_pipeline.mapping import iter_tsv
 from uner_pipeline.stats import COARSE_CLASSES, CorpusStats, coarse_class, list_entities
 
 LABEL_POOL = [
@@ -662,3 +665,26 @@ def oracle_split_sentences(text: str) -> list[tuple[int, int]]:
             ranges.append((piece_start, piece_end))
         start = brk
     return ranges
+
+
+# The class-cache loader as it was before equal class fields shared one list
+# and equal class names one string: a fresh list per line. Kept verbatim as a
+# differential oracle; only the name gained its prefix.
+
+
+def oracle_load_catalog(path: str | Path, keep: Collection[str] | None = None) -> ClassCatalog:
+    """Read a ``target<TAB>class1,class2,...`` TSV cache; the class list may be empty.
+
+    With ``keep``, only those targets are stored. Every line is still checked,
+    so a malformed or duplicate line anywhere in the file raises.
+    """
+    # every target seen is a key, for the duplicate check; one outside keep maps to None
+    seen: dict[str, list[str] | None] = {}
+    for line_no, target, classes_field in iter_tsv(path):
+        if target in seen:
+            raise DataError(f"{path}:{line_no}: duplicate target {target!r}")
+        kept = keep is None or target in keep
+        seen[target] = [c for c in classes_field.split(",") if c] if kept else None
+    if keep is None:
+        return ClassCatalog(seen)
+    return ClassCatalog({target: classes for target, classes in seen.items() if classes is not None})

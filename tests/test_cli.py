@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
+from helpers import oracle_load_catalog
 from uner_pipeline import cli, enrich, linker, stats
 from uner_pipeline.annotator import AnnotatedCorpus
 from uner_pipeline.atomic import atomic_output
@@ -459,6 +460,89 @@ class TestLinkCommand:
         assert code == 0
         after = cache.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+class TestManifestTelemetry:
+    def test_link_counts_class_lists_and_manifest_records_peak_rss(self, tmp_path):
+        assert run_pipeline(tmp_path / "out") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        targets = (tmp_path / "out" / "targets.txt").read_text(encoding="utf-8").splitlines()
+        kept = oracle_load_catalog(CACHE, set(targets)).entries.values()
+        assert manifest["stages"]["link"]["counters"]["cache_class_lists"] == len({tuple(c) for c in kept}) > 0
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+
+    def test_each_queried_target_adds_a_class_list(self, tmp_path, monkeypatch):
+        from test_linker import FakeSession, make_client
+
+        session = FakeSession({"Alpha": ["http://dbpedia.org/ontology/City"]})
+        monkeypatch.setattr(cli, "_make_client", lambda config: make_client(session))
+        cache = tmp_path / "cache.tsv"
+        cache.write_text("Paris\tdbo:City\nRome\tdbo:City\nOslo\tdbo:Place\n", encoding="utf-8")
+        targets = tmp_path / "targets.txt"
+        targets.write_text("Alpha\nParis\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["link", "--input", str(targets), "--cache", str(cache), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # Paris and Rome share one loaded list, Oslo has one, Alpha's query adds one
+        assert manifest["stages"]["link"]["counters"]["cache_class_lists"] == 3
+
+
+def _write_dump(path: Path, *documents: tuple[str, str]) -> Path:
+    path.write_text(
+        "".join(json.dumps({"id": i, "title": i, "text": t}) + "\n" for i, t in documents), encoding="utf-8"
+    )
+    return path
+
+
+class TestHostileIdsAndTargets:
+    """Every file a pipeline run writes, its own readers and a staged run accept."""
+
+    DUMPS = {
+        "newline_id": [("10\n01", "<a href=\"Baku\">Baku</a> is a city."), ("11", "<a href=\"Asia\">Asia</a> is big.")],
+        "newline_and_tab_targets": [
+            ("1", '<a href="Lon%0Adon">London</a> and <a href="Par%09is">Paris</a> near <a href="Baku">Baku</a>.')
+        ],
+        "splitlines_only_targets": [
+            ("1", '<a href="Ab%C2%85cd">Abcd</a>, <a href="X%E2%80%A8Y">XY</a> and <a href="Baku">Baku</a>.'),
+            ("2", '<a href="Asia">Asia</a> and <a href="Baku">Baku</a> again.'),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(DUMPS))
+    def test_staged_run_writes_the_same_bytes_as_pipeline(self, tmp_path, name):
+        dump = _write_dump(tmp_path / "dump.jsonl", *self.DUMPS[name])
+        piped, staged = tmp_path / "piped", tmp_path / "staged"
+        common = ["--cache", str(CACHE), "--offline"]
+        assert cli.main(["pipeline", "--input", str(dump), "--out", str(piped), *common]) == 0
+        assert cli.main(["extract", "--input", str(dump), "--out", str(staged)]) == 0
+        assert cli.main(["link", "--out", str(staged), *common]) == 0
+        staged_link = json.loads((staged / "manifest.json").read_text())["stages"]["link"]
+        assert cli.main(["annotate", "--out", str(staged), *common]) == 0
+        for output in ("documents.jsonl", "targets.txt", "catalog.tsv", "corpus.conll"):
+            assert (staged / output).read_bytes() == (piped / output).read_bytes(), output
+        piped_link = json.loads((piped / "manifest.json").read_text())["stages"]["link"]
+        assert staged_link["counters"] == piped_link["counters"]
+        assert cli.main(["stats", "--input", str(piped / "corpus.conll"), "--out", str(tmp_path / "st")]) == 0
+
+    def test_id_with_a_newline_is_dropped_and_the_corpus_reads_back(self, tmp_path):
+        dump = _write_dump(tmp_path / "dump.jsonl", *self.DUMPS["newline_id"])
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--input", str(dump), "--out", str(out), "--cache", str(CACHE), "--offline"]) == 0
+        extract = json.loads((out / "manifest.json").read_text())["stages"]["extract"]["counters"]
+        assert (extract["unwritable_doc_id"], extract["documents"]) == (1, 1)
+        assert (out / "corpus.conll").read_text(encoding="utf-8").startswith("# doc_id = 11\n")
+        assert cli.main(["stats", "--input", str(out / "corpus.conll"), "--out", str(tmp_path / "st")]) == 0
+
+    @pytest.mark.parametrize(
+        "name, targets", [("newline_and_tab_targets", "Baku\n"), ("splitlines_only_targets", "Asia\nBaku\n")]
+    )
+    def test_targets_with_a_line_break_or_tab_stay_text(self, tmp_path, name, targets):
+        dump = _write_dump(tmp_path / "dump.jsonl", *self.DUMPS[name])
+        out = tmp_path / "out"
+        assert cli.main(["extract", "--input", str(dump), "--out", str(out)]) == 0
+        assert (out / "targets.txt").read_text(encoding="utf-8") == targets
+        extract = json.loads((out / "manifest.json").read_text())["stages"]["extract"]["counters"]
+        assert extract["unwritable_target"] == 2
 
 
 class TestEvalCommand:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from uner_pipeline.errors import UsageError
 from uner_pipeline.ingest import (
+    LINE_BREAKS,
     Document,
     LinkSpan,
     build_document,
@@ -93,6 +94,49 @@ class TestParseDumpStreamPlainAnchored:
         text = '<doc title="NoId">\nbody\n</doc>\n'
         assert list(parse_dump_stream(io.StringIO(text), fmt="plain_anchored", counters=counters)) == []
         assert counters["malformed_lines"] == 1
+
+
+class TestUnwritableIdsAndTargets:
+    """An id or a target must fit on one line of every file the pipeline writes."""
+
+    @pytest.mark.parametrize("brk", sorted(LINE_BREAKS), ids=[f"U+{ord(c):04X}" for c in sorted(LINE_BREAKS)])
+    def test_json_id_with_a_line_break_dropped_and_counted(self, brk):
+        counters = Counter()
+        stream = io.StringIO(jl(id=f"10{brk}01", title="A", text="x") + "\n" + jl(id="2", title="B", text="y") + "\n")
+        assert [d.doc_id for d in parse_dump_stream(stream, counters=counters)] == ["2"]
+        assert counters["unwritable_doc_id"] == 1
+        assert counters["documents"] == 1
+
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_plain_anchored_id_with_a_line_break_dropped_and_counted(self, brk):
+        # the reader splits only at \n, \r and \r\n, so these reach the id attribute
+        counters = Counter()
+        text = f'<doc id="7{brk}1" title="Seven">\nbody\n</doc>\n<doc id="8" title="Eight">\nbody\n</doc>\n'
+        docs = list(parse_dump_stream(io.StringIO(text), fmt="plain_anchored", counters=counters))
+        assert [d.doc_id for d in docs] == ["8"]
+        assert counters["unwritable_doc_id"] == 1
+
+    def test_tab_in_an_id_is_kept(self):
+        # a doc_id header line holds a tab as it is
+        docs = list(parse_dump_stream(io.StringIO(jl(id="10\t01", title="A", text="x") + "\n")))
+        assert [d.doc_id for d in docs] == ["10\t01"]
+
+    @pytest.mark.parametrize("href", ["Lon%0Adon", "Par%09is", "Ab%C2%85cd", "X%E2%80%A8Y", "A%0DB", "A%0BB"])
+    def test_anchor_target_with_a_line_break_or_tab_stays_text(self, href):
+        counters = Counter()
+        text, links = extract_links(f'See <a href="{href}">here</a> and <a href="Paris">Paris</a>.', counters)
+        assert text == "See here and Paris."
+        assert [span.target for span in links] == ["Paris"]
+        assert counters["unwritable_target"] == 1
+        assert counters["malformed_markup"] == 0
+
+    @pytest.mark.parametrize("target", ["Lon\ndon", "Par\tis", "X\u2029Y"])
+    def test_wiki_target_with_a_line_break_or_tab_stays_text(self, target):
+        counters = Counter()
+        text, links = extract_links(f"[[{target}|city]] and [[{target}]]", counters)
+        assert text == f"city and {target}"
+        assert links == []
+        assert counters["unwritable_target"] == 2
 
 
 class TestExtractLinks:

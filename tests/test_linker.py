@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uner_pipeline
+from helpers import oracle_load_catalog
 from uner_pipeline.errors import DataError, QueryError
 from uner_pipeline.linker import (
     ClassCatalog,
@@ -278,6 +279,76 @@ class TestCatalogFile:
         path.write_text(f"A\tdbo:Event\nB\towl:Thing\n{bad_line}\n", encoding="utf-8")
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: {message}"):
             load_catalog(path, keep={"A"})
+
+
+# one cache line: a key (maybe "#"-led, blank or duplicated), a tab, a class field
+# with empty pieces; or a line that is a comment, blank, whitespace or has no tab
+_CACHE_KEYS = st.sampled_from(["A", "B", "C", "#A", "# B", " A", "A "])
+_CACHE_FIELDS = st.lists(st.sampled_from(["dbo:City", "dbo:Place", "owl:Thing", ""]), max_size=4).map(",".join)
+_CACHE_LINES = st.one_of(
+    st.tuples(_CACHE_KEYS, _CACHE_FIELDS).map("\t".join),
+    st.sampled_from(["", "   ", "\t", "# a comment", "  # indented comment", "no tab", "\tdbo:City"]),
+)
+
+
+def _load_outcome(loader, path, keep):
+    """The entries in order, or the DataError message."""
+    try:
+        return list(loader(path, keep).entries.items())
+    except DataError as exc:
+        return str(exc)
+
+
+class TestLoadCatalogAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_CACHE_LINES, max_size=12),
+        st.sampled_from(["\n", "\r\n"]),
+        st.one_of(st.none(), st.sets(_CACHE_KEYS)),
+    )
+    def test_same_entries_order_and_errors(self, tmp_path_factory, lines, newline, keep):
+        path = tmp_path_factory.mktemp("cache") / "cache.tsv"
+        path.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+        assert _load_outcome(load_catalog, path, keep) == _load_outcome(oracle_load_catalog, path, keep)
+
+    def test_equal_fields_share_one_list_and_equal_names_one_string(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text(
+            "A\tdbo:City,dbo:Place\nB\tdbo:Place\nC\tdbo:City,dbo:Place\nD\t\nE\t,\nF\tdbo:Place\n",
+            encoding="utf-8",
+        )
+        counters = Counter()
+        entries = load_catalog(path, counters=counters).entries
+        assert entries["A"] is entries["C"]
+        assert entries["B"] is entries["F"]
+        assert entries["A"][1] is entries["B"][0]  # "dbo:Place" in two different fields
+        assert entries["D"] == entries["E"] == [] and entries["D"] is not entries["E"]  # two fields
+        assert counters["cache_class_lists"] == 4
+        assert oracle_load_catalog(path).entries == entries
+
+    def test_keep_counts_only_the_kept_lists(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text("A\tdbo:City\nB\tdbo:Place\nC\tdbo:City\n", encoding="utf-8")
+        counters = Counter()
+        assert load_catalog(path, {"A", "C"}, counters).entries == {"A": ["dbo:City"], "C": ["dbo:City"]}
+        assert counters["cache_class_lists"] == 1
+
+    def test_hits_share_the_cached_list(self):
+        cache = ClassCatalog({"A": ["dbo:City"]})
+        assert resolve_all(["A"], cache).entries["A"] is cache.entries["A"]
+
+    def test_load_resolve_save_reload_round_trips(self, tmp_path):
+        session = FakeSession({"New": WORKED_TYPES})
+        path = tmp_path / "cache.tsv"
+        path.write_text(
+            "# comment\nA\tdbo:City,owl:Thing\nB\t\nC\tdbo:City,owl:Thing\n# D\tdbo:Place\n", encoding="utf-8"
+        )
+        cache = load_catalog(path)
+        catalog = resolve_all(["C", "New", "# D"], cache, make_client(session))
+        assert catalog.entries == {"C": ["dbo:City", "owl:Thing"], "New": WORKED_COMPACT, "# D": ["dbo:Place"]}
+        save_catalog(cache, path)
+        assert load_catalog(path).entries == oracle_load_catalog(path).entries == cache.entries
+        assert sorted(cache.entries) == ["# D", "A", "B", "C", "New"]
 
 
 class VirtualClock:

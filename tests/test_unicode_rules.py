@@ -1,5 +1,6 @@
-"""The two Unicode facts the compiled-regex tokenizer and splitter rest on,
-checked over every code point of this interpreter's Unicode database.
+"""The Unicode facts the compiled-regex tokenizer and splitter, and ingest's
+line-break rule, rest on, checked over every code point of this
+interpreter's Unicode database.
 
 ``annotator`` finds chunks and blank lines with ``re``'s ``\\s``, where the
 old loop called ``str.isspace()``, and keeps an alphanumeric chunk whole,
@@ -13,6 +14,8 @@ from __future__ import annotations
 import re
 import sys
 import unicodedata
+
+from uner_pipeline.ingest import LINE_BREAKS
 
 EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
 
@@ -44,3 +47,9 @@ def test_regex_whitespace_is_str_isspace():
 def test_no_punctuation_or_symbol_is_alphanumeric():
     assert alphanumeric_punctuation() == []
 
+
+
+def test_line_breaks_are_what_splitlines_breaks_on():
+    # ingest drops an id, and unlinks a target, that holds one of these
+    breaks = {ch for ch in EVERY_CODE_POINT if len(f"a{ch}b".splitlines()) > 1}
+    assert breaks == LINE_BREAKS
