@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -24,6 +25,8 @@ EXPECTED_EVAL_JSON = FIXTURES / "expected_eval.json"
 EXPECTED_EVAL_TXT = FIXTURES / "expected_eval.txt"
 # outputs of the fixture pipeline run with experiments 1-7 and the kg map
 EXPECTED_ENRICH = FIXTURES / "expected_enrich"
+# a hand-built corpus and kg map, and its enrich outputs for experiments 1-7
+SEVEN_WAY = FIXTURES / "experiments"
 
 
 def run_pipeline(out: Path, *extra: str) -> int:
@@ -58,6 +61,27 @@ class TestPipeline:
         )
         for expected in pinned:
             assert (tmp_path / "out" / expected.name).read_bytes() == expected.read_bytes(), expected.name
+
+    def test_seven_way_fixture_outputs_match_pinned_files(self, tmp_path):
+        # a corpus on which every experiment writes a different corpus
+        out = tmp_path / "out"
+        argv = ["enrich", "--input", str(SEVEN_WAY / "corpus.conll"), "--out", str(out),
+                "--experiments", "1,2,3,4,5,6,7", "--kg-map", str(SEVEN_WAY / "kg_map.tsv")]
+        assert cli.main(argv) == 0
+        pinned = sorted((SEVEN_WAY / "expected").iterdir())
+        assert sorted(path.name for path in out.iterdir()) == sorted([p.name for p in pinned] + ["manifest.json"])
+        for expected in pinned:
+            assert (out / expected.name).read_bytes() == expected.read_bytes(), expected.name
+        digests = {hashlib.sha256((out / f"corpus_exp{i}.conll").read_bytes()).hexdigest() for i in range(1, 8)}
+        assert len(digests) == 7
+        counters = json.loads((out / "manifest.json").read_text())["stages"]["enrich"]["counters"]
+        assert counters == {
+            "global_dictionary_size": 4, "global_multi_dictionary_size": 2,
+            "exp1_entities": 11, "exp2_entities": 8, "exp3_entities": 8, "exp4_entities": 10,
+            "exp5_entities": 7, "exp6_entities": 11, "exp7_entities": 9,
+            "exp4_kg_entries_dropped": 1, "exp5_kg_entries_dropped": 1,
+            "exp6_kg_entries_dropped": 1, "exp7_kg_entries_dropped": 1,
+        }
 
     def test_determinism_across_concurrency(self, tmp_path):
         assert run_pipeline(tmp_path / "c1", "--concurrency", "1") == 0
