@@ -93,9 +93,9 @@ def _parse_experiments(value: str) -> tuple[int, ...]:
     except ValueError:
         raise UsageError(f"bad experiment list {value!r}; expected e.g. 1,4,6")
     for experiment_id in ids:
-        if experiment_id not in enrich.EXPERIMENT_IDS:
+        if experiment_id not in enrich.EXPERIMENTS:
             raise ConfigurationError(
-                f"unknown experiment id {experiment_id}; expected 1..{enrich.EXPERIMENT_IDS[-1]}"
+                f"unknown experiment id {experiment_id}; expected 1..{max(enrich.EXPERIMENTS)}"
             )
     if len(set(ids)) != len(ids):
         raise UsageError(f"duplicate experiment id in {value!r}")
@@ -265,8 +265,11 @@ def _document_from_json(line: str, line_no: int) -> ingest.Document:
                 )
         if not isinstance(obj["text"], str):
             raise DataError(f"documents file line {line_no}: text must be a string, got {obj['text']!r}")
+        doc_id = str(obj["id"])
+        if not ingest.LINE_BREAKS.isdisjoint(doc_id):  # the corpus writes an id on one line
+            raise DataError(f"documents file line {line_no}: id must hold no line break, got {doc_id!r}")
         links.sort(key=lambda span: span.start)  # a Document's order; stable, so file order breaks ties
-        return ingest.Document(str(obj["id"]), obj.get("title", ""), obj["text"], tuple(links))
+        return ingest.Document(doc_id, obj.get("title", ""), obj["text"], tuple(links))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"documents file line {line_no}: {exc}") from exc
 
@@ -445,28 +448,19 @@ def cmd_enrich(
     with manifest.stage("enrich") as counters:
         if corpus is None:
             corpus = _load_corpus(corpus_path)
-        resources = enrich.ExperimentResources()
-        specs = [enrich.EXPERIMENTS[e] for e in config.experiments]
-        for base in sorted({spec.dictionary for spec in specs} - {None}):  # global, then global_multi
-            dictionary = enrich.build_global_dictionary(corpus, multi_token_only=base == "global_multi")
-            setattr(resources, f"{base}_dictionary", dictionary)
-            counters[f"{base}_dictionary_size"] += len(dictionary.entries)
-        if any(spec.kg_filter for spec in specs):
-            resources.kg_map = enrich.load_kg_map(config.kg_map)
-            resources.equivalences = mapping.load_mapping_tables(config.equivalence, config.priority)[0]
-        results: dict[int, annotator.AnnotatedCorpus] = {}
-        for experiment_id in config.experiments:
-            experiment_counters: Counter = Counter()
-            enriched = enrich.run_experiment(experiment_id, corpus, resources, experiment_counters)
-            experiment_counters["entities"] += stats.compute_stats(stats.tag_counts(enriched)).entity_count
-            for name, count in experiment_counters.items():
-                counters[f"exp{experiment_id}_{name}"] += count
-            results[experiment_id] = enriched
+        kg_map = equivalences = None
+        if any(enrich.EXPERIMENTS[e].kg_filter for e in config.experiments):
+            kg_map = enrich.load_kg_map(config.kg_map)
+            equivalences = mapping.load_mapping_tables(config.equivalence, config.priority)[0]
+        dictionaries, results = enrich.run_experiments(
+            corpus, config.experiments, kg_map, equivalences, counters
+        )
         # the built dictionaries are outputs too, in application order
-        for dictionary in (resources.global_dictionary, resources.global_multi_dictionary):
-            if dictionary is not None:
-                enrich.save_dictionary(dictionary, config.out / f"dictionary_{dictionary.provenance}.tsv")
+        for base, dictionary in dictionaries.items():
+            counters[f"{base}_dictionary_size"] += len(dictionary.entries)
+            enrich.save_dictionary(dictionary, config.out / f"dictionary_{base}.tsv")
         for experiment_id, enriched in results.items():
+            counters[f"exp{experiment_id}_entities"] += stats.compute_stats(stats.tag_counts(enriched)).entity_count
             with atomic_output(config.out / f"corpus_exp{experiment_id}.conll") as fh:
                 annotator.emit_conll(enriched, fh)
     return results

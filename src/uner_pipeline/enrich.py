@@ -3,7 +3,11 @@
 Builds annotation dictionaries out of an annotated corpus (global, global
 multi-token, knowledge-graph-filtered) and applies them to retag runs of
 O tokens, plus per-document local lookup propagation. Seven experiment
-wirings combine these strategies. Existing non-O tags are never overwritten.
+wirings combine these strategies. EXPERIMENTS is the one table of what each
+experiment needs; run_experiments reads it and computes each base
+dictionary, each knowledge-graph filter and the local pass once per run,
+however many experiments share them. Existing non-O tags are never
+overwritten.
 
 A dictionary is applied in (application rank, position) order over the runs
 that are still all O: surfaces longest first, each scanned left to right.
@@ -21,8 +25,8 @@ from typing import NamedTuple
 
 from .annotator import AnnotatedCorpus, AnnotatedSentence, IobTag
 from .atomic import atomic_output
-from .errors import ConfigurationError, DataError, LabelParseError
-from .mapping import EquivalenceMap, iter_tsv, map_to_uner, parse_uner_label
+from .errors import DataError
+from .mapping import EquivalenceMap, iter_tsv, map_to_uner
 from .stats import iter_entities
 
 
@@ -44,8 +48,6 @@ EXPERIMENTS = {
     7: ExperimentSpec(True, "global_multi", True),
 }
 
-EXPERIMENT_IDS = tuple(EXPERIMENTS)
-
 MIN_SURFACE_CHARS = 3
 
 
@@ -60,13 +62,6 @@ class Dictionary:
 
     entries: dict[str, str] = field(default_factory=dict)
     provenance: str = "global"
-
-
-@dataclass
-class KgClassMap:
-    """Surface (or link target) -> ontology class name, from an external graph."""
-
-    entries: dict[str, str] = field(default_factory=dict)
 
 
 def surface_token_count(surface: str) -> int:
@@ -107,23 +102,6 @@ def build_global_dictionary(
     return Dictionary(entries, "global_multi" if multi_token_only else "global")
 
 
-def load_dictionary(path, provenance: str = "global") -> Dictionary:
-    """Read a ``surface<TAB>label`` TSV; ``#`` lines without a tab are comments."""
-    entries: dict[str, str] = {}
-    for line_no, surface, label in iter_tsv(path):
-        if surface in entries:
-            raise DataError(f"{path}:{line_no}: duplicate surface {surface!r}")
-        if not surface_is_admissible(surface):
-            raise DataError(f"{path}:{line_no}: inadmissible surface {surface!r}")
-        if provenance.endswith("_multi") and surface_token_count(surface) < 2:
-            raise DataError(f"{path}:{line_no}: single-token surface in multi dictionary")
-        try:
-            entries[surface] = parse_uner_label(label)
-        except LabelParseError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
-    return Dictionary(entries, provenance)
-
-
 def save_dictionary(dictionary: Dictionary, path) -> None:
     """Write entries in application order so the file mirrors matching behavior."""
     with atomic_output(path) as fh:
@@ -132,19 +110,19 @@ def save_dictionary(dictionary: Dictionary, path) -> None:
             fh.write(f"{surface}\t{dictionary.entries[surface]}\n")
 
 
-def load_kg_map(path) -> KgClassMap:
-    """Read a ``surface<TAB>class`` TSV; a later line for a surface wins."""
+def load_kg_map(path) -> dict[str, str]:
+    """Read a graph's ``surface<TAB>class`` TSV into surface -> class name; a later line wins."""
     entries: dict[str, str] = {}
     for line_no, key, cls in iter_tsv(path):
         if not cls:
             raise DataError(f"{path}:{line_no}: empty class")
         entries[key] = cls
-    return KgClassMap(entries)
+    return entries
 
 
 def filter_by_kg(
     dictionary: Dictionary,
-    kg: KgClassMap,
+    kg: dict[str, str],
     equivalences: EquivalenceMap,
     counters: Counter | None = None,
 ) -> Dictionary:
@@ -156,7 +134,7 @@ def filter_by_kg(
     counters = counters if counters is not None else Counter()
     entries: dict[str, str] = {}
     for surface in dictionary.entries:
-        cls = kg.entries.get(surface)
+        cls = kg.get(surface)
         if cls is None:
             continue
         label = map_to_uner(cls, equivalences, counters)
@@ -269,56 +247,40 @@ def apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
     return result
 
 
-@dataclass
-class ExperimentResources:
-    """Inputs the experiments draw on; unused fields may stay None.
-
-    A base dictionary named ``b`` in EXPERIMENTS lives in ``b_dictionary``.
-    ``kg_filtered`` maps a base to its knowledge-graph-filtered dictionary and
-    the filter's counters; run_experiment fills it on first use, so
-    experiments that share a base filter it once.
-    """
-
-    global_dictionary: Dictionary | None = None
-    global_multi_dictionary: Dictionary | None = None
-    kg_map: KgClassMap | None = None
-    equivalences: EquivalenceMap | None = None
-    kg_filtered: dict[str, tuple[Dictionary, Counter]] = field(default_factory=dict)
-
-
-def _require(resource, name: str, experiment_id: int):
-    if resource is None:
-        raise ConfigurationError(f"experiment {experiment_id} needs {name}")
-    return resource
-
-
-def run_experiment(
-    experiment_id: int,
+def run_experiments(
     corpus: AnnotatedCorpus,
-    resources: ExperimentResources,
+    experiment_ids,
+    kg_map: dict[str, str] | None = None,
+    equivalences: EquivalenceMap | None = None,
     counters: Counter | None = None,
-) -> AnnotatedCorpus:
-    """Run one of the seven completion strategies and return the new corpus."""
-    if experiment_id not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"unknown experiment id {experiment_id}; expected 1..{EXPERIMENT_IDS[-1]}"
-        )
-    local_first, base, kg_filter = EXPERIMENTS[experiment_id]
-    dictionary = None
-    if base is not None:
-        dictionary = _require(
-            getattr(resources, f"{base}_dictionary"), f"the {base} dictionary", experiment_id
-        )
-    if kg_filter:
-        if base not in resources.kg_filtered:
-            kg = _require(resources.kg_map, "a knowledge-graph class map", experiment_id)
-            equivalences = _require(resources.equivalences, "the equivalence table", experiment_id)
-            filter_counters: Counter = Counter()
-            filtered = filter_by_kg(dictionary, kg, equivalences, filter_counters)
-            resources.kg_filtered[base] = (filtered, filter_counters)
-        dictionary, filter_counters = resources.kg_filtered[base]
-        if counters is not None:  # every experiment reports its filter's drops
-            counters.update(filter_counters)
-    if local_first:
-        corpus = apply_local_dictionaries(corpus)
-    return corpus if dictionary is None else apply_dictionary(corpus, dictionary)
+) -> tuple[dict[str, Dictionary], dict[int, AnnotatedCorpus]]:
+    """Run the selected experiments as EXPERIMENTS wires them.
+
+    Each base dictionary is built once, each knowledge-graph filter runs once
+    per base and the local pass runs once, whatever number of experiments
+    share them. Every experiment that uses a filter reports its counters in
+    ``counters`` as ``exp<N>_<name>``. Returns the base dictionaries by base
+    (global first) and the result corpora by experiment id, in the given order.
+    """
+    specs = {experiment_id: EXPERIMENTS[experiment_id] for experiment_id in experiment_ids}
+    dictionaries = {
+        base: build_global_dictionary(corpus, multi_token_only=base == "global_multi")
+        for base in sorted({spec.dictionary for spec in specs.values()} - {None})
+    }
+    filtered: dict[str, tuple[Dictionary, Counter]] = {}  # base -> its kg-filtered dictionary, counters
+    for base in sorted({spec.dictionary for spec in specs.values() if spec.kg_filter}):
+        filter_counters: Counter = Counter()
+        dictionary = filter_by_kg(dictionaries[base], kg_map, equivalences, filter_counters)
+        filtered[base] = (dictionary, filter_counters)
+    local = apply_local_dictionaries(corpus) if any(spec.local_first for spec in specs.values()) else None
+    results: dict[int, AnnotatedCorpus] = {}
+    for experiment_id, (local_first, base, kg_filter) in specs.items():
+        dictionary = dictionaries.get(base)
+        if kg_filter:
+            dictionary, filter_counters = filtered[base]
+            if counters is not None:
+                for name, count in filter_counters.items():
+                    counters[f"exp{experiment_id}_{name}"] += count
+        start = local if local_first else corpus
+        results[experiment_id] = start if dictionary is None else apply_dictionary(start, dictionary)
+    return dictionaries, results

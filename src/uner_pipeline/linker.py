@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection
-from urllib.parse import unquote
 
 from .atomic import atomic_output
 from .errors import DataError, QueryError
@@ -71,12 +70,6 @@ def build_entity_uri(target: str, resource_base: str = DEFAULT_RESOURCE_BASE) ->
         else:
             pieces.append("".join(f"%{byte:02X}" for byte in ch.encode("utf-8")))
     return f"{resource_base}/{''.join(pieces)}"
-
-
-def target_from_uri(uri: str, resource_base: str = DEFAULT_RESOURCE_BASE) -> str:
-    """Inverse of build_entity_uri."""
-    tail = uri[len(resource_base) + 1 :]
-    return unquote(tail.replace("_", " "))
 
 
 def compact_class_name(class_uri: str) -> str:

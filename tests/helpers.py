@@ -8,8 +8,10 @@ import random
 import string
 import unicodedata
 from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, NamedTuple
+from urllib.parse import unquote
 
 from uner_pipeline.annotator import (
     DOC_HEADER_PREFIX,
@@ -22,12 +24,22 @@ from uner_pipeline.annotator import (
     parse_conll,
     parse_iob_tag,
 )
-from uner_pipeline.enrich import Dictionary, application_order
-from uner_pipeline.errors import AlignmentError, DataError
+from uner_pipeline.enrich import (
+    EXPERIMENTS,
+    Dictionary,
+    application_order,
+    apply_dictionary,
+    apply_local_dictionaries,
+    build_global_dictionary,
+    filter_by_kg,
+    surface_is_admissible,
+    surface_token_count,
+)
+from uner_pipeline.errors import AlignmentError, ConfigurationError, DataError, LabelParseError
 from uner_pipeline.evaluation import EvalReport, TagMetrics, collapse_tag
 from uner_pipeline.ingest import Document
-from uner_pipeline.linker import ClassCatalog
-from uner_pipeline.mapping import iter_tsv
+from uner_pipeline.linker import DEFAULT_RESOURCE_BASE, ClassCatalog
+from uner_pipeline.mapping import EquivalenceMap, iter_tsv, parse_uner_label
 from uner_pipeline.stats import COARSE_CLASSES, CorpusStats, coarse_class, list_entities
 
 LABEL_POOL = [
@@ -688,3 +700,118 @@ def oracle_load_catalog(path: str | Path, keep: Collection[str] | None = None) -
     if keep is None:
         return ClassCatalog(seen)
     return ClassCatalog({target: classes for target, classes in seen.items() if classes is not None})
+
+
+# ``enrich.ExperimentResources`` and ``run_experiment`` as they were before
+# ``enrich.run_experiments`` replaced them: one experiment per call, the base
+# dictionaries looked up by attribute name and each kg filter cached on first
+# use. Kept verbatim as a differential oracle; only the function name gained
+# its prefix, and the kg map is the plain dict ``load_kg_map`` now returns.
+
+ORACLE_EXPERIMENT_IDS = tuple(EXPERIMENTS)
+
+
+@dataclass
+class ExperimentResources:
+    """Inputs the experiments draw on; unused fields may stay None.
+
+    A base dictionary named ``b`` in EXPERIMENTS lives in ``b_dictionary``.
+    ``kg_filtered`` maps a base to its knowledge-graph-filtered dictionary and
+    the filter's counters; run_experiment fills it on first use, so
+    experiments that share a base filter it once.
+    """
+
+    global_dictionary: Dictionary | None = None
+    global_multi_dictionary: Dictionary | None = None
+    kg_map: dict[str, str] | None = None
+    equivalences: EquivalenceMap | None = None
+    kg_filtered: dict[str, tuple[Dictionary, Counter]] = field(default_factory=dict)
+
+
+def _require(resource, name: str, experiment_id: int):
+    if resource is None:
+        raise ConfigurationError(f"experiment {experiment_id} needs {name}")
+    return resource
+
+
+def oracle_run_experiment(
+    experiment_id: int,
+    corpus: AnnotatedCorpus,
+    resources: ExperimentResources,
+    counters: Counter | None = None,
+) -> AnnotatedCorpus:
+    """Run one of the seven completion strategies and return the new corpus."""
+    if experiment_id not in EXPERIMENTS:
+        raise ConfigurationError(
+            f"unknown experiment id {experiment_id}; expected 1..{ORACLE_EXPERIMENT_IDS[-1]}"
+        )
+    local_first, base, kg_filter = EXPERIMENTS[experiment_id]
+    dictionary = None
+    if base is not None:
+        dictionary = _require(
+            getattr(resources, f"{base}_dictionary"), f"the {base} dictionary", experiment_id
+        )
+    if kg_filter:
+        if base not in resources.kg_filtered:
+            kg = _require(resources.kg_map, "a knowledge-graph class map", experiment_id)
+            equivalences = _require(resources.equivalences, "the equivalence table", experiment_id)
+            filter_counters: Counter = Counter()
+            filtered = filter_by_kg(dictionary, kg, equivalences, filter_counters)
+            resources.kg_filtered[base] = (filtered, filter_counters)
+        dictionary, filter_counters = resources.kg_filtered[base]
+        if counters is not None:  # every experiment reports its filter's drops
+            counters.update(filter_counters)
+    if local_first:
+        corpus = apply_local_dictionaries(corpus)
+    return corpus if dictionary is None else apply_dictionary(corpus, dictionary)
+
+
+def oracle_run_experiments(
+    corpus: AnnotatedCorpus,
+    experiment_ids,
+    kg_map: dict[str, str] | None = None,
+    equivalences: EquivalenceMap | None = None,
+) -> tuple[dict[int, AnnotatedCorpus], Counter]:
+    """What the enrich stage made of ``oracle_run_experiment``: the result
+    corpora by id, and each experiment's counters prefixed ``exp<N>_``."""
+    resources = ExperimentResources(
+        global_dictionary=build_global_dictionary(corpus),
+        global_multi_dictionary=build_global_dictionary(corpus, multi_token_only=True),
+        kg_map=kg_map,
+        equivalences=equivalences,
+    )
+    results: dict[int, AnnotatedCorpus] = {}
+    counters: Counter = Counter()
+    for experiment_id in experiment_ids:
+        experiment_counters: Counter = Counter()
+        results[experiment_id] = oracle_run_experiment(experiment_id, corpus, resources, experiment_counters)
+        for name, count in experiment_counters.items():
+            counters[f"exp{experiment_id}_{name}"] += count
+    return results, counters
+
+
+# Readers that only the tests need, kept as round-trip oracles of the writers
+# they invert: ``enrich.save_dictionary`` and ``linker.build_entity_uri``.
+
+
+def load_dictionary(path, provenance: str = "global") -> Dictionary:
+    """Read a ``surface<TAB>label`` TSV; ``#`` lines without a tab are comments."""
+    entries: dict[str, str] = {}
+    for line_no, surface, label in iter_tsv(path):
+        if surface in entries:
+            raise DataError(f"{path}:{line_no}: duplicate surface {surface!r}")
+        if not surface_is_admissible(surface):
+            raise DataError(f"{path}:{line_no}: inadmissible surface {surface!r}")
+        if provenance.endswith("_multi") and surface_token_count(surface) < 2:
+            raise DataError(f"{path}:{line_no}: single-token surface in multi dictionary")
+        try:
+            entries[surface] = parse_uner_label(label)
+        except LabelParseError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
+    return Dictionary(entries, provenance)
+
+
+def target_from_uri(uri: str, resource_base: str = DEFAULT_RESOURCE_BASE) -> str:
+    """Inverse of build_entity_uri."""
+    tail = uri[len(resource_base) + 1 :]
+    return unquote(tail.replace("_", " "))

@@ -28,11 +28,9 @@ from uner_pipeline import cli
 from uner_pipeline.annotator import AnnotatedCorpus, annotate_document, parse_conll, validate_iob
 from uner_pipeline.enrich import (
     Dictionary,
-    ExperimentResources,
-    KgClassMap,
     apply_dictionary,
     build_global_dictionary,
-    run_experiment,
+    run_experiments,
     surface_token_count,
 )
 from uner_pipeline.errors import LabelParseError
@@ -214,18 +212,12 @@ def test_criterion_7_enrichment_laws():
     for _ in range(25):
         corpus = random_corpus(rng)
         global_dictionary = build_global_dictionary(corpus)
-        resources = ExperimentResources(
-            global_dictionary=global_dictionary,
-            global_multi_dictionary=build_global_dictionary(corpus, multi_token_only=True),
-            kg_map=KgClassMap(
-                {s: rng.choice(kg_classes) for s in list(global_dictionary.entries)[::2]}
-            ),
-            equivalences=equivalences,
-        )
+        kg_map = {s: rng.choice(kg_classes) for s in list(global_dictionary.entries)[::2]}
         base_positions = non_o_positions(corpus)
         base_entities = compute_stats(tag_counts(corpus)).entity_count
-        for experiment_id in range(1, 8):
-            result = run_experiment(experiment_id, corpus, resources)
+        _, results = run_experiments(corpus, range(1, 8), kg_map, equivalences)
+        assert list(results) == list(range(1, 8))
+        for experiment_id, result in results.items():
             assert base_positions <= non_o_positions(result), f"exp {experiment_id} overwrote"
             assert compute_stats(tag_counts(result)).entity_count >= base_entities
         once = apply_dictionary(corpus, global_dictionary)

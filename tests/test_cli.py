@@ -52,12 +52,12 @@ class TestPipeline:
         assert (tmp_path / "out" / "targets.txt").read_bytes() == EXPECTED_TARGETS.read_bytes()
 
     def test_enrich_outputs_match_pinned_files(self, tmp_path):
-        experiments = ",".join(str(i) for i in enrich.EXPERIMENT_IDS)
+        experiments = ",".join(str(i) for i in enrich.EXPERIMENTS)
         assert run_pipeline(tmp_path / "out", "--experiments", experiments, "--kg-map", str(KG_MAP)) == 0
         pinned = sorted(EXPECTED_ENRICH.iterdir())
         assert [path.name for path in pinned] == sorted(
             ["stats.txt", "stats.json", "entities.tsv", "dictionary_global.tsv", "dictionary_global_multi.tsv"]
-            + [f"corpus_exp{i}.conll" for i in enrich.EXPERIMENT_IDS]
+            + [f"corpus_exp{i}.conll" for i in enrich.EXPERIMENTS]
         )
         for expected in pinned:
             assert (tmp_path / "out" / expected.name).read_bytes() == expected.read_bytes(), expected.name
@@ -82,6 +82,31 @@ class TestPipeline:
             "exp4_kg_entries_dropped": 1, "exp5_kg_entries_dropped": 1,
             "exp6_kg_entries_dropped": 1, "exp7_kg_entries_dropped": 1,
         }
+
+    def test_staged_run_through_enrich_writes_the_same_bytes_as_pipeline(self, tmp_path):
+        # enrich reads the in-memory corpus in a pipeline and corpus.conll when staged
+        piped, staged = tmp_path / "piped", tmp_path / "staged"
+        common = ["--cache", str(CACHE), "--offline"]
+        experiments = ["--experiments", "1,2,3,4,5,6,7", "--kg-map", str(KG_MAP)]
+        assert run_pipeline(piped, *experiments) == 0
+        stage_counters = {}
+        for argv in (
+            ["extract", "--input", str(DUMP)],
+            ["link", *common],
+            ["annotate", *common],
+            ["stats"],
+            ["enrich", *experiments],
+        ):
+            assert cli.main([*argv, "--out", str(staged)]) == 0
+            manifest = json.loads((staged / "manifest.json").read_text())
+            stage_counters.update({name: stage["counters"] for name, stage in manifest["stages"].items()})
+        outputs = sorted(path.name for path in piped.iterdir() if path.name != "manifest.json")
+        assert sorted(path.name for path in staged.iterdir() if path.name != "manifest.json") == outputs
+        for name in outputs:
+            assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
+        piped_stages = json.loads((piped / "manifest.json").read_text())["stages"]
+        for name in ("stats", "enrich"):
+            assert stage_counters[name] == piped_stages[name]["counters"], name
 
     def test_determinism_across_concurrency(self, tmp_path):
         assert run_pipeline(tmp_path / "c1", "--concurrency", "1") == 0
@@ -174,6 +199,21 @@ class TestPipeline:
         )
         assert code == 0
         assert sorted(filtered) == ["global", "global_multi"]
+
+    def test_local_pass_runs_once_for_experiments_3_6_and_7(self, tmp_path, monkeypatch):
+        calls = []
+        apply_local_dictionaries = enrich.apply_local_dictionaries
+
+        def counting_apply_local_dictionaries(corpus):
+            calls.append(1)
+            return apply_local_dictionaries(corpus)
+
+        monkeypatch.setattr(enrich, "apply_local_dictionaries", counting_apply_local_dictionaries)
+        code = run_pipeline(
+            tmp_path / "out", "--experiments", "1,2,3,4,5,6,7", "--kg-map", str(KG_MAP)
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_span_loss_counters_add_up_to_links(self, tmp_path):
         assert run_pipeline(tmp_path / "out") == 0
@@ -306,14 +346,17 @@ class TestExitCodes:
             ("Ann went home.", True, "link offsets must be integers"),
             ("Ann went home.", None, "link offsets must be integers"),
             (5, 0, "text must be a string"),
+            ("Ann went home.", 0, "id must hold no line break"),
         ],
     )
     def test_document_field_of_the_wrong_type_is_2(self, tmp_path, capsys, text, offset, message):
         links = [{"start": offset, "end": 3, "surface": "Ann", "target": "Ann"}]
+        # a standalone annotate would write this id onto two lines of the corpus
+        doc_id = "2\n3" if message.startswith("id") else "2"
         documents = tmp_path / "documents.jsonl"
         documents.write_text(
             json.dumps({"id": "1", "text": "Ann went home.", "links": []}) + "\n"
-            + json.dumps({"id": "2", "text": text, "links": links}) + "\n"
+            + json.dumps({"id": doc_id, "text": text, "links": links}) + "\n"
         )
         out = tmp_path / "out"
         code = cli.main(["annotate", "--input", str(documents), "--cache", str(CACHE), "--out", str(out)])

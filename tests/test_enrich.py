@@ -1,35 +1,34 @@
 import random
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from helpers import (
     LABEL_POOL,
     corpus_from_rows,
     corpus_to_text,
+    load_dictionary,
     oracle_apply_dictionary,
     oracle_apply_local_dictionaries,
+    oracle_run_experiments,
     random_corpus,
 )
-from uner_pipeline.annotator import AnnotatedCorpus
+from uner_pipeline.annotator import AnnotatedCorpus, parse_conll
 from uner_pipeline.enrich import (
+    EXPERIMENTS,
     Dictionary,
-    ExperimentResources,
-    KgClassMap,
     apply_dictionary,
     apply_local_dictionaries,
     application_order,
     build_global_dictionary,
     filter_by_kg,
-    load_dictionary,
     load_kg_map,
-    run_experiment,
+    run_experiments,
     save_dictionary,
     surface_is_admissible,
 )
-from uner_pipeline.errors import ConfigurationError
 from uner_pipeline.mapping import (
     load_equivalence_map,
     default_equivalence_path,
@@ -37,6 +36,7 @@ from uner_pipeline.mapping import (
 )
 from uner_pipeline.stats import compute_stats, tag_counts
 
+EQUIVALENCES = load_equivalence_map(default_equivalence_path())
 CITY = parse_uner_label("Name-Location-GPE-City")
 PERSON = parse_uner_label("Name-Person-Name")
 
@@ -306,7 +306,7 @@ class TestFilterByKg:
 
     def test_intersection_and_retype(self):
         dictionary = Dictionary({"Alpha": PERSON, "Beta": PERSON})
-        kg = KgClassMap({"Alpha": "dbo:City"})
+        kg = {"Alpha": "dbo:City"}
         result = filter_by_kg(dictionary, kg, self.equivalences)
         assert list(result.entries) == ["Alpha"]
         assert str(result.entries["Alpha"]) == "Name-Location-GPE-City"
@@ -314,12 +314,12 @@ class TestFilterByKg:
 
     def test_empty_kg_empty_dictionary(self):
         dictionary = Dictionary({"Alpha": PERSON})
-        assert filter_by_kg(dictionary, KgClassMap({}), self.equivalences).entries == {}
+        assert filter_by_kg(dictionary, {}, self.equivalences).entries == {}
 
     def test_null_class_dropped_and_counted(self):
         counters = Counter()
         dictionary = Dictionary({"Alpha": PERSON})
-        kg = KgClassMap({"Alpha": "owl:Thing"})
+        kg = {"Alpha": "owl:Thing"}
         result = filter_by_kg(dictionary, kg, self.equivalences, counters)
         assert result.entries == {}
         assert counters["kg_entries_dropped"] == 1
@@ -327,14 +327,14 @@ class TestFilterByKg:
     def test_unknown_class_dropped_and_counted(self):
         counters = Counter()
         dictionary = Dictionary({"Alpha": PERSON})
-        kg = KgClassMap({"Alpha": "x:Bogus"})
+        kg = {"Alpha": "x:Bogus"}
         result = filter_by_kg(dictionary, kg, self.equivalences, counters)
         assert result.entries == {}
         assert counters["kg_entries_dropped"] == 1
 
     def test_multi_provenance_preserved(self):
         dictionary = Dictionary({"Alpha Beta": PERSON}, provenance="global_multi")
-        kg = KgClassMap({"Alpha Beta": "dbo:Person"})
+        kg = {"Alpha Beta": "dbo:Person"}
         assert filter_by_kg(dictionary, kg, self.equivalences).provenance == "kg_filtered_multi"
 
 
@@ -362,24 +362,14 @@ class TestRunExperiment:
                 )
             ]
         )
-        equivalences = load_equivalence_map(default_equivalence_path())
-        self.resources = ExperimentResources(
-            global_dictionary=build_global_dictionary(self.corpus),
-            global_multi_dictionary=build_global_dictionary(self.corpus, multi_token_only=True),
-            kg_map=KgClassMap({"Barack Obama": "dbo:Person", "Paris": "dbo:City"}),
-            equivalences=equivalences,
-        )
+        self.kg_map = {"Barack Obama": "dbo:Person", "Paris": "dbo:City"}
+        self.equivalences = load_equivalence_map(default_equivalence_path())
 
-    def test_unknown_id_rejected(self):
-        with pytest.raises(ConfigurationError, match="experiment id 8"):
-            run_experiment(8, self.corpus, self.resources)
-
-    def test_missing_resource_names_experiment(self):
-        with pytest.raises(ConfigurationError, match="experiment 4"):
-            run_experiment(4, self.corpus, ExperimentResources(global_dictionary=Dictionary({})))
+    def results(self, *experiment_ids):
+        return run_experiments(self.corpus, experiment_ids, self.kg_map, self.equivalences)[1]
 
     def test_experiment_1_fills_from_global(self):
-        result = run_experiment(1, self.corpus, self.resources)
+        result = self.results(1)[1]
         assert tags_of(result)[1] == [
             "B-Name-God",
             "B-Name-Person-Name",
@@ -389,7 +379,7 @@ class TestRunExperiment:
         ]
 
     def test_experiment_2_multi_only(self):
-        result = run_experiment(2, self.corpus, self.resources)
+        result = self.results(2)[2]
         # "Paris" is single-token, so only "Barack Obama" fills
         assert tags_of(result)[1] == [
             "B-Name-God",
@@ -400,17 +390,15 @@ class TestRunExperiment:
         ]
 
     def test_experiment_6_is_local_then_kg_dictionary(self):
-        got = run_experiment(6, self.corpus, self.resources)
-        kg_dict = filter_by_kg(
-            self.resources.global_dictionary, self.resources.kg_map, self.resources.equivalences
-        )
+        got = self.results(6)[6]
+        kg_dict = filter_by_kg(build_global_dictionary(self.corpus), self.kg_map, self.equivalences)
         expected = apply_dictionary(apply_local_dictionaries(self.corpus), kg_dict)
         assert got == expected
 
     def test_results_share_no_token_lists(self):
         base_before = corpus_to_text(self.corpus)
-        third = run_experiment(3, self.corpus, self.resources)
-        sixth = run_experiment(6, self.corpus, self.resources)
+        results = self.results(3, 6)  # 6 starts from the very corpus 3 returns
+        third, sixth = results[3], results[6]
         sixth_before = corpus_to_text(sixth)
         for _, sentences in third.documents:
             for sentence in sentences:
@@ -422,8 +410,7 @@ class TestRunExperiment:
 
     def test_experiment_1_on_fully_tagged_corpus_is_identity(self):
         corpus = corpus_from_rows([("d", [[("Paris", "B-Name-Location-GPE-City")]])])
-        resources = ExperimentResources(global_dictionary=build_global_dictionary(corpus))
-        assert run_experiment(1, corpus, resources) == corpus
+        assert run_experiments(corpus, [1])[1][1] == corpus
 
 
 def non_o_positions(corpus: AnnotatedCorpus) -> set[tuple[int, int, int, str]]:
@@ -443,26 +430,71 @@ def test_experiment_laws_on_random_corpora():
     for _ in range(30):
         corpus = random_corpus(rng)
         global_dictionary = build_global_dictionary(corpus)
-        kg = KgClassMap(
-            {
-                surface: rng.choice(kg_classes)
-                for surface in list(global_dictionary.entries)[::2]
-            }
-        )
-        resources = ExperimentResources(
-            global_dictionary=global_dictionary,
-            global_multi_dictionary=build_global_dictionary(corpus, multi_token_only=True),
-            kg_map=kg,
-            equivalences=equivalences,
-        )
+        kg = {surface: rng.choice(kg_classes) for surface in list(global_dictionary.entries)[::2]}
         base_positions = non_o_positions(corpus)
         base_entities = compute_stats(tag_counts(corpus)).entity_count
-        for experiment_id in range(1, 8):
-            result = run_experiment(experiment_id, corpus, resources)
+        _, results = run_experiments(corpus, range(1, 8), kg, equivalences)
+        assert list(results) == list(range(1, 8))
+        for result in results.values():
             # no-overwrite: original non-O tags survive unchanged
             assert base_positions <= non_o_positions(result)
             # monotonicity
             assert compute_stats(tag_counts(result)).entity_count >= base_entities
+
+
+def test_run_experiments_matches_oracle_on_the_seven_way_fixture():
+    with open(FIXTURES / "experiments" / "corpus.conll", encoding="utf-8") as fh:
+        corpus = parse_conll(fh)
+    kg_map = load_kg_map(FIXTURES / "experiments" / "kg_map.tsv")
+    _check_against_oracle(corpus, range(1, 8), kg_map, EQUIVALENCES)
+
+
+def _check_against_oracle(corpus, experiment_ids, kg_map, equivalences):
+    before = corpus_to_text(corpus)
+    counters = Counter()
+    dictionaries, results = run_experiments(corpus, experiment_ids, kg_map, equivalences, counters)
+    expected, expected_counters = oracle_run_experiments(corpus, experiment_ids, kg_map, equivalences)
+    assert list(results) == list(expected) == list(experiment_ids)
+    for experiment_id, result in results.items():
+        assert corpus_to_text(result) == corpus_to_text(expected[experiment_id]), experiment_id
+    assert counters == expected_counters
+    bases = sorted({EXPERIMENTS[e].dictionary for e in experiment_ids} - {None})
+    assert dictionaries == {
+        base: build_global_dictionary(corpus, multi_token_only=base == "global_multi") for base in bases
+    }
+    assert corpus_to_text(corpus) == before
+
+
+def recurring_surface_corpus(rng: random.Random) -> AnnotatedCorpus:
+    """A random corpus over a few surfaces, each tagged or left O, so they recur
+    within and across documents and before and after their tagged mentions."""
+    surfaces = [["Paris"], ["New", "York"], ["Obama"], ["Ann", "Lee"], ["the"], ["Rome"]]
+    rows = []
+    for d in range(rng.randint(1, 3)):
+        sentences = []
+        for _ in range(rng.randint(1, 4)):
+            sentence = []
+            for _ in range(rng.randint(1, 6)):
+                # a sentence opens with a tagged surface, as every corpus sentence holds one
+                label = rng.choice([None, None, *LABEL_POOL[:3]] if sentence else LABEL_POOL[:3])
+                sentence += [
+                    (word, "O" if label is None else f"{'I' if k else 'B'}-{label}")
+                    for k, word in enumerate(rng.choice(surfaces))
+                ]
+            sentences.append(sentence)
+        rows.append((f"doc{d}", sentences))
+    return corpus_from_rows(rows)
+
+
+def test_run_experiments_matches_oracle_on_random_corpora():
+    rng = random.Random(1313)
+    kg_classes = ["dbo:City", "dbo:Person", "dbo:Company", "owl:Thing", "dbo:Award", "x:Bogus"]
+    for n in range(120):
+        corpus = random_corpus(rng) if n % 2 else recurring_surface_corpus(rng)
+        surfaces = list(build_global_dictionary(corpus).entries)
+        kg = {surface: rng.choice(kg_classes) for surface in rng.sample(surfaces, len(surfaces) // 2)}
+        experiment_ids = rng.sample(range(1, 8), rng.randint(1, 7))
+        _check_against_oracle(corpus, experiment_ids, kg, EQUIVALENCES)
 
 
 def test_dictionary_save_load_round_trip(tmp_path):
@@ -479,7 +511,7 @@ def test_dictionary_save_load_round_trip(tmp_path):
 def test_kg_map_later_line_wins(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text("Paris\tdbo:Person\nParis\tdbo:City\n", encoding="utf-8")
-    assert load_kg_map(path).entries == {"Paris": "dbo:City"}
+    assert load_kg_map(path) == {"Paris": "dbo:City"}
 
 
 # Differential gate for the indexed appliers. A vocabulary this small makes
@@ -532,3 +564,17 @@ def test_apply_local_dictionaries_matches_oracle(corpus):
     got = corpus_to_text(apply_local_dictionaries(corpus))
     assert got == corpus_to_text(oracle_apply_local_dictionaries(corpus))
     assert corpus_to_text(corpus) == before
+
+
+graph_classes = st.sampled_from(["dbo:City", "dbo:Person", "owl:Thing", "x:Bogus"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    corpus=small_corpora(),
+    kg_map=st.dictionaries(st.lists(words, min_size=1, max_size=3).map(" ".join), graph_classes, max_size=6),
+    order=st.permutations(range(1, 8)),
+    size=st.integers(1, 7),
+)
+def test_run_experiments_matches_oracle(corpus, kg_map, order, size):
+    _check_against_oracle(corpus, order[:size], kg_map, EQUIVALENCES)

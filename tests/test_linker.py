@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uner_pipeline
-from helpers import oracle_load_catalog
+from helpers import oracle_load_catalog, target_from_uri
 from uner_pipeline.errors import DataError, QueryError
 from uner_pipeline.linker import (
     ClassCatalog,
@@ -22,7 +22,6 @@ from uner_pipeline.linker import (
     load_catalog,
     resolve_all,
     save_catalog,
-    target_from_uri,
 )
 
 BASE = "http://dbpedia.org/resource"

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from uner_pipeline.enrich import load_dictionary, load_kg_map
+from helpers import load_dictionary
+from uner_pipeline.enrich import load_kg_map
 from uner_pipeline.errors import DataError, LabelParseError
 from uner_pipeline.linker import load_catalog
 from uner_pipeline.mapping import (
@@ -203,21 +204,23 @@ class TestTsvLoaders:
     """The line rules every TSV table shares, checked through each loader."""
 
     def load(self, tmp_path, name, text, newline="\n"):
+        """The loaded entries; the kg map is a plain dict, the other tables hold one."""
         path = tmp_path / f"{name}.tsv"
         path.write_bytes(text.replace("\n", newline).encode("utf-8"))
-        return TSV_LOADERS[name][0](path)
+        loaded = TSV_LOADERS[name][0](path)
+        return loaded if isinstance(loaded, dict) else loaded.entries
 
     def test_comment_and_blank_lines_skipped(self, tmp_path, name):
         row = TSV_LOADERS[name][1]
         plain = self.load(tmp_path, name, row + "\n")
         padded = self.load(tmp_path, name, "# header\n\n   \n" + row + "\n  # indented\n")
-        assert padded.entries == plain.entries and plain.entries
+        assert padded == plain and plain
 
     def test_crlf_loads_like_lf(self, tmp_path, name):
         row = TSV_LOADERS[name][1]
         lf = self.load(tmp_path, name, "# header\n" + row + "\n")
         crlf = self.load(tmp_path, name, "# header\n" + row + "\n", newline="\r\n")
-        assert crlf.entries == lf.entries
+        assert crlf == lf
 
     @pytest.mark.parametrize("bad_line", ["no tab at all", "\tvalue without a key"])
     def test_malformed_line_names_path_and_line(self, tmp_path, name, bad_line):
