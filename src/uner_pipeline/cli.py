@@ -274,33 +274,27 @@ def _document_from_json(line: str, line_no: int) -> ingest.Document:
         raise DataError(f"documents file line {line_no}: {exc}") from exc
 
 
-def load_documents(path: Path) -> list[ingest.Document]:
-    documents = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                documents.append(_document_from_json(line, line_no))
-    return documents
+def _built_and_written(raws, fh, counters: Counter) -> typing.Iterator[ingest.Document]:
+    """Build each dump document and pass it on once its line is written to ``fh``."""
+    for raw in raws:
+        doc = ingest.build_document(raw, counters)
+        counters["links"] += len(doc.links)
+        fh.write(_document_to_json(doc) + "\n")
+        yield doc
 
 
-def cmd_extract(config: RunConfig, manifest: Manifest) -> tuple[list[ingest.Document], list[str]]:
+def cmd_extract(config: RunConfig, manifest: Manifest) -> None:
     with manifest.stage("extract") as counters:
-        documents: list[ingest.Document] = []
-        with open(config.input, encoding="utf-8") as fh:
-            for raw in ingest.parse_dump_stream(fh, config.format, counters):
-                documents.append(ingest.build_document(raw, counters))
-        counters["links"] += sum(len(doc.links) for doc in documents)
-        targets = ingest.collect_unique_targets(documents)
+        with open(config.input, encoding="utf-8") as dump, atomic_output(config.out / "documents.jsonl") as fh:
+            raws = ingest.parse_dump_stream(dump, config.format, counters)
+            targets = ingest.collect_unique_targets(_built_and_written(raws, fh, counters))
         counters["unique_targets"] += len(targets)
         log.info(
             "extracted %d documents, %d links, %d unique targets",
             counters["documents"], counters["links"], counters["unique_targets"],
         )
-        with atomic_output(config.out / "documents.jsonl") as fh:
-            fh.writelines(_document_to_json(doc) + "\n" for doc in documents)
         with atomic_output(config.out / "targets.txt") as fh:
             fh.writelines(target + "\n" for target in targets)
-    return documents, targets
 
 
 def _make_client(config: RunConfig) -> linker.SparqlClient | None:
@@ -317,16 +311,9 @@ def _make_client(config: RunConfig) -> linker.SparqlClient | None:
     )
 
 
-def cmd_link(config: RunConfig, manifest: Manifest, targets: list[str] | None = None) -> linker.ClassCatalog:
-    if targets is None:
-        targets_path = config.out / "targets.txt"
-        if config.input is not None and config.input.suffix == ".txt":
-            targets_path = config.input
-        if not targets_path.is_file():
-            raise UsageError(f"targets file not found: {targets_path} (run extract first)")
+def cmd_link(config: RunConfig, manifest: Manifest, targets_path: Path) -> None:
     with manifest.stage("link") as counters:
-        if targets is None:
-            targets = [line for line in targets_path.read_text(encoding="utf-8").splitlines() if line]
+        targets = [line for line in targets_path.read_text(encoding="utf-8").splitlines() if line]
         client = _make_client(config)
         cache = linker.ClassCatalog()
         if config.cache and config.cache.is_file():
@@ -347,7 +334,6 @@ def cmd_link(config: RunConfig, manifest: Manifest, targets: list[str] | None = 
                 f"all {counters['unresolved']} queried targets failed; endpoint unreachable?"
             )
         linker.save_catalog(catalog, config.out / "catalog.tsv")
-    return catalog
 
 
 def build_label_map(
@@ -367,33 +353,21 @@ def build_label_map(
 
 
 def cmd_annotate(
-    config: RunConfig,
-    manifest: Manifest,
-    documents: list[ingest.Document] | None = None,
-    catalog: linker.ClassCatalog | None = None,
+    config: RunConfig, manifest: Manifest, documents_path: Path, catalog_path: Path
 ) -> annotator.AnnotatedCorpus:
-    if documents is None:
-        documents_path = config.input if config.input else config.out / "documents.jsonl"
-        if not documents_path.is_file():
-            raise UsageError(f"documents file not found: {documents_path} (run extract first)")
-    if catalog is None:
-        catalog_path = config.out / "catalog.tsv"
-        if not catalog_path.is_file():
-            catalog_path = config.cache
-        if catalog_path is None or not catalog_path.is_file():
-            raise UsageError("no class catalog found (run link first or point --cache at one)")
     with manifest.stage("annotate") as counters:
-        if documents is None:
-            documents = load_documents(documents_path)
-        if catalog is None:
-            catalog = linker.load_catalog(catalog_path)
+        catalog = linker.load_catalog(catalog_path)
         equivalences, priorities = mapping.load_mapping_tables(config.equivalence, config.priority)
         labels = build_label_map(catalog, equivalences, priorities, counters)
         corpus = annotator.AnnotatedCorpus()
-        for doc in documents:
-            sentences = annotator.annotate_document(doc, labels, counters)
-            if sentences:
-                corpus.documents.append((doc.doc_id, sentences))
+        with open(documents_path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                doc = _document_from_json(line, line_no)
+                sentences = annotator.annotate_document(doc, labels, counters)
+                if sentences:
+                    corpus.documents.append((doc.doc_id, sentences))
         counters["documents_kept"] += len(corpus.documents)
         counters["tokens"] += sum(
             len(sentence.tokens) for _, sentences in corpus.documents for sentence in sentences
@@ -401,6 +375,28 @@ def cmd_annotate(
         with atomic_output(config.out / "corpus.conll") as fh:
             annotator.emit_conll(corpus, fh)
     return corpus
+
+
+def _targets_path(config: RunConfig) -> Path:
+    """The targets a standalone link reads: a ``.txt`` --input, else targets.txt under --out."""
+    txt_input = config.input is not None and config.input.suffix == ".txt"
+    path = config.input if txt_input else config.out / "targets.txt"
+    if not path.is_file():
+        raise UsageError(f"targets file not found: {path} (run extract first)")
+    return path
+
+
+def _annotate_paths(config: RunConfig) -> tuple[Path, Path]:
+    """The documents and the catalog a standalone annotate reads."""
+    documents_path = config.input if config.input else config.out / "documents.jsonl"
+    if not documents_path.is_file():
+        raise UsageError(f"documents file not found: {documents_path} (run extract first)")
+    catalog_path = config.out / "catalog.tsv"
+    if not catalog_path.is_file():
+        catalog_path = config.cache
+    if catalog_path is None or not catalog_path.is_file():
+        raise UsageError("no class catalog found (run link first or point --cache at one)")
+    return documents_path, catalog_path
 
 
 def _corpus_path(config: RunConfig) -> Path:
@@ -502,9 +498,10 @@ def cmd_eval(
 
 
 def cmd_pipeline(config: RunConfig, manifest: Manifest) -> None:
-    documents, targets = cmd_extract(config, manifest)
-    catalog = cmd_link(config, manifest, targets)
-    corpus = cmd_annotate(config, manifest, documents, catalog)
+    """The staged extract, link and annotate over ``--out``, then stats and enrich on the corpus."""
+    cmd_extract(config, manifest)
+    cmd_link(config, manifest, config.out / "targets.txt")
+    corpus = cmd_annotate(config, manifest, config.out / "documents.jsonl", config.out / "catalog.tsv")
     cmd_stats(config, manifest, corpus)
     if config.experiments:
         cmd_enrich(config, manifest, corpus)
@@ -559,9 +556,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "extract":
             cmd_extract(config, manifest)
         elif args.command == "link":
-            cmd_link(config, manifest)
+            cmd_link(config, manifest, _targets_path(config))
         elif args.command == "annotate":
-            cmd_annotate(config, manifest)
+            cmd_annotate(config, manifest, *_annotate_paths(config))
         elif args.command == "stats":
             cmd_stats(config, manifest)
         elif args.command == "enrich":

@@ -34,6 +34,8 @@ _DOC_ATTR = re.compile(r'(\w+)="([^"]*)"')
 # every character str.splitlines breaks a line on; tests/test_unicode_rules.py checks it
 LINE_BREAKS = frozenset("\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
 _TARGET_BREAKS = LINE_BREAKS | {"\t"}
+# a JSON escape such as "\ud800" decodes to a lone surrogate, which UTF-8 cannot encode
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,8 @@ def parse_dump_stream(
 ) -> Iterator[RawDocument]:
     """Yield documents from an extracted-dump stream in file order.
 
-    Malformed lines/blocks are skipped and counted under ``malformed_lines``;
+    Malformed lines/blocks are skipped and counted under ``malformed_lines``,
+    among them a JSON record whose id, title or text holds a lone surrogate;
     documents whose id holds a line break under ``unwritable_doc_id``, and
     duplicate document ids under ``duplicate_doc_id``.
     Invalid UTF-8 in a bytes reader aborts with a DataError naming the line.
@@ -119,17 +122,17 @@ def _parse_json_lines(lines: Iterator[str], counters: Counter) -> Iterator[RawDo
         if not isinstance(obj, dict) or "id" not in obj or "title" not in obj or "text" not in obj:
             counters["malformed_lines"] += 1
             continue
-        doc_id = str(obj["id"])
-        if not doc_id:
+        doc_id, title, text = str(obj["id"]), str(obj["title"]), str(obj["text"])
+        if not doc_id or any(_SURROGATE.search(field) for field in (doc_id, title, text)):
             counters["malformed_lines"] += 1
             continue
         if not _is_new_id(doc_id, seen_ids, counters):
             continue
         yield RawDocument(
             doc_id=doc_id,
-            title=str(obj["title"]),
+            title=title,
             source_url=str(obj.get("url", "")),
-            markup_text=str(obj["text"]),
+            markup_text=text,
         )
 
 

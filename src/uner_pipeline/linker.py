@@ -23,6 +23,7 @@ from typing import Collection
 
 from .atomic import atomic_output
 from .errors import DataError, QueryError
+from .ingest import LINE_BREAKS
 from .mapping import iter_tsv
 
 log = logging.getLogger(__name__)
@@ -46,6 +47,9 @@ _NAMESPACE_PREFIXES = {
     "http://www.wikidata.org/entity/": "wikidata:",
     "http://www.ontologydesignpatterns.org/ont/dul/DUL.owl#": "dul:",
 }
+
+# a class name holding one of these would split its cache line or its class field
+_CLASS_BREAKS = LINE_BREAKS | {"\t", ","}
 
 # characters emitted verbatim in entity URIs; underscores are reserved as the
 # space marker, so literal underscores in a target are percent-encoded
@@ -274,7 +278,9 @@ def resolve_all(
     Returns the catalog restricted to the requested targets, sharing its
     lists with ``cache``; newly queried entries are also added to ``cache``
     (the caller persists it). Cache hits are never re-queried; without a
-    client, misses are simply unresolved.
+    client, misses are simply unresolved. A queried class name that a cache
+    line cannot hold (empty, or holding a comma, a tab or a line break) is
+    dropped and counted as ``unwritable_class``.
     """
     counters = counters if counters is not None else Counter()
     counters["targets"] += len(targets)
@@ -302,9 +308,12 @@ def resolve_all(
             if classes is None:
                 counters["unresolved"] += 1
                 continue
+            writable = [name for name in classes if name and _CLASS_BREAKS.isdisjoint(name)]
+            if len(writable) < len(classes):
+                counters["unwritable_class"] += len(classes) - len(writable)
             counters["resolved_by_query"] += 1
             counters["cache_class_lists"] += 1
-            result.entries[target] = cache.entries[target] = classes
+            result.entries[target] = cache.entries[target] = writable
     return result
 
 

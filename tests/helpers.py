@@ -101,6 +101,27 @@ def random_corpus(rng: random.Random, max_docs: int = 3) -> AnnotatedCorpus:
     return corpus_from_rows(rows)
 
 
+def recurring_surface_corpus(rng: random.Random) -> AnnotatedCorpus:
+    """A random corpus over a few surfaces, each tagged or left O, so they recur
+    within and across documents and before and after their tagged mentions."""
+    surfaces = [["Paris"], ["New", "York"], ["Obama"], ["Ann", "Lee"], ["the"], ["Rome"]]
+    rows = []
+    for d in range(rng.randint(1, 3)):
+        sentences = []
+        for _ in range(rng.randint(1, 4)):
+            sentence = []
+            for _ in range(rng.randint(1, 6)):
+                # a sentence opens with a tagged surface, as every corpus sentence holds one
+                label = rng.choice([None, None, *LABEL_POOL[:3]] if sentence else LABEL_POOL[:3])
+                sentence += [
+                    (word, "O" if label is None else f"{'I' if k else 'B'}-{label}")
+                    for k, word in enumerate(rng.choice(surfaces))
+                ]
+            sentences.append(sentence)
+        rows.append((f"doc{d}", sentences))
+    return corpus_from_rows(rows)
+
+
 def random_markup_document(rng: random.Random, labeled_targets: dict[str, str]):
     """Random markup text mixing plain words, linked spans, and noise.
 

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -504,6 +505,33 @@ class TestLinkCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["stages"]["link"]["counters"]["cache_hits"] == 1
 
+    def test_online_run_and_offline_rerun_from_its_cache_agree(self, tmp_path, monkeypatch):
+        # class names the cache cannot hold are dropped before annotate reads catalog.tsv
+        from test_linker import FakeSession, make_client
+
+        session = FakeSession({
+            "Washington": ["http://dbpedia.org/ontology/Place", "http://dbpedia.org/yago/Washington,D.C."],
+            "Lyon": ["http://dbpedia.org/ontology/City,Person"],  # a comma would make it a city on reload
+            "Oslo": ["http://example.org/Line\nBreak", "http://dbpedia.org/ontology/City"],
+            "Baku": ["http://example.org/Tab\tClass", "http://dbpedia.org/ontology/City"],
+        })
+        monkeypatch.setattr(cli, "_make_client", lambda config: make_client(session))
+        dump = _write_dump(
+            tmp_path / "dump.jsonl",
+            ("1", '<a href="Washington">Washington</a> and <a href="Lyon">Lyon</a> are far apart.'),
+            ("2", '<a href="Oslo">Oslo</a> is cold and <a href="Baku">Baku</a> is not.'),
+        )
+        cache, online, offline = tmp_path / "cache.tsv", tmp_path / "online", tmp_path / "offline"
+        assert cli.main(["pipeline", "--input", str(dump), "--cache", str(cache), "--out", str(online)]) == 0
+        link = json.loads((online / "manifest.json").read_text())["stages"]["link"]["counters"]
+        assert (link["unwritable_class"], link["resolved_by_query"]) == (4, 4)
+        assert "Oslo\tdbo:City\n" in cache.read_text(encoding="utf-8")
+        argv = ["pipeline", "--input", str(dump), "--cache", str(cache), "--offline", "--out", str(offline)]
+        assert cli.main(argv) == 0
+        for name in ("catalog.tsv", "corpus.conll"):
+            assert (offline / name).read_bytes() == (online / name).read_bytes(), name
+        assert "Lyon\tO" in (online / "corpus.conll").read_text(encoding="utf-8")
+
     def test_unreachable_endpoint_is_3_and_counts_requests(self, tmp_path, monkeypatch):
         from test_linker import FakeSession, make_client
 
@@ -610,6 +638,44 @@ class TestHostileIdsAndTargets:
         assert (out / "targets.txt").read_text(encoding="utf-8") == targets
         extract = json.loads((out / "manifest.json").read_text())["stages"]["extract"]["counters"]
         assert extract["unwritable_target"] == 2
+
+    def test_record_with_a_lone_surrogate_is_malformed(self, tmp_path, capsys):
+        # json.loads turns the escape "\ud800" into a character no UTF-8 file can hold
+        dump = tmp_path / "dump.jsonl"
+        lines = [
+            json.dumps({"id": "1", "title": "A", "text": "a\ud800b near <a href=\"Baku\">Baku</a>."}),
+            json.dumps({"id": "2", "title": "B\udfff", "text": "<a href=\"Baku\">Baku</a> again."}),
+            json.dumps({"id": "3\ud83d", "title": "C", "text": "<a href=\"Baku\">Baku</a> again."}),
+            json.dumps({"id": "4", "title": "D", "text": "<a href=\"Asia\">Asia</a> is big. \U0001f600"}),
+        ]
+        dump.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--input", str(dump), "--out", str(out), "--cache", str(CACHE), "--offline"]) == 0
+        assert capsys.readouterr().err == ""
+        extract = json.loads((out / "manifest.json").read_text())["stages"]["extract"]["counters"]
+        assert (extract["malformed_lines"], extract["documents"]) == (3, 1)
+        assert (out / "targets.txt").read_text(encoding="utf-8") == "Asia\n"
+        assert (out / "corpus.conll").read_text(encoding="utf-8").startswith("# doc_id = 4\nAsia\t")
+
+
+def extract_peak_bytes(tmp_path: Path, documents: int) -> int:
+    """Peak traced memory of an ``extract`` run over long documents that link the same 20 targets."""
+    text = " ".join(f'<a href="Target {j}">Surface {j}</a> is named in a sentence of plain words.' for j in range(20))
+    dump = _write_dump(tmp_path / f"dump{documents}.jsonl", *((str(i), text * 4) for i in range(documents)))
+    out = tmp_path / f"out{documents}"
+    tracemalloc.start()
+    try:
+        assert cli.main(["extract", "--input", str(dump), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((out / "targets.txt").read_text(encoding="utf-8").splitlines()) == 20
+    return peak
+
+
+def test_extract_memory_holds_one_document_and_the_targets(tmp_path):
+    extract_peak_bytes(tmp_path, 10)  # warms the caches a first run fills
+    assert extract_peak_bytes(tmp_path, 100) <= 1.2 * extract_peak_bytes(tmp_path, 25)
 
 
 class TestEvalCommand:

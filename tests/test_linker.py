@@ -220,6 +220,25 @@ class TestResolveAll:
         assert catalog.entries == {"Ghost": []}
         assert cache.entries == {"Ghost": []}
 
+    def test_unwritable_class_names_are_dropped_and_counted(self, tmp_path):
+        # each dropped name would split a cache line or a class field on reload
+        session = FakeSession({
+            "X": ["http://dbpedia.org/yago/Washington,D.C.", "", WORKED_TYPES[0]],
+            "Y": ["http://example.org/Line\nBreak", "http://example.org/Tab\tClass", "http://example.org/a\rb"],
+        })
+        counters = Counter()
+        cache = ClassCatalog()
+        catalog = resolve_all(["X", "Y"], cache, make_client(session), counters)
+        assert catalog.entries == cache.entries == {"X": ["dbo:Event"], "Y": []}
+        assert counters["unwritable_class"] == 5
+        save_catalog(cache, tmp_path / "cache.tsv")
+        assert load_catalog(tmp_path / "cache.tsv").entries == cache.entries
+
+    def test_writable_query_counts_no_unwritable_class(self):
+        counters = Counter()
+        resolve_all(["X"], ClassCatalog(), make_client(FakeSession({"X": WORKED_TYPES})), counters)
+        assert "unwritable_class" not in counters
+
 
 class TestCatalogFile:
     def test_save_load_identity_order_preserved(self, tmp_path):
