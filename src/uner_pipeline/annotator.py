@@ -18,7 +18,12 @@ and yields each sentence as its first line number and two string lists,
 token texts and tags. ``TagChecker`` applies the tag grammar and the IOB
 rules to those tag strings, parsing each distinct tag once; ``parse_conll``
 runs it to build a strict corpus, and ``evaluation`` runs it over the system
-file without building one.
+file without building one. Both work on whole documents: the reader reads a
+file in blocks, cuts it at header lines and splits a document in the layout
+``emit_conll`` writes with a few string operations, going line by line only
+from the first document in any other layout on; the checker tests a
+document with set operations and walks its tokens only when it may break a
+rule.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ import unicodedata
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, groupby, islice
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import DataError
@@ -290,6 +297,14 @@ class ConllSentence(NamedTuple):
     tags: list[str]
 
 
+# a file is read this many characters at a time; any other iterable in its own pieces
+READ_BLOCK = 1 << 16
+# a header line, with the newline that ends the line before it
+_CUT = "\n" + DOC_HEADER_PREFIX
+# every byte but the tab and the newline
+_NOT_LAYOUT = bytes(b for b in range(256) if b not in b"\t\n")
+
+
 def read_conll_events(lines: Iterable[str]) -> Iterator[tuple[str, list[ConllSentence]]]:
     """Structural CoNLL reader: yields (doc_id, sentences) one document at a time.
 
@@ -297,14 +312,121 @@ def read_conll_events(lines: Iterable[str]) -> Iterator[tuple[str, list[ConllSen
     as raw strings so files with unusual tag inventories still load. A
     sentence's token lines are consecutive, so each sentence keeps only the
     line number of its first token.
+
+    A text stream (anything with ``read``) is read ``READ_BLOCK`` characters
+    at a time; the elements of any other iterable are the pieces, so an
+    iterable of lines is read no further than a file of them would be. Lines
+    end at ``\n``, as a text file iterates them. The text is cut at header
+    lines, and a document in the layout ``emit_conll`` writes is split whole,
+    with no work per line. From the first document in any other layout on,
+    the rest of the stream goes line by line through ``_read_by_lines``,
+    which words every layout error. A document is yielded once the next
+    header line has been read, so memory holds one document and one piece.
     """
+    read = getattr(lines, "read", None)
+    pieces = iter(lambda: read(READ_BLOCK), "") if read is not None else iter(lines)
+    blank_lines, head = _skip_blank_lines(pieces)
+    if not head.startswith(DOC_HEADER_PREFIX):  # an empty stream, or a line before any header
+        yield from _read_by_lines(chain([head], pieces), blank_lines + 1)
+        return
+    header_line = blank_lines + 1  # the line of the first header not yet yielded
+    parts = ["\n"]  # the text not yet yielded, from the cut of that header on
+    tail = "\n"  # the last characters read, all of a cut but one
+    for piece in chain([head], pieces):
+        edge = tail + piece[: len(_CUT) - 1]  # where a cut may span two pieces
+        tail = (tail + piece[1 - len(_CUT) :])[1 - len(_CUT) :]
+        parts.append(piece)
+        if _CUT not in piece and _CUT not in edge:
+            continue
+        text = "".join(parts)
+        start = 0
+        while (cut := text.find(_CUT, start + 1)) >= 0:
+            document = _split_plain_document(text[start + len(_CUT) : cut + 1], header_line)
+            if document is None:
+                yield from _read_by_lines(chain([text[start + 1 :]], pieces), header_line)
+                return
+            yield document
+            header_line += text.count("\n", start + 1, cut + 1)
+            start = cut
+        parts = [text[start:]]
+    # the last document; a last sentence with no blank line after it sends it line by line
+    text = "".join(parts)
+    document = _split_plain_document(text[len(_CUT) :], header_line)
+    if document is None:
+        yield from _read_by_lines([text[1:]], header_line)
+    else:
+        yield document
+
+
+def _skip_blank_lines(pieces: Iterator[str]) -> tuple[int, str]:
+    """Read past the blank lines that open a stream.
+
+    Returns their number and the text after them: at least a header's length
+    of it, or all of it when the stream is shorter.
+    """
+    blank_lines, head = 0, ""
+    for piece in pieces:
+        if not head:
+            stripped = piece.lstrip("\n")
+            blank_lines += len(piece) - len(stripped)
+            piece = stripped
+        head += piece
+        if len(head) >= len(DOC_HEADER_PREFIX):
+            break
+    return blank_lines, head
+
+
+def _split_plain_document(document: str, header_line: int) -> tuple[str, list[ConllSentence]] | None:
+    """One document in the layout ``emit_conll`` writes, split whole; None for any other layout.
+
+    ``document`` is the header line without its prefix, then the document's
+    lines. In that layout each sentence's token lines are closed by one blank
+    line, and each token line is two non-empty cells around one tab. Splitting
+    at blank lines, newlines and tabs finds it when no cell is empty, nothing
+    follows the last blank line, no line holds two tabs, and the tabs number
+    the tokens: a sentence's cells are its tabs plus its lines, and its tokens
+    half its cells rounded up, so with at most one tab a line there are more
+    tokens than tabs unless every line holds one.
+    """
+    doc_id, _, body = document.partition("\n")
+    blocks = body.split("\n\n")
+    if blocks.pop():  # text after the last blank line
+        return None
+    sentences: list[ConllSentence] = []
+    first_line = header_line + 1
+    for block in blocks:
+        cells = block.replace("\n", "\t").split("\t")
+        if not all(cells):
+            return None
+        texts = cells[::2]
+        sentences.append(ConllSentence(first_line, texts, cells[1::2]))
+        first_line += len(texts) + 1  # its token lines and the blank line after them
+    tokens = first_line - header_line - 1 - len(blocks)  # the lines split, less the blank ones
+    # the body's tabs and newlines alone; a lone surrogate, which text from a string may hold, is neither
+    layout = body.encode("utf-8", "surrogatepass").translate(None, _NOT_LAYOUT)
+    if layout.count(b"\t") != tokens or b"\t\t" in layout:
+        return None
+    return doc_id, sentences
+
+
+def _lines(pieces: Iterable[str]) -> Iterator[str]:
+    """The lines of the concatenated pieces, each without its newline."""
+    partial = ""
+    for piece in pieces:
+        *lines, partial = (partial + piece).split("\n")
+        yield from lines
+    if partial:
+        yield partial
+
+
+def _read_by_lines(pieces: Iterable[str], first_line: int) -> Iterator[tuple[str, list[ConllSentence]]]:
+    """``read_conll_events`` one line at a time, numbering the lines from ``first_line``."""
     doc_id: str | None = None
     sentences: list[ConllSentence] = []
     texts: list[str] = []
     tags: list[str] = []
-    first_line = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    first_token_line = 0
+    for line_no, line in enumerate(_lines(pieces), start=first_line):
         if line.startswith(DOC_HEADER_PREFIX):
             if texts:
                 raise DataError(f"line {line_no}: document header inside a sentence")
@@ -315,7 +437,7 @@ def read_conll_events(lines: Iterable[str]) -> Iterator[tuple[str, list[ConllSen
             continue
         if not line:
             if texts:
-                sentences.append(ConllSentence(first_line, texts, tags))
+                sentences.append(ConllSentence(first_token_line, texts, tags))
                 texts, tags = [], []
             continue
         if doc_id is None:
@@ -324,11 +446,11 @@ def read_conll_events(lines: Iterable[str]) -> Iterator[tuple[str, list[ConllSen
         if not sep or not text or not tag:
             raise DataError(f"line {line_no}: expected 'token<TAB>tag', got {line!r}")
         if not texts:
-            first_line = line_no
+            first_token_line = line_no
         texts.append(text)
         tags.append(tag)
     if texts:
-        sentences.append(ConllSentence(first_line, texts, tags))
+        sentences.append(ConllSentence(first_token_line, texts, tags))
     if doc_id is not None:
         yield doc_id, sentences
 
@@ -341,29 +463,62 @@ class TagChecker:
     ``check`` raises it. Otherwise the IOB rules of ``validate_iob`` are
     applied to the tag strings, and the first five violations are kept for
     ``iob_error``, which reports them once the whole file has been checked.
+
+    A document is checked as a whole, with set operations: its distinct tags
+    are known, each sentence holds a B tag and opens with no I tag, and each
+    distinct pair of adjacent tags is one the rules allow. A run of one tag
+    counts once, as a tag after itself keeps the rules. Only a document that
+    fails this is walked token by token to word its violations.
     """
 
     def __init__(self) -> None:
         self.tags: dict[str, IobTag] = {}
         self.violations: list[str] = []
+        self._b_tags: set[str] = set()  # the known tags with prefix B
+        self._allowed_pairs: set[tuple[str, str]] = set()  # adjacent tags that keep the rules
 
     def check(self, doc_id: str, sentences: list[ConllSentence]) -> None:
         """Check one document; a tag that does not parse raises DataError naming its line."""
         tags = self.tags
-        for first_line, _, sentence_tags in sentences:
-            if tags.keys() >= set(sentence_tags):
-                continue
-            for i, tag_string in enumerate(sentence_tags):
-                if tag_string not in tags:
-                    try:
-                        tags[tag_string] = parse_iob_tag(tag_string)
-                    except DataError as exc:
-                        raise DataError(f"line {first_line + i}: {exc}") from exc
+        runs = list(map(itemgetter(0), groupby(chain.from_iterable(s.tags for s in sentences))))
+        if not tags.keys() >= set(runs):
+            for first_line, _, sentence_tags in sentences:
+                if tags.keys() >= set(sentence_tags):
+                    continue
+                for i, tag_string in enumerate(sentence_tags):
+                    if tag_string not in tags:
+                        try:
+                            tags[tag_string] = parse_iob_tag(tag_string)
+                        except DataError as exc:
+                            raise DataError(f"line {first_line + i}: {exc}") from exc
+                        if tag_string[0] == "B":
+                            self._b_tags.add(tag_string)
+        if len(self.violations) >= 5 or self._keeps_iob(sentences, runs):
+            return
         for s_idx, (_, texts, sentence_tags) in enumerate(sentences):
             if len(self.violations) >= 5:
                 break
             self.violations.extend(_sentence_violations(doc_id, s_idx, texts, sentence_tags))
         del self.violations[5:]
+
+    def _keeps_iob(self, sentences: list[ConllSentence], runs: list[str]) -> bool:
+        """Whether the document keeps the IOB rules; its tags all parse.
+
+        ``runs`` is the document's tags with each run of one tag cut to one.
+        Its pairs are taken across sentence ends too. Such a pair breaks a
+        rule only when its second tag is an I tag that opens a sentence,
+        which is a violation already.
+        """
+        b_tags = self._b_tags
+        if any(b_tags.isdisjoint(s.tags) or s.tags[0][0] == "I" for s in sentences):
+            return False
+        pairs = set(zip(runs, islice(runs, 1, None)))
+        pairs -= self._allowed_pairs
+        for previous, tag in pairs:
+            if tag[0] == "I" and (previous == "O" or previous[2:] != tag[2:]):
+                return False
+        self._allowed_pairs |= pairs
+        return True
 
     def iob_error(self) -> DataError | None:
         """The IOB error of everything checked so far, or None."""

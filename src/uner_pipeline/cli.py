@@ -268,8 +268,12 @@ def _document_from_json(line: str, line_no: int) -> ingest.Document:
         doc_id = str(obj["id"])
         if not ingest.LINE_BREAKS.isdisjoint(doc_id):  # the corpus writes an id on one line
             raise DataError(f"documents file line {line_no}: id must hold no line break, got {doc_id!r}")
+        title = obj.get("title", "")
+        for name, value in (("id", doc_id), ("title", str(title)), ("text", obj["text"])):
+            if ingest.LONE_SURROGATE.search(value):  # as in extract: UTF-8 cannot encode one
+                raise DataError(f"documents file line {line_no}: {name} holds a lone surrogate")
         links.sort(key=lambda span: span.start)  # a Document's order; stable, so file order breaks ties
-        return ingest.Document(doc_id, obj.get("title", ""), obj["text"], tuple(links))
+        return ingest.Document(doc_id, title, obj["text"], tuple(links))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"documents file line {line_no}: {exc}") from exc
 
@@ -477,6 +481,8 @@ def cmd_eval(
             alignment = evaluation.align(g, s)
         report = evaluation.per_tag_metrics(alignment.pair_counts, config.collapse_depth)
         counters["aligned_tokens"] += len(alignment)
+        counters["documents"] += alignment.documents
+        counters["sentences"] += alignment.sentences
         counters["tags_scored"] += len(report.per_tag)
         coarse = None
         if alignment.system_error is None:

@@ -2,15 +2,16 @@
 ``eval.txt``/``eval.json`` reports.
 
 Both CoNLL files are read once, side by side, one document at a time, so
-memory holds one document of each file. The pass counts each (golden tag,
-system tag) pair and runs the strict tag and IOB check over the system tags;
-no corpus is built. Tags are scored as the plain strings the CoNLL files
-hold. B-X and I-X count as distinct classes. Per-tag
-precision/recall/F1 are computed from token-level confusion counts with the
-0/0 -> 0 convention, and the macro mean runs over tags whose three values
-are not all zero. An optional
-collapse depth rewrites every non-O tag to its prefix plus the first d label
-segments before counting, scoring the hierarchy coarsely. ``eval.json``
+memory holds one document and one read block of each file. The pass
+compares a document's token texts in one list comparison, counts its
+(golden tag, system tag) pairs in one update, and runs the strict tag and
+IOB check over the system tags; no corpus is built. Tags are scored as the
+plain strings the CoNLL files hold. B-X and I-X count as distinct classes.
+Per-tag precision/recall/F1 are computed from token-level confusion counts
+with the 0/0 -> 0 convention, and the macro mean runs over tags whose three
+values are not all zero. An optional collapse depth rewrites every non-O tag
+to its prefix plus the first d label segments before counting, scoring the
+hierarchy coarsely. ``eval.json``
 holds the collapse depth, the macro, the counted tags, the per-tag table and,
 when the caller passes them, the system file's coarse Person/Location/
 Organization counts, which come from the system tag counts.
@@ -22,10 +23,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Iterable, Mapping
 
-from .annotator import TagChecker, read_conll_events
+from .annotator import ConllSentence, TagChecker, read_conll_events
 from .errors import AlignmentError, DataError
 from .stats import coarse_json, compute_stats
 
@@ -54,10 +55,13 @@ class Alignment:
     tokens; ``len()`` is the number of aligned tokens. ``system_error`` is the
     first DataError the strict check of the system tags met (a tag that does
     not parse, or else the IOB violations), or None when the file is clean.
+    ``documents`` and ``sentences`` count what was aligned.
     """
 
     pair_counts: Counter[tuple[str, str]]
     system_error: DataError | None
+    documents: int
+    sentences: int
 
     def __len__(self) -> int:
         return self.pair_counts.total()
@@ -77,11 +81,13 @@ def align(golden: Iterable[str], system: Iterable[str]) -> Alignment:
     Each system document also goes through the ``TagChecker`` that
     ``parse_conll`` uses. Its first DataError (a tag that does not parse, or
     at the end the IOB violations) is kept in the result, while the scoring
-    carries on. Memory holds one document of each file.
+    carries on. Memory holds one document and one read block of each file.
+    A document's sentences are walked only to word a divergence.
     """
     pair_counts: Counter[tuple[str, str]] = Counter()
     checker = TagChecker()
     system_error: DataError | None = None
+    documents = sentences = 0
     golden_docs, system_docs = read_conll_events(golden), read_conll_events(system)
     for index, (gold_doc, sys_doc) in enumerate(zip_longest(golden_docs, system_docs)):
         if gold_doc is None or sys_doc is None:
@@ -98,20 +104,16 @@ def align(golden: Iterable[str], system: Iterable[str]) -> Alignment:
                 f"document {gold_id}: golden has {len(gold_sentences)} sentences, "
                 f"system has {len(sys_sentences)}"
             )
-        for gold_sentence, sys_sentence in zip(gold_sentences, sys_sentences):
-            gold_texts, sys_texts = gold_sentence.texts, sys_sentence.texts
-            if len(gold_texts) != len(sys_texts):
-                raise AlignmentError(
-                    f"sentence length mismatch near golden line {gold_sentence.first_line} "
-                    f"/ system line {sys_sentence.first_line}"
-                )
-            if gold_texts != sys_texts:
-                i = next(i for i, (g, s) in enumerate(zip(gold_texts, sys_texts)) if g != s)
-                raise AlignmentError(
-                    f"token text mismatch at golden line {gold_sentence.first_line + i} / "
-                    f"system line {sys_sentence.first_line + i}: {gold_texts[i]!r} vs {sys_texts[i]!r}"
-                )
-            pair_counts.update(zip(gold_sentence.tags, sys_sentence.tags))
+        if [s.texts for s in gold_sentences] != [s.texts for s in sys_sentences]:
+            raise _token_divergence(gold_sentences, sys_sentences)
+        pair_counts.update(
+            zip(
+                chain.from_iterable(s.tags for s in gold_sentences),
+                chain.from_iterable(s.tags for s in sys_sentences),
+            )
+        )
+        documents += 1
+        sentences += len(gold_sentences)
         if system_error is None:
             try:
                 checker.check(sys_id, sys_sentences)
@@ -119,7 +121,27 @@ def align(golden: Iterable[str], system: Iterable[str]) -> Alignment:
                 system_error = exc
     if system_error is None:
         system_error = checker.iob_error()
-    return Alignment(pair_counts, system_error)
+    return Alignment(pair_counts, system_error, documents, sentences)
+
+
+def _token_divergence(
+    gold_sentences: list[ConllSentence], sys_sentences: list[ConllSentence]
+) -> AlignmentError:
+    """The error for the first sentence whose token texts differ between the two files."""
+    for gold_sentence, sys_sentence in zip(gold_sentences, sys_sentences):
+        gold_texts, sys_texts = gold_sentence.texts, sys_sentence.texts
+        if len(gold_texts) != len(sys_texts):
+            return AlignmentError(
+                f"sentence length mismatch near golden line {gold_sentence.first_line} "
+                f"/ system line {sys_sentence.first_line}"
+            )
+        if gold_texts != sys_texts:
+            i = next(i for i, (g, s) in enumerate(zip(gold_texts, sys_texts)) if g != s)
+            return AlignmentError(
+                f"token text mismatch at golden line {gold_sentence.first_line + i} / "
+                f"system line {sys_sentence.first_line + i}: {gold_texts[i]!r} vs {sys_texts[i]!r}"
+            )
+    raise AssertionError("the sentences' token texts do not differ")
 
 
 def collapse_tag(tag: str, depth: int | None) -> str:

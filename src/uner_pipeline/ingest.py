@@ -35,7 +35,7 @@ _DOC_ATTR = re.compile(r'(\w+)="([^"]*)"')
 LINE_BREAKS = frozenset("\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
 _TARGET_BREAKS = LINE_BREAKS | {"\t"}
 # a JSON escape such as "\ud800" decodes to a lone surrogate, which UTF-8 cannot encode
-_SURROGATE = re.compile("[\ud800-\udfff]")
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def _parse_json_lines(lines: Iterator[str], counters: Counter) -> Iterator[RawDo
             counters["malformed_lines"] += 1
             continue
         doc_id, title, text = str(obj["id"]), str(obj["title"]), str(obj["text"])
-        if not doc_id or any(_SURROGATE.search(field) for field in (doc_id, title, text)):
+        if not doc_id or any(LONE_SURROGATE.search(field) for field in (doc_id, title, text)):
             counters["malformed_lines"] += 1
             continue
         if not _is_new_id(doc_id, seen_ids, counters):

@@ -9,6 +9,7 @@ import string
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, NamedTuple
 from urllib.parse import unquote
@@ -18,6 +19,7 @@ from uner_pipeline.annotator import (
     O_TAG,
     AnnotatedCorpus,
     AnnotatedSentence,
+    ConllSentence,
     IobTag,
     Token,
     emit_conll,
@@ -459,6 +461,177 @@ def oracle_eval(golden: str, system: str, collapse_depth: int | None = None):
     except DataError as exc:
         coarse = exc
     return report, len(pairs), coarse
+
+
+# The CoNLL reader, the strict tag check (with the IOB rules it applies) and
+# the lock-step align as they were before documents were read, checked and
+# counted whole: one line, and one token, at a time. Kept verbatim as
+# differential oracles; only the names changed, and the align returns its
+# pair counts and system error as a tuple.
+
+
+def oracle_read_conll_by_lines(lines: Iterable[str]) -> Iterator[tuple[str, list[ConllSentence]]]:
+    """Structural CoNLL reader: yields (doc_id, sentences) one document at a time.
+
+    Validates layout only (headers, tab-separated token lines); tags are kept
+    as raw strings so files with unusual tag inventories still load. A
+    sentence's token lines are consecutive, so each sentence keeps only the
+    line number of its first token.
+    """
+    doc_id: str | None = None
+    sentences: list[ConllSentence] = []
+    texts: list[str] = []
+    tags: list[str] = []
+    first_line = 0
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if line.startswith(DOC_HEADER_PREFIX):
+            if texts:
+                raise DataError(f"line {line_no}: document header inside a sentence")
+            if doc_id is not None:
+                yield doc_id, sentences
+            doc_id = line[len(DOC_HEADER_PREFIX) :]
+            sentences = []
+            continue
+        if not line:
+            if texts:
+                sentences.append(ConllSentence(first_line, texts, tags))
+                texts, tags = [], []
+            continue
+        if doc_id is None:
+            raise DataError(f"line {line_no}: token line before any document header")
+        text, sep, tag = line.partition("\t")
+        if not sep or not text or not tag:
+            raise DataError(f"line {line_no}: expected 'token<TAB>tag', got {line!r}")
+        if not texts:
+            first_line = line_no
+        texts.append(text)
+        tags.append(tag)
+    if texts:
+        sentences.append(ConllSentence(first_line, texts, tags))
+    if doc_id is not None:
+        yield doc_id, sentences
+
+
+def oracle_sentence_violations(doc_id: str, s_idx: int, texts: list[str], tags: list[str]) -> Iterator[str]:
+    """IOB violations of one sentence whose tag strings all parse.
+
+    Such a tag is ``O`` or its prefix, a hyphen and its label, so two labels
+    are equal exactly when the tags agree from their third character on.
+    """
+    previous = "O"
+    saw_b = False
+    for t_idx, tag in enumerate(tags):
+        if tag[0] == "B":
+            saw_b = True
+        elif tag[0] == "I" and (previous == "O" or previous[2:] != tag[2:]):
+            yield (
+                f"doc {doc_id} sentence {s_idx} token {t_idx} ({texts[t_idx]!r}): "
+                f"{tag} not preceded by B/I of the same label"
+            )
+        previous = tag
+    if not saw_b:
+        yield f"doc {doc_id} sentence {s_idx}: no B tag"
+
+
+class OracleTagChecker:
+    """The strict tag and IOB check of a CoNLL file, one document at a time.
+
+    Each distinct tag string is parsed once; ``tags`` maps it to its IobTag.
+    The first tag that does not parse, in file order, is the error, and
+    ``check`` raises it. Otherwise the IOB rules of ``validate_iob`` are
+    applied to the tag strings, and the first five violations are kept for
+    ``iob_error``, which reports them once the whole file has been checked.
+    """
+
+    def __init__(self) -> None:
+        self.tags: dict[str, IobTag] = {}
+        self.violations: list[str] = []
+
+    def check(self, doc_id: str, sentences: list[ConllSentence]) -> None:
+        """Check one document; a tag that does not parse raises DataError naming its line."""
+        tags = self.tags
+        for first_line, _, sentence_tags in sentences:
+            if tags.keys() >= set(sentence_tags):
+                continue
+            for i, tag_string in enumerate(sentence_tags):
+                if tag_string not in tags:
+                    try:
+                        tags[tag_string] = parse_iob_tag(tag_string)
+                    except DataError as exc:
+                        raise DataError(f"line {first_line + i}: {exc}") from exc
+        for s_idx, (_, texts, sentence_tags) in enumerate(sentences):
+            if len(self.violations) >= 5:
+                break
+            self.violations.extend(oracle_sentence_violations(doc_id, s_idx, texts, sentence_tags))
+        del self.violations[5:]
+
+    def iob_error(self) -> DataError | None:
+        """The IOB error of everything checked so far, or None."""
+        if not self.violations:
+            return None
+        return DataError("corpus violates IOB invariants: " + "; ".join(self.violations))
+
+
+def oracle_lock_step_align(
+    golden: Iterable[str], system: Iterable[str]
+) -> tuple[Counter[tuple[str, str]], DataError | None]:
+    """Position-wise pairing of two CoNLL streams in one lock-step pass.
+
+    The two files are read one document at a time, side by side, and each is
+    read once. Document ids, sentence boundaries, and token texts must
+    coincide; the first divergence aborts with both line numbers. When one
+    file runs out of documents first, the rest of the other is read so that
+    the error gives both document counts. Errors surface in reading order: a
+    divergence in an early document is reported before a layout error or a
+    count mismatch further on.
+
+    Each system document also goes through the ``TagChecker`` that
+    ``parse_conll`` uses. Its first DataError (a tag that does not parse, or
+    at the end the IOB violations) is kept in the result, while the scoring
+    carries on. Memory holds one document of each file.
+    """
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    checker = OracleTagChecker()
+    system_error: DataError | None = None
+    golden_docs, system_docs = oracle_read_conll_by_lines(golden), oracle_read_conll_by_lines(system)
+    for index, (gold_doc, sys_doc) in enumerate(zip_longest(golden_docs, system_docs)):
+        if gold_doc is None or sys_doc is None:
+            golden_count = index + (gold_doc is not None) + sum(1 for _ in golden_docs)
+            system_count = index + (sys_doc is not None) + sum(1 for _ in system_docs)
+            raise AlignmentError(
+                f"document count differs: golden has {golden_count}, system has {system_count}"
+            )
+        (gold_id, gold_sentences), (sys_id, sys_sentences) = gold_doc, sys_doc
+        if gold_id != sys_id:
+            raise AlignmentError(f"document id mismatch: golden {gold_id!r} vs system {sys_id!r}")
+        if len(gold_sentences) != len(sys_sentences):
+            raise AlignmentError(
+                f"document {gold_id}: golden has {len(gold_sentences)} sentences, "
+                f"system has {len(sys_sentences)}"
+            )
+        for gold_sentence, sys_sentence in zip(gold_sentences, sys_sentences):
+            gold_texts, sys_texts = gold_sentence.texts, sys_sentence.texts
+            if len(gold_texts) != len(sys_texts):
+                raise AlignmentError(
+                    f"sentence length mismatch near golden line {gold_sentence.first_line} "
+                    f"/ system line {sys_sentence.first_line}"
+                )
+            if gold_texts != sys_texts:
+                i = next(i for i, (g, s) in enumerate(zip(gold_texts, sys_texts)) if g != s)
+                raise AlignmentError(
+                    f"token text mismatch at golden line {gold_sentence.first_line + i} / "
+                    f"system line {sys_sentence.first_line + i}: {gold_texts[i]!r} vs {sys_texts[i]!r}"
+                )
+            pair_counts.update(zip(gold_sentence.tags, sys_sentence.tags))
+        if system_error is None:
+            try:
+                checker.check(sys_id, sys_sentences)
+            except DataError as exc:
+                system_error = exc
+    if system_error is None:
+        system_error = checker.iob_error()
+    return pair_counts, system_error
 
 
 # The dictionary appliers as they were before the indexed rewrite in

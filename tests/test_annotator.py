@@ -2,6 +2,7 @@ import io
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,21 +11,28 @@ from hypothesis import strategies as st
 from helpers import (
     corpus_from_rows,
     corpus_to_text,
+    OracleTagChecker,
     oracle_project_annotations,
+    oracle_read_conll_by_lines,
     oracle_split_sentences,
     oracle_tokenize,
     random_corpus,
 )
+from uner_pipeline import annotator
 from uner_pipeline.annotator import (
+    DOC_HEADER_PREFIX,
     O_TAG,
     AnnotatedCorpus,
+    ConllSentence,
     IobTag,
+    TagChecker,
     Token,
     annotate_document,
     emit_conll,
     parse_conll,
     parse_iob_tag,
     project_annotations,
+    read_conll_events,
     split_sentences,
     tokenize,
     validate_iob,
@@ -370,3 +378,127 @@ def test_project_annotations_matches_oracle(case):
     text, links = case
     got, expected = project_both(text, links)
     assert got == expected
+
+
+WORD = st.text(alphabet="ab#", min_size=1, max_size=3)
+PLAIN_TAG = st.sampled_from(["O", "B-Name-Person-Name", "I-Name-Person-Name"])
+# what a line may hold besides its tabs: line breaks other than \n, a lone
+# surrogate, and the characters of a header
+HOSTILE_CHARS = "a#-= \r\x85\u2028\ud800"
+HOSTILE_LINE = st.one_of(
+    st.sampled_from(["", " ", "\r", "\x85", "\t", "# doc_id =", DOC_HEADER_PREFIX]),
+    # no tab, two tabs, empty cells
+    st.lists(st.text(HOSTILE_CHARS, max_size=3), max_size=4).map("\t".join),
+    # a header anywhere: inside a sentence, after a blank line, before it all
+    st.text(HOSTILE_CHARS + "\t", max_size=3).map(DOC_HEADER_PREFIX.__add__),
+)
+
+
+@st.composite
+def hostile_conll(draw):
+    """CoNLL text in the layout emit_conll writes, with hostile lines put in anywhere,
+    ending in a newline or not."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append(DOC_HEADER_PREFIX + draw(st.text("ab#\t ", max_size=3)))
+        for _ in range(draw(st.integers(0, 3))):
+            rows = draw(st.lists(st.tuples(WORD, PLAIN_TAG), min_size=1, max_size=4))
+            lines += [f"{word}\t{tag}" for word, tag in rows] + [""]
+    for line in draw(st.lists(HOSTILE_LINE, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    text = "".join(line + "\n" for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def read_outcome(read, source):
+    """The documents a reader yields, and the message of the DataError that stopped it, or None."""
+    documents = []
+    try:
+        for document in read(source):
+            documents.append(document)
+    except DataError as exc:
+        return documents, str(exc)
+    return documents, None
+
+
+@settings(max_examples=500, deadline=None)
+@given(hostile_conll(), st.lists(st.integers(0, 1000), max_size=8), st.integers(1, 16))
+# a line without a tab and one with two hold as many tabs as there are token lines
+@example("# doc_id = d\na\tO\nb\nc\tO\tO\n\n", [], 3)
+@example("# doc_id = d\na\tO\tO\nb\n\n# doc_id = e\n", [], 3)
+def test_reader_matches_the_line_by_line_reader_however_the_text_is_cut(text, cut_points, block):
+    # the per-line reader over the lines a text file gives: split at \n only
+    expected = read_outcome(oracle_read_conll_by_lines, io.StringIO(text))
+    points = sorted(point % (len(text) + 1) for point in cut_points)
+    cuts = {
+        "lines": list(io.StringIO(text)),
+        "splitlines": text.splitlines(keepends=True),
+        "characters": list(text),
+        "random pieces": [text[i:j] for i, j in zip([0, *points], [*points, len(text)])],
+    }
+    for name, pieces in cuts.items():
+        assert read_outcome(read_conll_events, pieces) == expected, name
+    assert read_outcome(read_conll_events, io.StringIO(text)) == expected, "one block"
+    with mock.patch.object(annotator, "READ_BLOCK", block):
+        assert read_outcome(read_conll_events, io.StringIO(text)) == expected, f"blocks of {block}"
+
+
+def test_reader_reads_a_file_in_blocks(tmp_path):
+    path = tmp_path / "corpus.conll"
+    text = corpus_to_text(random_corpus(random.Random(7), max_docs=40))
+    path.write_text(text, encoding="utf-8")
+    with (
+        open(path, encoding="utf-8") as fh,
+        mock.patch.object(annotator, "READ_BLOCK", 100),
+        mock.patch.object(fh, "read", wraps=fh.read) as read,
+    ):
+        documents = list(read_conll_events(fh))
+    assert documents == list(oracle_read_conll_by_lines(io.StringIO(text)))
+    assert read.call_count == -(-len(text) // 100) + 1  # the last read returns ""
+    assert all(call.args == (100,) for call in read.call_args_list)
+
+
+@pytest.mark.parametrize("cut", ["stream", "lines", "characters"])
+def test_the_layout_emit_conll_writes_is_never_read_line_by_line(monkeypatch, cut):
+    def refuse(pieces, first_line):
+        raise AssertionError(f"line {first_line} was read line by line")
+
+    monkeypatch.setattr(annotator, "_read_by_lines", refuse)
+    text = corpus_to_text(random_corpus(random.Random(11), max_docs=6))
+    # blank lines before the first header, and documents without a sentence
+    text = "\n\n# doc_id = empty\n" + text + "# doc_id = last\n"
+    source = {"stream": io.StringIO(text), "lines": io.StringIO(text).readlines(), "characters": list(text)}[cut]
+    documents = list(read_conll_events(source))
+    assert documents == list(oracle_read_conll_by_lines(io.StringIO(text)))
+    assert len(documents) > 3
+
+
+# two labels, so that an I tag can follow a B or I tag of the other label, and
+# a tag that does not parse
+CHECKED_TAG = st.sampled_from(
+    ["O", "O", "B-Name-God", "I-Name-God", "B-Name-Person-Name", "I-Name-Person-Name", "Q-Name-God"]
+)
+
+
+def check_outcome(checker, documents):
+    """Check each document in turn: (violations kept, parsed tags, the DataError raised or the IOB one)."""
+    error = None
+    first_line = 1
+    for d, tag_lists in enumerate(documents):
+        sentences = []
+        for tags in tag_lists:
+            sentences.append(ConllSentence(first_line, [f"w{i}" for i in range(len(tags))], tags))
+            first_line += len(tags) + 1
+        try:
+            checker.check(f"d{d}", sentences)
+        except DataError as exc:
+            error = exc
+            break
+    error = error or checker.iob_error()
+    return checker.violations, sorted(checker.tags), error and str(error)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.lists(st.lists(CHECKED_TAG, min_size=1, max_size=6), max_size=4), max_size=5))
+def test_tag_checker_matches_the_token_by_token_checker(documents):
+    assert check_outcome(TagChecker(), documents) == check_outcome(OracleTagChecker(), documents)

@@ -367,6 +367,26 @@ class TestExitCodes:
         assert f"documents file line 2: {message}" in manifest["error"]
         assert "documents file line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["id", "title", "text"])
+    def test_lone_surrogate_in_a_document_field_is_2(self, tmp_path, capsys, field):
+        # json.dumps escapes the surrogate as \ud800, which json.loads turns back into one
+        document = {"id": "2", "title": "Ann", "text": "Ann went home."}
+        document[field] = {"id": "2\ud800", "title": "Ann\ud800", "text": "Ann\ud800 went home."}[field]
+        links = [{"start": 0, "end": 3, "surface": "Ann", "target": "Asia"}]
+        documents = tmp_path / "documents.jsonl"
+        documents.write_text(
+            json.dumps({"id": "1", "text": "Ann went home.", "links": links}) + "\n"
+            + json.dumps({**document, "links": links}) + "\n"
+        )
+        out = tmp_path / "out"
+        code = cli.main(["annotate", "--input", str(documents), "--cache", str(CACHE), "--out", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert f"documents file line 2: {field} holds a lone surrogate" in manifest["error"]
+        assert "documents file line 2" in capsys.readouterr().err
+        assert not (out / "corpus.conll").exists()
+
     @pytest.mark.parametrize(
         "argv, made_dir",
         [
@@ -741,6 +761,16 @@ class TestEvalCommand:
         assert capsys.readouterr().out == EXPECTED_EVAL_TXT.read_text(encoding="utf-8")
         manifest = json.loads((tmp_path / "eval" / "manifest.json").read_text())
         assert "system_coarse_counts_skipped" not in manifest["stages"]["eval"]["counters"]
+
+    def test_manifest_counts_the_aligned_documents_and_sentences(self, tmp_path):
+        run_pipeline(tmp_path / "out", "--experiments", "1")
+        code = cli.main(
+            ["eval", "--out", str(tmp_path / "eval"), str(EXPECTED_CORPUS), str(tmp_path / "out" / "corpus_exp1.conll")]
+        )
+        assert code == 0
+        counters = json.loads((tmp_path / "eval" / "manifest.json").read_text())["stages"]["eval"]["counters"]
+        # the fixture corpus holds 8 documents, 10 sentences and 72 tokens
+        assert (counters["documents"], counters["sentences"], counters["aligned_tokens"]) == (8, 10, 72)
 
     def test_skipped_coarse_counts_are_counted_and_logged(self, tmp_path, caplog):
         # a sentence without a B tag breaks the IOB invariants, so the coarse counts cannot be taken

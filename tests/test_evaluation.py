@@ -2,6 +2,7 @@ import io
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,12 @@ from helpers import (
     corpus_to_text,
     oracle_align,
     oracle_eval,
+    oracle_lock_step_align,
     oracle_parse_conll,
+    oracle_read_conll_by_lines,
     pair_counts,
+    random_corpus,
+    recurring_surface_corpus,
 )
 from uner_pipeline import annotator
 from uner_pipeline.annotator import parse_conll
@@ -228,9 +233,8 @@ def outcome(run, *args):
     return report, aligned, coarse
 
 
-@settings(max_examples=300, deadline=None)
-@given(DOCUMENTS, FAULTS, st.sampled_from([None, 1, 2]), st.data())
-def test_lock_step_eval_matches_the_two_pass_eval(documents, fault, depth, data):
+def faulty_pair(documents, fault, data) -> tuple[str, str]:
+    """The golden and the system text of ``documents``, the system one with ``fault``."""
     if fault in ("iob", "iob-then-bad-tag"):
         documents = [IOB_PREFIX_DOCUMENT] + documents
     doc_ids = [f"d{i}" for i in range(len(documents))]
@@ -251,10 +255,42 @@ def test_lock_step_eval_matches_the_two_pass_eval(documents, fault, depth, data)
         system_ids[d] = "renamed"
     elif fault in ("iob", "iob-then-bad-tag"):
         break_iob(system_documents, bad_tag=fault == "iob-then-bad-tag")
-    system = conll_text(system_documents, 2, system_ids)
+    return golden, conll_text(system_documents, 2, system_ids)
 
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS, FAULTS, st.sampled_from([None, 1, 2]), st.data())
+def test_lock_step_eval_matches_the_two_pass_eval(documents, fault, depth, data):
+    golden, system = faulty_pair(documents, fault, data)
     expected = outcome(oracle_eval, golden, system, depth)
     assert outcome(lock_step_eval, golden, system, depth) == expected
+
+
+def align_outcome(run, golden: str, system: str):
+    """(pair counts, aligned tokens, the system error's type and message), or the error raised."""
+    try:
+        pair_counts, aligned, system_error = run(io.StringIO(golden), io.StringIO(system))
+    except DataError as exc:
+        return type(exc), str(exc)
+    return pair_counts, aligned, system_error and (type(system_error), str(system_error))
+
+
+def whole_document_align(golden, system):
+    alignment = align(golden, system)
+    return alignment.pair_counts, len(alignment), alignment.system_error
+
+
+def line_by_line_align(golden, system):
+    pair_counts, system_error = oracle_lock_step_align(golden, system)
+    return pair_counts, pair_counts.total(), system_error
+
+
+@settings(max_examples=500, deadline=None)
+@given(DOCUMENTS, FAULTS, st.data())
+def test_align_matches_the_line_by_line_align(documents, fault, data):
+    golden, system = faulty_pair(documents, fault, data)
+    expected = align_outcome(line_by_line_align, golden, system)
+    assert align_outcome(whole_document_align, golden, system) == expected
 
 
 def parse_outcome(parse, text: str):
@@ -289,6 +325,39 @@ def test_parse_conll_matches_the_builder_parse(documents, fault, data):
         lines.insert(0, "stray\tO\n")
     text = "".join(lines)
     assert parse_outcome(parse_conll, text) == parse_outcome(oracle_parse_conll, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.lists(st.integers(0, 10**5), max_size=12))
+def test_emitted_corpora_read_back_whole(rng, recurring, cut_points):
+    corpus = recurring_surface_corpus(rng) if recurring else random_corpus(rng)
+    text = corpus_to_text(corpus)
+    points = sorted(point % (len(text) + 1) for point in cut_points)
+    pieces = [text[i:j] for i, j in zip([0, *points], [*points, len(text)])]
+    lines = text.splitlines(keepends=True)
+    rows = [
+        (doc_id, [list(zip(sentence.texts, sentence.tags)) for sentence in sentences])
+        for doc_id, sentences in oracle_read_conll_by_lines(lines)
+    ]
+    for source in (lines, pieces):
+        reparsed = parse_conll(source)
+        assert [
+            (doc_id, [[(token.text, str(tag)) for token, tag in s.tokens] for s in sentences])
+            for doc_id, sentences in reparsed.documents
+        ] == rows
+        assert corpus_to_text(reparsed) == text
+
+    def refuse(*args):
+        raise AssertionError("a clean document was walked token by token")
+
+    # the set operations alone find a corpus clean
+    with mock.patch.object(annotator, "_sentence_violations", refuse):
+        alignment = align(lines, pieces)
+    tags = [tag for _, sentences in rows for sentence in sentences for _, tag in sentence]
+    assert alignment.pair_counts == Counter((tag, tag) for tag in tags)
+    assert alignment.system_error is None
+    assert (alignment.documents, alignment.sentences) == (len(rows), sum(len(s) for _, s in rows))
+    assert per_tag_metrics(alignment.pair_counts).macro[2] == 100.0
 
 
 class TestStrictCheckPrecedence:
