@@ -171,8 +171,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config.endpoint = linker.endpoint_from_environment(config.endpoint)
     if config.collapse_depth is not None and config.collapse_depth < 1:
         raise UsageError("collapse depth must be >= 1")
-    if config.batch_size < 1 or config.concurrency < 1:
-        raise UsageError("batch_size and concurrency must be >= 1")
+    if config.batch_size < 1 or config.concurrency < 1 or config.retries < 1:
+        raise UsageError("batch_size, concurrency and retries must be >= 1")
+    if not (0 < config.timeout < float("inf") and 0 <= config.rate_limit < float("inf")):  # NaN fails both
+        raise UsageError("timeout must be finite and > 0, and rate_limit finite and >= 0")
     return config
 
 
@@ -418,7 +420,7 @@ def _load_corpus(path: Path) -> annotator.AnnotatedCorpus:
 
 def cmd_stats(
     config: RunConfig, manifest: Manifest, corpus: annotator.AnnotatedCorpus | None = None
-) -> stats.CorpusStats:
+) -> None:
     if corpus is None:
         corpus_path = _corpus_path(config)
     with manifest.stage("stats") as counters:
@@ -435,12 +437,11 @@ def cmd_stats(
         ):
             with atomic_output(config.out / name) as fh:
                 fh.write(text)
-    return report
 
 
 def cmd_enrich(
     config: RunConfig, manifest: Manifest, corpus: annotator.AnnotatedCorpus | None = None
-) -> dict[int, annotator.AnnotatedCorpus]:
+) -> None:
     if not config.experiments:
         raise UsageError("no experiments selected (use --experiments, e.g. 1,4,6)")
     if corpus is None:
@@ -459,11 +460,11 @@ def cmd_enrich(
         for base, dictionary in dictionaries.items():
             counters[f"{base}_dictionary_size"] += len(dictionary.entries)
             enrich.save_dictionary(dictionary, config.out / f"dictionary_{base}.tsv")
-        for experiment_id, enriched in results.items():
+        for experiment_id, enriched in results:
             counters[f"exp{experiment_id}_entities"] += stats.compute_stats(stats.tag_counts(enriched)).entity_count
             with atomic_output(config.out / f"corpus_exp{experiment_id}.conll") as fh:
                 annotator.emit_conll(enriched, fh)
-    return results
+            del enriched  # written, so the next result is computed without it
 
 
 def cmd_eval(
@@ -472,7 +473,7 @@ def cmd_eval(
     golden: Path,
     system: Path,
     include_o: bool = False,
-) -> evaluation.EvalReport:
+) -> None:
     for path in (golden, system):
         if not path.is_file():
             raise UsageError(f"file not found: {path}")
@@ -500,7 +501,6 @@ def cmd_eval(
             with atomic_output(config.out / name) as fh:
                 fh.write(content)
         sys.stdout.write(text)
-    return report
 
 
 def cmd_pipeline(config: RunConfig, manifest: Manifest) -> None:

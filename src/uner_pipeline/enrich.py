@@ -4,10 +4,10 @@ Builds annotation dictionaries out of an annotated corpus (global, global
 multi-token, knowledge-graph-filtered) and applies them to retag runs of
 O tokens, plus per-document local lookup propagation. Seven experiment
 wirings combine these strategies. EXPERIMENTS is the one table of what each
-experiment needs; run_experiments reads it and computes each base
-dictionary, each knowledge-graph filter and the local pass once per run,
-however many experiments share them. Existing non-O tags are never
-overwritten.
+experiment needs; run_experiments reads it. One corpus walk builds global,
+whose multi-token entries are global_multi; each kg filter and the local
+pass run once, and the result corpora are handed out one at a time.
+Existing non-O tags are never overwritten.
 
 A dictionary is applied in (application rank, position) order over the runs
 that are still all O: surfaces longest first, each scanned left to right.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .annotator import AnnotatedCorpus, AnnotatedSentence, IobTag
 from .atomic import atomic_output
@@ -81,25 +81,20 @@ def application_order(surfaces) -> list[str]:
     return sorted(surfaces, key=lambda s: (-len(s), -surface_token_count(s), s))
 
 
-def build_global_dictionary(
-    corpus: AnnotatedCorpus, multi_token_only: bool = False
-) -> Dictionary:
+def build_global_dictionary(corpus: AnnotatedCorpus) -> Dictionary:
     """Modal label per distinct entity surface, ties to the smallest label string.
 
     Surfaces shorter than three characters or with no alphabetic character are
-    excluded; with ``multi_token_only`` single-token surfaces are dropped too.
+    excluded.
     """
     occurrences: dict[str, Counter[str]] = {}
     for _, surface, label in iter_entities(corpus):
         occurrences.setdefault(surface, Counter())[label] += 1
     entries: dict[str, str] = {}
     for surface, counts in occurrences.items():
-        if not surface_is_admissible(surface):
-            continue
-        if multi_token_only and surface_token_count(surface) < 2:
-            continue
-        entries[surface] = min(counts, key=lambda label: (-counts[label], label))
-    return Dictionary(entries, "global_multi" if multi_token_only else "global")
+        if surface_is_admissible(surface):
+            entries[surface] = min(counts, key=lambda label: (-counts[label], label))
+    return Dictionary(entries, "global")
 
 
 def save_dictionary(dictionary: Dictionary, path) -> None:
@@ -253,27 +248,30 @@ def run_experiments(
     kg_map: dict[str, str] | None = None,
     equivalences: EquivalenceMap | None = None,
     counters: Counter | None = None,
-) -> tuple[dict[str, Dictionary], dict[int, AnnotatedCorpus]]:
+) -> tuple[dict[str, Dictionary], Iterator[tuple[int, AnnotatedCorpus]]]:
     """Run the selected experiments as EXPERIMENTS wires them.
 
-    Each base dictionary is built once, each knowledge-graph filter runs once
-    per base and the local pass runs once, whatever number of experiments
-    share them. Every experiment that uses a filter reports its counters in
-    ``counters`` as ``exp<N>_<name>``. Returns the base dictionaries by base
-    (global first) and the result corpora by experiment id, in the given order.
+    One walk over the corpus builds the global dictionary; global_multi is
+    its entries of two or more tokens. Each knowledge-graph filter runs once
+    per base and the local pass once, however many experiments share them.
+    Every experiment that uses a filter reports its counters in ``counters``
+    as ``exp<N>_<name>``. Returns the base dictionaries the experiments need
+    (global first) and an iterator of (experiment id, result corpus) in the
+    given order. It computes each result when asked, so a caller that drops
+    one result before it asks for the next holds one at a time.
     """
     specs = {experiment_id: EXPERIMENTS[experiment_id] for experiment_id in experiment_ids}
-    dictionaries = {
-        base: build_global_dictionary(corpus, multi_token_only=base == "global_multi")
-        for base in sorted({spec.dictionary for spec in specs.values()} - {None})
-    }
+    bases = sorted({spec.dictionary for spec in specs.values()} - {None})
+    whole = build_global_dictionary(corpus) if bases else Dictionary()
+    multi = {surface: label for surface, label in whole.entries.items() if surface_token_count(surface) > 1}
+    dictionaries = {base: whole if base == "global" else Dictionary(multi, base) for base in bases}
     filtered: dict[str, tuple[Dictionary, Counter]] = {}  # base -> its kg-filtered dictionary, counters
     for base in sorted({spec.dictionary for spec in specs.values() if spec.kg_filter}):
         filter_counters: Counter = Counter()
         dictionary = filter_by_kg(dictionaries[base], kg_map, equivalences, filter_counters)
         filtered[base] = (dictionary, filter_counters)
     local = apply_local_dictionaries(corpus) if any(spec.local_first for spec in specs.values()) else None
-    results: dict[int, AnnotatedCorpus] = {}
+    applied: dict[int, tuple[AnnotatedCorpus, Dictionary | None]] = {}  # id -> start corpus, its dictionary
     for experiment_id, (local_first, base, kg_filter) in specs.items():
         dictionary = dictionaries.get(base)
         if kg_filter:
@@ -281,6 +279,8 @@ def run_experiments(
             if counters is not None:
                 for name, count in filter_counters.items():
                     counters[f"exp{experiment_id}_{name}"] += count
-        start = local if local_first else corpus
-        results[experiment_id] = start if dictionary is None else apply_dictionary(start, dictionary)
-    return dictionaries, results
+        applied[experiment_id] = (local if local_first else corpus, dictionary)
+    return dictionaries, (
+        (experiment_id, start if dictionary is None else apply_dictionary(start, dictionary))
+        for experiment_id, (start, dictionary) in applied.items()
+    )

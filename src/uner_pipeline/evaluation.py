@@ -162,19 +162,19 @@ def per_tag_metrics(
     """Precision/recall/F1 per tag (percent), macro over non-all-zero tags.
 
     ``pair_counts`` maps each (golden tag, system tag) pair to its token
-    count, as ``align`` returns it; each distinct pair is collapsed and
-    counted once. O is scored in the per-tag table when present but never
-    enters the macro. Values are kept at full precision; rounding happens
-    only at rendering.
+    count, as ``align`` returns it; each distinct tag is collapsed once and
+    each distinct pair counted once. O is scored in the per-tag table when
+    present but never enters the macro. Values are kept at full precision;
+    rounding happens only at rendering.
     """
     if not pair_counts:
         raise DataError("nothing to score: empty pair counts")
     true_positive: Counter[str] = Counter()
     false_positive: Counter[str] = Counter()
     false_negative: Counter[str] = Counter()
+    collapsed = {tag: collapse_tag(tag, collapse_depth) for tag in set(chain.from_iterable(pair_counts))}
     for (gold, system), count in pair_counts.items():
-        if collapse_depth is not None:
-            gold, system = collapse_tag(gold, collapse_depth), collapse_tag(system, collapse_depth)
+        gold, system = collapsed[gold], collapsed[system]
         if gold == system:
             true_positive[gold] += count
         else:

@@ -32,7 +32,6 @@ from uner_pipeline.enrich import (
     application_order,
     apply_dictionary,
     apply_local_dictionaries,
-    build_global_dictionary,
     filter_by_kg,
     surface_is_admissible,
     surface_token_count,
@@ -42,7 +41,7 @@ from uner_pipeline.evaluation import EvalReport, TagMetrics, collapse_tag
 from uner_pipeline.ingest import Document
 from uner_pipeline.linker import DEFAULT_RESOURCE_BASE, ClassCatalog
 from uner_pipeline.mapping import EquivalenceMap, iter_tsv, parse_uner_label
-from uner_pipeline.stats import COARSE_CLASSES, CorpusStats, coarse_class, list_entities
+from uner_pipeline.stats import COARSE_CLASSES, CorpusStats, coarse_class, iter_entities, list_entities
 
 LABEL_POOL = [
     "Name-Person-Name",
@@ -960,6 +959,33 @@ def oracle_run_experiment(
     return corpus if dictionary is None else apply_dictionary(corpus, dictionary)
 
 
+# ``enrich.build_global_dictionary`` as it was before ``run_experiments`` took
+# global_multi from the global dictionary's multi-token entries: one corpus
+# walk per base. Kept verbatim as a differential oracle; only the function
+# name gained its prefix.
+
+
+def oracle_build_global_dictionary(
+    corpus: AnnotatedCorpus, multi_token_only: bool = False
+) -> Dictionary:
+    """Modal label per distinct entity surface, ties to the smallest label string.
+
+    Surfaces shorter than three characters or with no alphabetic character are
+    excluded; with ``multi_token_only`` single-token surfaces are dropped too.
+    """
+    occurrences: dict[str, Counter[str]] = {}
+    for _, surface, label in iter_entities(corpus):
+        occurrences.setdefault(surface, Counter())[label] += 1
+    entries: dict[str, str] = {}
+    for surface, counts in occurrences.items():
+        if not surface_is_admissible(surface):
+            continue
+        if multi_token_only and surface_token_count(surface) < 2:
+            continue
+        entries[surface] = min(counts, key=lambda label: (-counts[label], label))
+    return Dictionary(entries, "global_multi" if multi_token_only else "global")
+
+
 def oracle_run_experiments(
     corpus: AnnotatedCorpus,
     experiment_ids,
@@ -969,8 +995,8 @@ def oracle_run_experiments(
     """What the enrich stage made of ``oracle_run_experiment``: the result
     corpora by id, and each experiment's counters prefixed ``exp<N>_``."""
     resources = ExperimentResources(
-        global_dictionary=build_global_dictionary(corpus),
-        global_multi_dictionary=build_global_dictionary(corpus, multi_token_only=True),
+        global_dictionary=oracle_build_global_dictionary(corpus),
+        global_multi_dictionary=oracle_build_global_dictionary(corpus, multi_token_only=True),
         kg_map=kg_map,
         equivalences=equivalences,
     )

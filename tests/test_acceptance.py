@@ -218,7 +218,7 @@ def test_criterion_7_enrichment_laws():
         kg_map = {s: rng.choice(kg_classes) for s in list(global_dictionary.entries)[::2]}
         base_positions = non_o_positions(corpus)
         base_entities = compute_stats(tag_counts(corpus)).entity_count
-        _, results = run_experiments(corpus, range(1, 8), kg_map, equivalences)
+        results = dict(run_experiments(corpus, range(1, 8), kg_map, equivalences)[1])
         assert list(results) == list(range(1, 8))
         for experiment_id, result in results.items():
             assert base_positions <= non_o_positions(result), f"exp {experiment_id} overwrote"
@@ -261,8 +261,9 @@ def test_criterion_8_dictionary_filters():
             sentences.append(tokens)
         rows.append(("d", sentences))
         corpus = corpus_from_rows(rows)
+        dictionaries, _ = run_experiments(corpus, [1, 2])  # the two dictionaries enrich saves
         for multi in (False, True):
-            dictionary = build_global_dictionary(corpus, multi_token_only=multi)
+            dictionary = dictionaries["global_multi" if multi else "global"]
             checked_dictionaries += 1
             for surface in dictionary.entries:
                 if len(surface) < 3 or not any(ch.isalpha() for ch in surface):

@@ -84,6 +84,17 @@ class TestPipeline:
             "exp6_kg_entries_dropped": 1, "exp7_kg_entries_dropped": 1,
         }
 
+    def test_one_experiment_writes_its_own_dictionary_and_corpus_only(self, tmp_path):
+        # experiment 2 applies global_multi alone, so no dictionary_global.tsv is saved
+        out = tmp_path / "out"
+        argv = ["enrich", "--input", str(SEVEN_WAY / "corpus.conll"), "--out", str(out), "--experiments", "2"]
+        assert cli.main(argv) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "corpus_exp2.conll", "dictionary_global_multi.tsv", "manifest.json"
+        ]
+        for name in ("corpus_exp2.conll", "dictionary_global_multi.tsv"):
+            assert (out / name).read_bytes() == (SEVEN_WAY / "expected" / name).read_bytes(), name
+
     def test_staged_run_through_enrich_writes_the_same_bytes_as_pipeline(self, tmp_path):
         # enrich reads the in-memory corpus in a pipeline and corpus.conll when staged
         piped, staged = tmp_path / "piped", tmp_path / "staged"
@@ -280,6 +291,27 @@ class TestExitCodes:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--timeout", "0"),
+            ("--timeout", "-1"),
+            ("--timeout", "nan"),
+            ("--timeout", "inf"),
+            ("--retries", "0"),
+            ("--retries", "-2"),
+            ("--rate-limit", "-1"),
+            ("--rate-limit", "nan"),
+            ("--rate-limit", "inf"),
+        ],
+    )
+    def test_bad_network_setting_is_1(self, tmp_path, capsys, flag, value):
+        # checked before any stage runs, also in an offline run that sends no request
+        out = tmp_path / "out"
+        assert run_pipeline(out, f"{flag}={value}") == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_failed_run_writes_partial_manifest(self, tmp_path):
         bad_cache = tmp_path / "bad.tsv"
@@ -852,8 +884,9 @@ ACCEPTED_VALUES = [
     ("batch_size", "7", 7),
     ("batch_size", "", 50),
     ("timeout", "2.5", 2.5),
-    ("retries", "0", 0),
+    ("retries", "5", 5),
     ("rate_limit", "0.5", 0.5),
+    ("rate_limit", "0", 0.0),  # no limit
     ("concurrency", "8", 8),
     ("experiments", "3,1", [3, 1]),
     ("experiments", "", []),

@@ -1,5 +1,8 @@
+import itertools
 import random
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +15,12 @@ from helpers import (
     load_dictionary,
     oracle_apply_dictionary,
     oracle_apply_local_dictionaries,
+    oracle_build_global_dictionary,
     oracle_run_experiments,
     random_corpus,
     recurring_surface_corpus,
 )
+from uner_pipeline import cli
 from uner_pipeline.annotator import AnnotatedCorpus, parse_conll
 from uner_pipeline.enrich import (
     EXPERIMENTS,
@@ -105,7 +110,8 @@ class TestBuildGlobalDictionary:
                 ],
             )
         ]
-        dictionary = build_global_dictionary(corpus_from_rows(rows), multi_token_only=True)
+        dictionaries, _ = run_experiments(corpus_from_rows(rows), [2])
+        dictionary = dictionaries["global_multi"]
         assert list(dictionary.entries) == ["New York"]
         assert dictionary.provenance == "global_multi"
 
@@ -367,7 +373,7 @@ class TestRunExperiment:
         self.equivalences = load_equivalence_map(default_equivalence_path())
 
     def results(self, *experiment_ids):
-        return run_experiments(self.corpus, experiment_ids, self.kg_map, self.equivalences)[1]
+        return dict(run_experiments(self.corpus, experiment_ids, self.kg_map, self.equivalences)[1])
 
     def test_experiment_1_fills_from_global(self):
         result = self.results(1)[1]
@@ -411,7 +417,7 @@ class TestRunExperiment:
 
     def test_experiment_1_on_fully_tagged_corpus_is_identity(self):
         corpus = corpus_from_rows([("d", [[("Paris", "B-Name-Location-GPE-City")]])])
-        assert run_experiments(corpus, [1])[1][1] == corpus
+        assert dict(run_experiments(corpus, [1])[1])[1] == corpus
 
 
 def non_o_positions(corpus: AnnotatedCorpus) -> set[tuple[int, int, int, str]]:
@@ -436,7 +442,7 @@ def test_experiment_laws_on_random_corpora():
         kg = {surface: rng.choice(kg_classes) for surface in list(global_dictionary.entries)[::2]}
         base_positions = non_o_positions(corpus)
         base_entities = compute_stats(tag_counts(corpus)).entity_count
-        _, results = run_experiments(corpus, range(1, 8), kg, equivalences)
+        results = dict(run_experiments(corpus, range(1, 8), kg, equivalences)[1])
         assert list(results) == list(range(1, 8))
         for experiment_id, result in results.items():
             # no-overwrite: original non-O tags survive unchanged
@@ -460,14 +466,19 @@ def _check_against_oracle(corpus, experiment_ids, kg_map, equivalences):
     counters = Counter()
     dictionaries, results = run_experiments(corpus, experiment_ids, kg_map, equivalences, counters)
     expected, expected_counters = oracle_run_experiments(corpus, experiment_ids, kg_map, equivalences)
+    assert counters == expected_counters  # complete before any result is computed
+    results = dict(results)
     assert list(results) == list(expected) == list(experiment_ids)
     for experiment_id, result in results.items():
         assert corpus_to_text(result) == corpus_to_text(expected[experiment_id]), experiment_id
     assert counters == expected_counters
     bases = sorted({EXPERIMENTS[e].dictionary for e in experiment_ids} - {None})
-    assert dictionaries == {
-        base: build_global_dictionary(corpus, multi_token_only=base == "global_multi") for base in bases
+    oracle_dictionaries = {
+        base: oracle_build_global_dictionary(corpus, multi_token_only=base == "global_multi") for base in bases
     }
+    assert dictionaries == oracle_dictionaries
+    for base, dictionary in dictionaries.items():  # the same entries in the same order
+        assert list(dictionary.entries.items()) == list(oracle_dictionaries[base].entries.items())
     assert corpus_to_text(corpus) == before
 
 
@@ -480,6 +491,67 @@ def test_run_experiments_matches_oracle_on_random_corpora():
         kg = {surface: rng.choice(kg_classes) for surface in rng.sample(surfaces, len(surfaces) // 2)}
         experiment_ids = rng.sample(range(1, 8), rng.randint(1, 7))
         _check_against_oracle(corpus, experiment_ids, kg, EQUIVALENCES)
+
+
+def _run_texts(corpus, experiment_ids, kg_map):
+    """run_experiments' dictionaries, its result corpora as text by id, and its counters."""
+    counters = Counter()
+    dictionaries, results = run_experiments(corpus, experiment_ids, kg_map, EQUIVALENCES, counters)
+    return dictionaries, {experiment_id: corpus_to_text(result) for experiment_id, result in results}, counters
+
+
+def test_every_experiment_subset_matches_each_experiment_run_alone():
+    with open(FIXTURES / "experiments" / "corpus.conll", encoding="utf-8") as fh:
+        inputs = [(parse_conll(fh), load_kg_map(FIXTURES / "experiments" / "kg_map.tsv"))]
+    rng = random.Random(127)
+    for _ in range(3):
+        corpus = recurring_surface_corpus(rng)
+        surfaces = list(oracle_build_global_dictionary(corpus).entries)
+        inputs.append((corpus, {surface: rng.choice(["dbo:City", "dbo:Person", "owl:Thing"]) for surface in surfaces}))
+    for corpus, kg_map in inputs:
+        alone = {experiment_id: _run_texts(corpus, [experiment_id], kg_map) for experiment_id in EXPERIMENTS}
+        for size in range(1, len(EXPERIMENTS) + 1):
+            for subset in itertools.combinations(EXPERIMENTS, size):
+                dictionaries, texts, counters = _run_texts(corpus, subset, kg_map)
+                expected, expected_counters = oracle_run_experiments(corpus, subset, kg_map, EQUIVALENCES)
+                assert list(texts) == list(subset)
+                for experiment_id in subset:
+                    assert texts[experiment_id] == alone[experiment_id][1][experiment_id], subset
+                    assert texts[experiment_id] == corpus_to_text(expected[experiment_id]), subset
+                assert counters == sum((alone[experiment_id][2] for experiment_id in subset), Counter())
+                assert counters == expected_counters
+                # exactly the bases the subset needs: for experiment 2 alone, no global dictionary to save
+                bases = sorted({EXPERIMENTS[experiment_id].dictionary for experiment_id in subset} - {None})
+                assert list(dictionaries) == bases
+                for base in bases:
+                    oracle = oracle_build_global_dictionary(corpus, multi_token_only=base == "global_multi")
+                    assert list(dictionaries[base].entries.items()) == list(oracle.entries.items())
+                    assert dictionaries[base].provenance == oracle.provenance
+
+
+def enrich_peak_bytes(corpus: AnnotatedCorpus, experiment_ids, out: Path, kg_map: Path) -> int:
+    """Peak traced memory of one enrich stage that runs and writes ``experiment_ids``."""
+    config = cli.RunConfig(out=out, experiments=experiment_ids, kg_map=kg_map)
+    out.mkdir()
+    tracemalloc.start()
+    try:
+        cli.cmd_enrich(config, cli.Manifest(config, "enrich"), corpus)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enrich_holds_one_result_corpus_at_a_time(tmp_path):
+    rng = random.Random(2024)
+    corpus = AnnotatedCorpus(
+        [document for _ in range(400) for document in recurring_surface_corpus(rng).documents]
+    )
+    kg_map = tmp_path / "kg_map.tsv"
+    kg_map.write_text("Paris\tdbo:City\nNew York\tdbo:City\nAnn Lee\tdbo:Person\nRome\towl:Thing\n", encoding="utf-8")
+    alone = enrich_peak_bytes(corpus, (1,), tmp_path / "alone", kg_map)
+    four = enrich_peak_bytes(corpus, (1, 2, 4, 5), tmp_path / "four", kg_map)
+    assert (tmp_path / "four" / "corpus_exp1.conll").read_bytes() == (tmp_path / "alone" / "corpus_exp1.conll").read_bytes()
+    assert four <= 1.2 * alone
 
 
 def test_dictionary_save_load_round_trip(tmp_path):

@@ -489,7 +489,7 @@ class TestPerTagMetrics:
             n = rng.randint(1, 50)
             gold = [rng.choice(tags) for _ in range(n)]
             system = [rng.choice(tags) for _ in range(n)]
-            for depth in (None, 1, 2):
+            for depth in (None, 1, 2, 3, 4):
                 report = per_tag_metrics(pair_counts(gold, system), collapse_depth=depth)
                 per_tag, macro, counted = brute_force_metrics(gold, system, depth)
                 assert set(report.per_tag) == set(per_tag)
@@ -498,6 +498,15 @@ class TestPerTagMetrics:
                     assert (got.precision, got.recall, got.f1, got.support) == expected
                 assert report.macro == macro
                 assert report.counted_tags == counted
+
+    def test_each_distinct_tag_is_collapsed_once(self):
+        tags = ["O"] + [f"{prefix}-{label}" for prefix in "BI" for label in LABEL_POOL]
+        gold = [g for g in tags for _ in tags]
+        system = [s for _ in tags for s in tags]  # every (golden, system) pair once
+        with mock.patch("uner_pipeline.evaluation.collapse_tag", wraps=collapse_tag) as spy:
+            report = per_tag_metrics(pair_counts(gold, system), collapse_depth=2)
+        assert sorted(call.args[0] for call in spy.call_args_list) == sorted(tags)
+        assert "B-Name-Location" in report.per_tag
 
     def test_collapse_monotone_true_positives(self):
         rng = random.Random(5)
