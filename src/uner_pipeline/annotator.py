@@ -11,19 +11,19 @@ letters and digits. Projection tags every token a link span overlaps
 (greedy inclusion), truncates a span at a sentence break, counts what became
 of each span, and finds each span's tokens by bisection, so it runs in
 O((tokens + spans) x log tokens). Only sentences carrying at least one B tag
-survive projection.
+survive projection. Every B or I tag of one label is one shared object.
 
 Reading CoNLL back is split in two. ``read_conll_events`` checks the layout
 and yields each sentence as its first line number and two string lists,
 token texts and tags. ``TagChecker`` applies the tag grammar and the IOB
 rules to those tag strings, parsing each distinct tag once; ``parse_conll``
-runs it to build a strict corpus, and ``evaluation`` runs it over the system
-file without building one. Both work on whole documents: the reader reads a
-file in blocks, cuts it at header lines and splits a document in the layout
-``emit_conll`` writes with a few string operations, going line by line only
-from the first document in any other layout on; the checker tests a
-document with set operations and walks its tokens only when it may break a
-rule.
+runs it to build a strict corpus, and ``stats`` and ``evaluation`` run it
+over the strings without building one. Both work on whole documents: the
+reader reads a file in blocks, cuts it at header lines and splits a document
+in the layout ``emit_conll`` writes with a few string operations, going line
+by line only from the first document in any other layout on; the checker
+tests a document with set operations and walks its tokens only when it may
+break a rule.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ _BREAK_CANDIDATE = re.compile(r"[.!?](?=\s+(\S))|\n(?=[^\S\n]*\n)")
 DOC_HEADER_PREFIX = "# doc_id = "
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """Non-empty text chunk at [start, end) in the document text."""
 
     text: str
@@ -79,6 +78,16 @@ class IobTag:
 
 
 O_TAG = IobTag("O")
+
+# label -> its B and I tag; frozen and equal for equal labels, so any caller may share them
+_LABEL_TAGS: dict[str, tuple[IobTag, IobTag]] = {}
+
+
+def label_tags(label: str) -> tuple[IobTag, IobTag]:
+    """The one B tag and the one I tag of ``label``, shared by every token they tag."""
+    if label not in _LABEL_TAGS:
+        _LABEL_TAGS[label] = (IobTag("B", label), IobTag("I", label))
+    return _LABEL_TAGS[label]
 
 
 def parse_iob_tag(s: str) -> IobTag:
@@ -196,6 +205,7 @@ def project_annotations(
     # non-decreasing; len(sentences) marks a token after the last sentence
     sentence_of_token = [bisect_right(sentence_ends, start) for start in starts]
     tags: list[IobTag] = [O_TAG] * len(tokens)
+    b_sentences: set[int] = set()  # the sentences given a B tag
 
     for span in doc.links:
         label = labels.get(span.target)
@@ -216,16 +226,18 @@ def project_annotations(
             counters["spans_shadowed"] += 1
             continue
         counters["spans_projected"] += 1
-        tags[untagged[0]] = IobTag("B", label)
+        b_tag, i_tag = label_tags(label)
+        tags[untagged[0]] = b_tag
+        b_sentences.add(sentence_of_token[lo])
         for i in untagged[1:]:
-            tags[i] = IobTag("I", label)
+            tags[i] = i_tag
 
     result: list[AnnotatedSentence] = []
     lo = 0
     while lo < len(tokens) and sentence_of_token[lo] < len(sentences):
         hi = bisect_right(sentence_of_token, sentence_of_token[lo], lo)
         counters["sentences_total"] += 1
-        if any(tag.prefix == "B" for tag in tags[lo:hi]):
+        if sentence_of_token[lo] in b_sentences:
             counters["sentences_kept"] += 1
             result.append(AnnotatedSentence(list(zip(tokens[lo:hi], tags[lo:hi]))))
         else:
@@ -264,22 +276,12 @@ def _sentence_violations(doc_id: str, s_idx: int, texts: list[str], tags: list[s
         yield f"doc {doc_id} sentence {s_idx}: no B tag"
 
 
-def validate_iob(corpus: AnnotatedCorpus) -> list[str]:
-    """Return IOB well-formedness violations, one message per offense."""
-    violations: list[str] = []
-    for doc_id, sentences in corpus.documents:
-        for s_idx, sentence in enumerate(sentences):
-            texts = [token.text for token, _ in sentence.tokens]
-            tags = [str(tag) for _, tag in sentence.tokens]
-            violations.extend(_sentence_violations(doc_id, s_idx, texts, tags))
-    return violations
-
-
 def emit_conll(corpus: AnnotatedCorpus, writer: IO[str]) -> None:
     """Write the corpus in CoNLL layout.
 
     Per document: a ``# doc_id = <id>`` header, one ``token<TAB>tag`` line per
-    token, and a blank line after every sentence. Each document is one write.
+    token, and a blank line after every sentence. Each document is one write;
+    annotate calls this once per document, with a corpus of that one.
     """
     for doc_id, sentences in corpus.documents:
         lines = [f"{DOC_HEADER_PREFIX}{doc_id}\n"]
@@ -460,9 +462,9 @@ class TagChecker:
 
     Each distinct tag string is parsed once; ``tags`` maps it to its IobTag.
     The first tag that does not parse, in file order, is the error, and
-    ``check`` raises it. Otherwise the IOB rules of ``validate_iob`` are
-    applied to the tag strings, and the first five violations are kept for
-    ``iob_error``, which reports them once the whole file has been checked.
+    ``check`` raises it. Otherwise the IOB rules (a B tag in each sentence, an
+    I tag only after a B or I tag of its label) are applied, and the first
+    five violations are kept for ``iob_error``, which reports them at the end.
 
     A document is checked as a whole, with set operations: its distinct tags
     are known, each sentence holds a B tag and opens with no I tag, and each
@@ -531,10 +533,10 @@ def parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
     """Parse a CoNLL stream into a corpus, enforcing all invariants.
 
     Layout errors come from ``read_conll_events``; tags and IOB rules are
-    checked by ``TagChecker``, which ``evaluation.align`` also runs over the
-    system file. Token offsets are synthesized canonically: tokens joined by
-    single spaces, sentences by single newlines, per document starting at
-    zero. Every token with the same tag string shares one frozen IobTag.
+    checked by ``TagChecker``, which ``stats`` and ``evaluation`` also run
+    over the strings. Token offsets are synthesized canonically: tokens
+    joined by single spaces, sentences by single newlines, per document
+    starting at zero. Every token with the same tag string shares one IobTag.
     """
     checker = TagChecker()
     corpus = AnnotatedCorpus()

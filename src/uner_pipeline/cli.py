@@ -6,10 +6,11 @@ UNER_SPARQL_ENDPOINT environment variable overrides the endpoint. Every
 RunConfig field is both a config key and a flag (batch_size is --batch-size).
 All output files are written atomically (temp file + rename) and every run
 emits a manifest with per-stage counters and wall times; a stage's wall time
-covers reading its inputs, the work and writing its outputs. The pipeline
-itself is free of randomness: documents are processed in input order, and
---concurrency only bounds in-flight SPARQL requests, so identical inputs
-produce byte-identical corpora at any concurrency level.
+covers reading its inputs, the work and writing its outputs; a pipeline
+runs the stages in turn, each reading the files the one before wrote. The
+pipeline itself is free of randomness: documents are processed in input
+order, and --concurrency only bounds in-flight SPARQL requests, so
+identical inputs produce byte-identical corpora at any concurrency level.
 
 Exit codes: 0 success, 1 usage/configuration, 2 data error (including input
 that is not valid UTF-8), 3 network exhaustion.
@@ -171,10 +172,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config.endpoint = linker.endpoint_from_environment(config.endpoint)
     if config.collapse_depth is not None and config.collapse_depth < 1:
         raise UsageError("collapse depth must be >= 1")
-    if config.batch_size < 1 or config.concurrency < 1 or config.retries < 1:
-        raise UsageError("batch_size, concurrency and retries must be >= 1")
-    if not (0 < config.timeout < float("inf") and 0 <= config.rate_limit < float("inf")):  # NaN fails both
-        raise UsageError("timeout must be finite and > 0, and rate_limit finite and >= 0")
+    try:  # an offline run builds no client, so they are checked here too
+        linker.check_settings(**_client_settings(config))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return config
 
 
@@ -303,18 +304,15 @@ def cmd_extract(config: RunConfig, manifest: Manifest) -> None:
             fh.writelines(target + "\n" for target in targets)
 
 
+def _client_settings(config: RunConfig) -> dict:  # what linker.check_settings checks
+    names = ("timeout", "retries", "batch_size", "rate_limit", "concurrency")
+    return {name: getattr(config, name) for name in names}
+
+
 def _make_client(config: RunConfig) -> linker.SparqlClient | None:
     if config.offline or not config.endpoint:
         return None
-    return linker.SparqlClient(
-        config.endpoint,
-        resource_base=config.resource_base,
-        timeout=config.timeout,
-        retries=config.retries,
-        batch_size=config.batch_size,
-        rate_limit=config.rate_limit,
-        concurrency=config.concurrency,
-    )
+    return linker.SparqlClient(config.endpoint, resource_base=config.resource_base, **_client_settings(config))
 
 
 def cmd_link(config: RunConfig, manifest: Manifest, targets_path: Path) -> None:
@@ -358,29 +356,22 @@ def build_label_map(
     return labels
 
 
-def cmd_annotate(
-    config: RunConfig, manifest: Manifest, documents_path: Path, catalog_path: Path
-) -> annotator.AnnotatedCorpus:
+def cmd_annotate(config: RunConfig, manifest: Manifest, documents_path: Path, catalog_path: Path) -> None:
     with manifest.stage("annotate") as counters:
         catalog = linker.load_catalog(catalog_path)
         equivalences, priorities = mapping.load_mapping_tables(config.equivalence, config.priority)
         labels = build_label_map(catalog, equivalences, priorities, counters)
-        corpus = annotator.AnnotatedCorpus()
-        with open(documents_path, encoding="utf-8") as fh:
+        counters.update(documents_kept=0, tokens=0)
+        with open(documents_path, encoding="utf-8") as fh, atomic_output(config.out / "corpus.conll") as out:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 doc = _document_from_json(line, line_no)
                 sentences = annotator.annotate_document(doc, labels, counters)
-                if sentences:
-                    corpus.documents.append((doc.doc_id, sentences))
-        counters["documents_kept"] += len(corpus.documents)
-        counters["tokens"] += sum(
-            len(sentence.tokens) for _, sentences in corpus.documents for sentence in sentences
-        )
-        with atomic_output(config.out / "corpus.conll") as fh:
-            annotator.emit_conll(corpus, fh)
-    return corpus
+                if sentences:  # written at once, so annotate holds one document
+                    counters["documents_kept"] += 1
+                    counters["tokens"] += sum(len(sentence.tokens) for sentence in sentences)
+                    annotator.emit_conll(annotator.AnnotatedCorpus([(doc.doc_id, sentences)]), out)
 
 
 def _targets_path(config: RunConfig) -> Path:
@@ -405,29 +396,12 @@ def _annotate_paths(config: RunConfig) -> tuple[Path, Path]:
     return documents_path, catalog_path
 
 
-def _corpus_path(config: RunConfig) -> Path:
-    """The corpus a standalone stats or enrich run reads."""
-    path = config.input if config.input else config.out / "corpus.conll"
-    if not path.is_file():
-        raise UsageError(f"corpus file not found: {path}")
-    return path
-
-
-def _load_corpus(path: Path) -> annotator.AnnotatedCorpus:
-    with open(path, encoding="utf-8") as fh:
-        return annotator.parse_conll(fh)
-
-
-def cmd_stats(
-    config: RunConfig, manifest: Manifest, corpus: annotator.AnnotatedCorpus | None = None
-) -> None:
-    if corpus is None:
-        corpus_path = _corpus_path(config)
+def cmd_stats(config: RunConfig, manifest: Manifest, corpus_path: Path) -> None:
+    if not corpus_path.is_file():
+        raise UsageError(f"corpus file not found: {corpus_path}")
     with manifest.stage("stats") as counters:
-        if corpus is None:
-            corpus = _load_corpus(corpus_path)
-        entities = stats.list_entities(corpus)
-        report = stats.compute_stats(stats.tag_counts(corpus), entities)
+        with open(corpus_path, encoding="utf-8") as fh:
+            report, entities = stats.read_stats(fh)
         counters["total_tokens"] += report.total_tokens
         counters["entities"] += report.entity_count
         for name, text in (
@@ -439,16 +413,14 @@ def cmd_stats(
                 fh.write(text)
 
 
-def cmd_enrich(
-    config: RunConfig, manifest: Manifest, corpus: annotator.AnnotatedCorpus | None = None
-) -> None:
+def cmd_enrich(config: RunConfig, manifest: Manifest, corpus_path: Path) -> None:
     if not config.experiments:
         raise UsageError("no experiments selected (use --experiments, e.g. 1,4,6)")
-    if corpus is None:
-        corpus_path = _corpus_path(config)
+    if not corpus_path.is_file():
+        raise UsageError(f"corpus file not found: {corpus_path}")
     with manifest.stage("enrich") as counters:
-        if corpus is None:
-            corpus = _load_corpus(corpus_path)
+        with open(corpus_path, encoding="utf-8") as fh:
+            corpus = annotator.parse_conll(fh)
         kg_map = equivalences = None
         if any(enrich.EXPERIMENTS[e].kg_filter for e in config.experiments):
             kg_map = enrich.load_kg_map(config.kg_map)
@@ -461,7 +433,8 @@ def cmd_enrich(
             counters[f"{base}_dictionary_size"] += len(dictionary.entries)
             enrich.save_dictionary(dictionary, config.out / f"dictionary_{base}.tsv")
         for experiment_id, enriched in results:
-            counters[f"exp{experiment_id}_entities"] += stats.compute_stats(stats.tag_counts(enriched)).entity_count
+            tags = (tag for _, doc in enriched.documents for s in doc for _, tag in s.tokens)
+            counters[f"exp{experiment_id}_entities"] += sum(tag.prefix == "B" for tag in tags)
             with atomic_output(config.out / f"corpus_exp{experiment_id}.conll") as fh:
                 annotator.emit_conll(enriched, fh)
             del enriched  # written, so the next result is computed without it
@@ -504,13 +477,13 @@ def cmd_eval(
 
 
 def cmd_pipeline(config: RunConfig, manifest: Manifest) -> None:
-    """The staged extract, link and annotate over ``--out``, then stats and enrich on the corpus."""
+    """The staged extract, link, annotate, stats and enrich, each reading the files before it in ``--out``."""
     cmd_extract(config, manifest)
     cmd_link(config, manifest, config.out / "targets.txt")
-    corpus = cmd_annotate(config, manifest, config.out / "documents.jsonl", config.out / "catalog.tsv")
-    cmd_stats(config, manifest, corpus)
+    cmd_annotate(config, manifest, config.out / "documents.jsonl", config.out / "catalog.tsv")
+    cmd_stats(config, manifest, config.out / "corpus.conll")
     if config.experiments:
-        cmd_enrich(config, manifest, corpus)
+        cmd_enrich(config, manifest, config.out / "corpus.conll")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -566,9 +539,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "annotate":
             cmd_annotate(config, manifest, *_annotate_paths(config))
         elif args.command == "stats":
-            cmd_stats(config, manifest)
+            cmd_stats(config, manifest, config.input or config.out / "corpus.conll")
         elif args.command == "enrich":
-            cmd_enrich(config, manifest)
+            cmd_enrich(config, manifest, config.input or config.out / "corpus.conll")
         elif args.command == "eval":
             cmd_eval(config, manifest, Path(args.golden), Path(args.system), args.include_o)
         elif args.command == "pipeline":

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .annotator import AnnotatedCorpus, AnnotatedSentence, IobTag
+from .annotator import AnnotatedCorpus, AnnotatedSentence, label_tags
 from .atomic import atomic_output
 from .errors import DataError
 from .mapping import EquivalenceMap, iter_tsv, map_to_uner
@@ -88,7 +88,9 @@ def build_global_dictionary(corpus: AnnotatedCorpus) -> Dictionary:
     excluded.
     """
     occurrences: dict[str, Counter[str]] = {}
-    for _, surface, label in iter_entities(corpus):
+    sentences = (s.tokens for _, doc in corpus.documents for s in doc)
+    pairs = ([(token.text, str(tag)) for token, tag in tokens] for tokens in sentences)
+    for surface, label in iter_entities(pairs):
         occurrences.setdefault(surface, Counter())[label] += 1
     entries: dict[str, str] = {}
     for surface, counts in occurrences.items():
@@ -159,9 +161,9 @@ def _all_o(sentence: AnnotatedSentence, start: int, length: int) -> bool:
 
 
 def _retag(sentence: AnnotatedSentence, start: int, length: int, label: str) -> None:
-    for offset in range(length):
-        token, _ = sentence.tokens[start + offset]
-        sentence.tokens[start + offset] = (token, IobTag("B" if offset == 0 else "I", label))
+    b_tag, i_tag = label_tags(label)
+    for i in range(start, start + length):
+        sentence.tokens[i] = (sentence.tokens[i][0], b_tag if i == start else i_tag)
 
 
 def apply_dictionary(corpus: AnnotatedCorpus, dictionary: Dictionary) -> AnnotatedCorpus:

@@ -129,6 +129,19 @@ def load_catalog(
     return ClassCatalog({target: classes for target, classes in seen.items() if classes is not None})
 
 
+def check_settings(**settings: float) -> None:
+    """Raise ValueError for a client setting out of its range; NaN is in none."""
+    for name, value in settings.items():
+        if name == "timeout":
+            ok, wanted = 0 < value < float("inf"), "finite and > 0"
+        elif name == "rate_limit":  # 0 is no limit
+            ok, wanted = 0 <= value < float("inf"), "finite and >= 0"
+        else:  # retries, batch_size and concurrency
+            ok, wanted = value >= 1, ">= 1"
+        if not ok:
+            raise ValueError(f"{name} must be {wanted}, got {value!r}")
+
+
 def save_catalog(catalog: ClassCatalog, path: str | Path) -> None:
     """Write the cache atomically, targets sorted, class order preserved."""
     with atomic_output(path) as fh:
@@ -140,12 +153,13 @@ def save_catalog(catalog: ClassCatalog, path: str | Path) -> None:
 class RateLimiter:
     """Spaces request start times at least 1/per_second apart; thread-safe.
 
-    The clock and sleep functions are injectable so tests can drive it with
-    virtual time.
+    ``per_second`` is a ``rate_limit`` (``check_settings``). The clock and
+    sleep functions are injectable so tests can drive it with virtual time.
     """
 
     def __init__(self, per_second: float, clock=time.monotonic, sleep=time.sleep):
-        self._interval = 1.0 / per_second if per_second and per_second > 0 else 0.0
+        check_settings(rate_limit=per_second)
+        self._interval = 1.0 / per_second if per_second else 0.0
         self._clock = clock
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -184,12 +198,14 @@ class SparqlClient:
         sleep=time.sleep,
         clock=time.monotonic,
     ):
+        check_settings(timeout=timeout, retries=retries, batch_size=batch_size, concurrency=concurrency)
+        self._limiter = RateLimiter(rate_limit, clock=clock, sleep=sleep)  # it checks rate_limit
         self.endpoint = endpoint
         self.resource_base = resource_base
         self.timeout = timeout
-        self.retries = max(1, retries)
-        self.batch_size = max(1, batch_size)
-        self.concurrency = max(1, concurrency)
+        self.retries = retries
+        self.batch_size = batch_size
+        self.concurrency = concurrency
         self._backoff = backoff
         if session is None:
             import requests  # ~0.1 s to import, and offline and eval runs never send a request
@@ -197,7 +213,6 @@ class SparqlClient:
             session = requests.Session()
         self._session = session
         self._sleep = sleep
-        self._limiter = RateLimiter(rate_limit, clock=clock, sleep=sleep)
         self._count_lock = threading.Lock()
         self.request_count = 0
 

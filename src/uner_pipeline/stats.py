@@ -3,11 +3,11 @@
 Counts tokens, entity tokens (B/I), entities (B), occurrences per tag, and
 the coarse Person/Location/Organization split: Person is the exact label
 Name-Person-Name, Location and Organization are label-prefix families. A
-label is the string a tag carries after its ``B-``/``I-`` prefix. All
-of these come from a tag histogram (tag string -> token count), which
-``tag_counts`` builds from a corpus and ``evaluation`` builds from the system
-column of its tag pairs, so each distinct tag is looked at once. Only the
-distinct entity count needs the entities themselves (``list_entities``).
+label is the string a tag carries after its ``B-``/``I-`` prefix. All of
+these come from a tag histogram (tag string -> token count), which
+``read_stats`` counts from a CoNLL file of strings, one document at a time,
+and ``evaluation`` from the system column of its tag pairs. Only the distinct
+entity count needs the entities themselves (``list_entities``).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .annotator import AnnotatedCorpus
+from .annotator import TagChecker, read_conll_events
 
 COARSE_CLASSES = ("Person", "Location", "Organization")
 
@@ -50,36 +50,25 @@ def coarse_class(label: str) -> str | None:
     return None
 
 
-def iter_entities(corpus: AnnotatedCorpus):
-    """Yield (doc_id, surface, label) for every B..I entity run."""
-    for doc_id, sentences in corpus.documents:
-        for sentence in sentences:
-            run_tokens: list[str] = []
-            run_label: str | None = None
-            for token, tag in sentence.tokens:
-                if tag.prefix == "B":
-                    if run_tokens:
-                        yield doc_id, " ".join(run_tokens), run_label
-                    run_tokens = [token.text]
-                    run_label = tag.label
-                elif tag.prefix == "I" and run_tokens:
-                    run_tokens.append(token.text)
-                else:
-                    if run_tokens:
-                        yield doc_id, " ".join(run_tokens), run_label
-                    run_tokens, run_label = [], None
-            if run_tokens:
-                yield doc_id, " ".join(run_tokens), run_label
+def iter_entities(sentences: Iterable[Iterable[tuple[str, str]]]) -> Iterator[tuple[str, str]]:
+    """Yield (surface, label) for every B..I run of sentences of (token text, tag string) pairs."""
+    for sentence in sentences:
+        run: list[str] = []  # the token texts of the open run
+        for text, tag in sentence:
+            if run and tag[0] != "I":
+                yield " ".join(run), label
+                run = []
+            if tag[0] == "B":
+                run, label = [text], tag[2:]
+            elif run:  # an I tag that continues the run
+                run.append(text)
+        if run:
+            yield " ".join(run), label
 
 
-def list_entities(corpus: AnnotatedCorpus) -> list[tuple[str, str]]:
+def list_entities(sentences: Iterable[Iterable[tuple[str, str]]]) -> list[tuple[str, str]]:
     """Distinct (surface, label) pairs, sorted by surface then label."""
-    return sorted({(surface, label) for _, surface, label in iter_entities(corpus)})
-
-
-def tag_counts(corpus: AnnotatedCorpus) -> Counter[str]:
-    """How many tokens of the corpus carry each tag string, ``O`` included."""
-    return Counter(str(tag) for _, sentences in corpus.documents for s in sentences for _, tag in s.tokens)
+    return sorted(set(iter_entities(sentences)))
 
 
 def compute_stats(
@@ -113,6 +102,25 @@ def compute_stats(
         stats.distinct_entity_count = len(entities)
     assert stats.total_tokens == stats.non_entity_tokens + stats.entity_tokens
     return stats
+
+
+def read_stats(lines: Iterable[str]) -> tuple[CorpusStats, list[tuple[str, str]]]:
+    """Stats and distinct entities of a CoNLL stream, read as strings and checked as ``parse_conll`` does."""
+    checker = TagChecker()
+    counts: Counter[str] = Counter()
+
+    def sentences() -> Iterator[Iterable[tuple[str, str]]]:
+        for doc_id, document in read_conll_events(lines):
+            checker.check(doc_id, document)
+            for _, texts, tags in document:
+                counts.update(tags)
+                yield zip(texts, tags)
+
+    entities = list_entities(sentences())
+    error = checker.iob_error()
+    if error is not None:
+        raise error
+    return compute_stats(counts, entities), entities
 
 
 def _sorted_tag_counts(stats: CorpusStats) -> list[tuple[str, int]]:

@@ -41,7 +41,7 @@ from uner_pipeline.evaluation import EvalReport, TagMetrics, collapse_tag
 from uner_pipeline.ingest import Document
 from uner_pipeline.linker import DEFAULT_RESOURCE_BASE, ClassCatalog
 from uner_pipeline.mapping import EquivalenceMap, iter_tsv, parse_uner_label
-from uner_pipeline.stats import COARSE_CLASSES, CorpusStats, coarse_class, iter_entities, list_entities
+from uner_pipeline.stats import COARSE_CLASSES, CorpusStats, coarse_class
 
 LABEL_POOL = [
     "Name-Person-Name",
@@ -68,6 +68,18 @@ def corpus_to_text(corpus: AnnotatedCorpus) -> str:
     buffer = io.StringIO()
     emit_conll(corpus, buffer)
     return buffer.getvalue()
+
+
+def string_sentences(corpus: AnnotatedCorpus) -> Iterator[list[tuple[str, str]]]:
+    """Each sentence of a corpus as the (token text, tag string) pairs ``stats.iter_entities`` walks."""
+    for _, sentences in corpus.documents:
+        for sentence in sentences:
+            yield [(token.text, str(tag)) for token, tag in sentence.tokens]
+
+
+def tag_counts(corpus: AnnotatedCorpus) -> Counter[str]:
+    """How many tokens of the corpus carry each tag string, ``O`` included."""
+    return Counter(str(tag) for _, sentences in corpus.documents for s in sentences for _, tag in s.tokens)
 
 
 def random_word(rng: random.Random, min_len: int = 1, max_len: int = 8) -> str:
@@ -415,6 +427,38 @@ def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
     return builder.finish()
 
 
+# ``stats.iter_entities`` and ``stats.list_entities`` as they were before stats
+# read its corpus as strings: a walk over the (Token, IobTag) corpus. Kept
+# verbatim as differential oracles; only the names gained the prefix.
+
+
+def oracle_iter_entities(corpus: AnnotatedCorpus):
+    """Yield (doc_id, surface, label) for every B..I entity run."""
+    for doc_id, sentences in corpus.documents:
+        for sentence in sentences:
+            run_tokens: list[str] = []
+            run_label: str | None = None
+            for token, tag in sentence.tokens:
+                if tag.prefix == "B":
+                    if run_tokens:
+                        yield doc_id, " ".join(run_tokens), run_label
+                    run_tokens = [token.text]
+                    run_label = tag.label
+                elif tag.prefix == "I" and run_tokens:
+                    run_tokens.append(token.text)
+                else:
+                    if run_tokens:
+                        yield doc_id, " ".join(run_tokens), run_label
+                    run_tokens, run_label = [], None
+            if run_tokens:
+                yield doc_id, " ".join(run_tokens), run_label
+
+
+def oracle_list_entities(corpus: AnnotatedCorpus) -> list[tuple[str, str]]:
+    """Distinct (surface, label) pairs, sorted by surface then label."""
+    return sorted({(surface, label) for _, surface, label in oracle_iter_entities(corpus)})
+
+
 def oracle_compute_stats(
     corpus: AnnotatedCorpus, entities: list[tuple[str, str]] | None = None
 ) -> CorpusStats:
@@ -445,7 +489,7 @@ def oracle_compute_stats(
         for name in COARSE_CLASSES
     }
     if entities is None:
-        entities = list_entities(corpus)
+        entities = oracle_list_entities(corpus)
     stats.distinct_entity_count = len(entities)
     assert stats.total_tokens == stats.non_entity_tokens + stats.entity_tokens
     return stats
@@ -962,7 +1006,7 @@ def oracle_run_experiment(
 # ``enrich.build_global_dictionary`` as it was before ``run_experiments`` took
 # global_multi from the global dictionary's multi-token entries: one corpus
 # walk per base. Kept verbatim as a differential oracle; only the function
-# name gained its prefix.
+# name gained its prefix, and it walks with ``oracle_iter_entities``.
 
 
 def oracle_build_global_dictionary(
@@ -974,7 +1018,7 @@ def oracle_build_global_dictionary(
     excluded; with ``multi_token_only`` single-token surfaces are dropped too.
     """
     occurrences: dict[str, Counter[str]] = {}
-    for _, surface, label in iter_entities(corpus):
+    for _, surface, label in oracle_iter_entities(corpus):
         occurrences.setdefault(surface, Counter())[label] += 1
     entries: dict[str, str] = {}
     for surface, counts in occurrences.items():

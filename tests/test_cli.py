@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import random
 import re
 import time
 import tracemalloc
@@ -12,7 +14,7 @@ import pytest
 from conftest import FIXTURES
 from helpers import oracle_load_catalog
 from uner_pipeline import cli, enrich, linker, stats
-from uner_pipeline.annotator import AnnotatedCorpus
+from uner_pipeline.annotator import AnnotatedCorpus, parse_conll
 from uner_pipeline.atomic import atomic_output
 from uner_pipeline.errors import DataError, UsageError
 from uner_pipeline.mapping import parse_uner_label
@@ -96,7 +98,7 @@ class TestPipeline:
             assert (out / name).read_bytes() == (SEVEN_WAY / "expected" / name).read_bytes(), name
 
     def test_staged_run_through_enrich_writes_the_same_bytes_as_pipeline(self, tmp_path):
-        # enrich reads the in-memory corpus in a pipeline and corpus.conll when staged
+        # a pipeline runs the stages one after another over --out, each reading the files the last one wrote
         piped, staged = tmp_path / "piped", tmp_path / "staged"
         common = ["--cache", str(CACHE), "--offline"]
         experiments = ["--experiments", "1,2,3,4,5,6,7", "--kg-map", str(KG_MAP)]
@@ -474,6 +476,40 @@ class TestExitCodes:
         assert code == 1
         assert not (out / "corpus.conll").exists()  # validated before stages ran
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# doc_id = d\na\tB-Name-Person-Name\nb\tQ-Name\n\n", "line 3: bad IOB tag 'Q-Name'"),
+            ("# doc_id = d\na\tB-Name-God\nb\tB-\n\n", "line 3: empty label string"),
+            (
+                "# doc_id = d\na\tO\nb\tI-Name-Person-Name\n\n# doc_id = e\nc\tB-Name-God\nd\tI-Name-Person-Name\n\n",
+                "corpus violates IOB invariants: doc d sentence 0 token 1 ('b'): I-Name-Person-Name not preceded "
+                "by B/I of the same label; doc d sentence 0: no B tag; doc e sentence 0 token 1 ('d'): "
+                "I-Name-Person-Name not preceded by B/I of the same label",
+            ),
+            (
+                "# doc_id = d\na\tO\n\n# doc_id = e\nb\tB-Name-God\nc\tI-X\n\n",
+                "line 6: label 'X' starts with unknown level-1 segment 'X'; "
+                "expected one of Name, Time_Expression, Numerical_Expression",
+            ),
+            ("# doc_id = d\na\tB-Name-God\n\n# doc_id = e\ntok B-Name-God\n\n", "line 5: expected 'token<TAB>tag', got 'tok B-Name-God'"),
+            ("a\tB-Name-God\n\n", "line 1: token line before any document header"),
+        ],
+        ids=["bad_tag", "empty_label", "iob_violations", "iob_then_bad_tag", "layout", "no_header"],
+    )
+    def test_stats_on_a_bad_corpus_is_2_with_the_strict_parse_message(self, tmp_path, capsys, text, message):
+        # stats reads the corpus as strings, yet fails as parse_conll does, with its message
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as raised:
+            parse_conll(io.StringIO(text))
+        assert str(raised.value) == message
+        out = tmp_path / "out"
+        assert cli.main(["stats", "--input", str(corpus), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert json.loads((out / "manifest.json").read_text())["status"] == "error"
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
+
 
 class TestAnnotateCommand:
     def test_out_of_order_links_give_valid_iob(self, tmp_path):
@@ -496,6 +532,16 @@ class TestAnnotateCommand:
             "Cid\tI-Name-Person-Name",
         ]
         assert cli.main(["stats", "--input", str(corpus), "--out", str(out)]) == 0
+
+    def test_bad_document_after_written_ones_leaves_no_corpus(self, tmp_path, capsys):
+        # documents are written as they are annotated, into a file renamed into place only at the end
+        good = json.dumps({"id": "1", "text": "Baku is a city.", "links": [{"start": 0, "end": 4, "surface": "Baku", "target": "Baku"}]})
+        documents = tmp_path / "documents.jsonl"
+        documents.write_text(f"{good}\n{good}\n{{not json\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["annotate", "--input", str(documents), "--cache", str(CACHE), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: documents file line 3: ")
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
 
 
 class TestLinkCommand:
@@ -728,6 +774,38 @@ def extract_peak_bytes(tmp_path: Path, documents: int) -> int:
 def test_extract_memory_holds_one_document_and_the_targets(tmp_path):
     extract_peak_bytes(tmp_path, 10)  # warms the caches a first run fills
     assert extract_peak_bytes(tmp_path, 100) <= 1.2 * extract_peak_bytes(tmp_path, 25)
+
+
+def pipeline_peak_bytes(tmp_path: Path, documents: int) -> int:
+    """Peak traced memory of an in-process pipeline, no experiments, over documents on a few recurring surfaces."""
+    rng = random.Random(19)  # the same seed for every size, so a smaller dump is a prefix of a larger one
+    targets = ["Paris", "Barack Obama", "Berlin", "Baku", "Asia", "Michelle Obama"]
+
+    def mention() -> str:
+        target = rng.choice(targets)
+        return f'<a href="{target}">{target}</a>' if rng.random() < 0.5 else target
+
+    texts = [" ".join(f"{mention()} is near {mention()} and {mention()}." for _ in range(30)) for _ in range(documents)]
+    dump = _write_dump(tmp_path / f"dump{documents}.jsonl", *((str(i), text) for i, text in enumerate(texts)))
+    config = cli.RunConfig(input=dump, cache=CACHE, offline=True, out=tmp_path / f"out{documents}")
+    config.out.mkdir()
+    manifest = cli.Manifest(config, "pipeline")
+    tracemalloc.start()
+    try:
+        cli.cmd_pipeline(config, manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert manifest.data["stages"]["annotate"]["counters"]["documents_kept"] == documents
+    assert manifest.data["stages"]["stats"]["counters"]["entities"] > documents
+    return peak
+
+
+def test_pipeline_memory_holds_one_document(tmp_path):
+    # annotate writes each document as it is projected, and stats reads one document of strings at a
+    # time; both corpora are several times the reader's 64 KiB block, so its buffers weigh the same in both
+    pipeline_peak_bytes(tmp_path, 10)  # warms the caches a first run fills
+    assert pipeline_peak_bytes(tmp_path, 400) <= 1.3 * pipeline_peak_bytes(tmp_path, 100)
 
 
 class TestEvalCommand:

@@ -19,6 +19,7 @@ from helpers import (
     oracle_run_experiments,
     random_corpus,
     recurring_surface_corpus,
+    tag_counts,
 )
 from uner_pipeline import cli
 from uner_pipeline.annotator import AnnotatedCorpus, parse_conll
@@ -40,7 +41,7 @@ from uner_pipeline.mapping import (
     default_equivalence_path,
     parse_uner_label,
 )
-from uner_pipeline.stats import compute_stats, tag_counts
+from uner_pipeline.stats import compute_stats
 
 EQUIVALENCES = load_equivalence_map(default_equivalence_path())
 CITY = parse_uner_label("Name-Location-GPE-City")
@@ -530,12 +531,14 @@ def test_every_experiment_subset_matches_each_experiment_run_alone():
 
 
 def enrich_peak_bytes(corpus: AnnotatedCorpus, experiment_ids, out: Path, kg_map: Path) -> int:
-    """Peak traced memory of one enrich stage that runs and writes ``experiment_ids``."""
+    """Peak traced memory of one enrich stage that reads ``corpus`` and runs and writes ``experiment_ids``."""
     config = cli.RunConfig(out=out, experiments=experiment_ids, kg_map=kg_map)
     out.mkdir()
+    corpus_path = out / "corpus.conll"
+    corpus_path.write_text(corpus_to_text(corpus), encoding="utf-8")
     tracemalloc.start()
     try:
-        cli.cmd_enrich(config, cli.Manifest(config, "enrich"), corpus)
+        cli.cmd_enrich(config, cli.Manifest(config, "enrich"), corpus_path)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -21,6 +21,7 @@ from helpers import (
     pair_counts,
     random_corpus,
     recurring_surface_corpus,
+    tag_counts,
 )
 from uner_pipeline import annotator
 from uner_pipeline.annotator import parse_conll
@@ -35,7 +36,6 @@ from uner_pipeline.evaluation import (
     render_text,
     round1,
 )
-from uner_pipeline.stats import tag_counts
 
 
 CONLL_A = "# doc_id = d1\nParis\tB-Name-Location-GPE-City\nis\tO\n\nnice\tO\ntown\tB-Name-Location-GPE-City\n\n"

@@ -18,6 +18,7 @@ from uner_pipeline.linker import (
     RateLimiter,
     SparqlClient,
     build_entity_uri,
+    check_settings,
     compact_class_name,
     load_catalog,
     resolve_all,
@@ -414,6 +415,39 @@ class TestRateLimiter:
         # 4 single-target batches at 4 req/s: at least 0.75 virtual seconds
         assert len(session.queries) == 4
         assert vc.now >= 0.75 - 1e-9
+
+
+class TestSettings:
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("timeout", 0),
+            ("timeout", -1.0),
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
+            ("retries", 0),
+            ("batch_size", 0),
+            ("concurrency", 0),
+            ("concurrency", -3),
+            ("rate_limit", -1.0),
+            ("rate_limit", float("nan")),
+            ("rate_limit", float("inf")),
+        ],
+    )
+    def test_client_rejects_a_setting_out_of_range(self, setting, value):
+        # a library caller gets the ranges the CLI enforces, not a quietly changed value
+        with pytest.raises(ValueError, match=f"^{setting} must be "):
+            make_client(FakeSession({}), **{setting: value})
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_rate_limiter_rejects_a_rate_out_of_range(self, rate):
+        with pytest.raises(ValueError, match="^rate_limit must be finite and >= 0"):
+            RateLimiter(rate)
+
+    def test_settings_at_the_edge_of_their_range_are_kept(self):
+        client = make_client(FakeSession({}), timeout=1e-9, retries=1, batch_size=1, concurrency=1, rate_limit=0)
+        assert (client.timeout, client.retries, client.batch_size, client.concurrency) == (1e-9, 1, 1, 1)
+        check_settings(timeout=0.5, retries=1, batch_size=1, concurrency=1, rate_limit=0.0)
 
 
 def test_endpoint_environment_override(monkeypatch):

@@ -1,8 +1,18 @@
+import io
 import random
 
-from helpers import corpus_from_rows, corpus_to_text, oracle_compute_stats, random_corpus
-from uner_pipeline.annotator import AnnotatedCorpus
-from uner_pipeline.stats import compute_stats, list_entities, render_json, render_text, tag_counts
+from helpers import (
+    corpus_from_rows,
+    corpus_to_text,
+    oracle_compute_stats,
+    oracle_list_entities,
+    random_corpus,
+    recurring_surface_corpus,
+    string_sentences,
+    tag_counts,
+)
+from uner_pipeline.annotator import AnnotatedCorpus, parse_conll
+from uner_pipeline.stats import compute_stats, list_entities, read_stats, render_json, render_text
 
 
 def one_sentence_corpus():
@@ -14,7 +24,7 @@ def one_sentence_corpus():
 class TestComputeStats:
     def test_counting_definition(self):
         corpus = one_sentence_corpus()
-        stats = compute_stats(tag_counts(corpus), list_entities(corpus))
+        stats = compute_stats(tag_counts(corpus), list_entities(string_sentences(corpus)))
         assert stats.total_tokens == 3
         assert stats.entity_tokens == 2
         assert stats.non_entity_tokens == 1
@@ -32,14 +42,14 @@ class TestComputeStats:
         rng = random.Random(7)
         for _ in range(100):
             corpus = random_corpus(rng)
-            stats = compute_stats(tag_counts(corpus), list_entities(corpus))
+            stats = compute_stats(tag_counts(corpus), list_entities(string_sentences(corpus)))
             assert stats.total_tokens == stats.non_entity_tokens + stats.entity_tokens
             text = corpus_to_text(corpus)
             b_lines = sum(1 for line in text.splitlines() if "\tB-" in line)
             i_lines = sum(1 for line in text.splitlines() if "\tI-" in line)
             assert stats.entity_count == b_lines
             assert stats.entity_tokens == b_lines + i_lines
-            assert stats.distinct_entity_count == len(list_entities(corpus))
+            assert stats.distinct_entity_count == len(list_entities(string_sentences(corpus)))
             b_by_tag = sum(c for tag, c in stats.per_tag_counts.items() if tag.startswith("B-"))
             assert b_by_tag == stats.entity_count
 
@@ -80,7 +90,7 @@ class TestComputeStats:
         rng = random.Random(8)
         for _ in range(200):
             corpus = random_corpus(rng)
-            entities = list_entities(corpus)
+            entities = list_entities(string_sentences(corpus))
             assert compute_stats(tag_counts(corpus), entities) == oracle_compute_stats(corpus, entities)
 
 
@@ -97,7 +107,7 @@ class TestListEntities:
                 )
             ]
         )
-        assert len(list_entities(corpus)) == 1
+        assert len(list_entities(string_sentences(corpus))) == 1
 
     def test_pair_distinctness(self):
         corpus = corpus_from_rows(
@@ -111,7 +121,7 @@ class TestListEntities:
                 )
             ]
         )
-        entities = list_entities(corpus)
+        entities = list_entities(string_sentences(corpus))
         assert len(entities) == 2
         assert [surface for surface, _ in entities] == ["Paris", "Paris"]
 
@@ -119,10 +129,10 @@ class TestListEntities:
         corpus = corpus_from_rows(
             [("d", [[("New", "B-Name-Location-GPE-City"), ("York", "I-Name-Location-GPE-City")]])]
         )
-        assert list_entities(corpus)[0][0] == "New York"
+        assert list_entities(string_sentences(corpus))[0][0] == "New York"
 
     def test_empty(self):
-        assert list_entities(AnnotatedCorpus()) == []
+        assert list_entities(string_sentences(AnnotatedCorpus())) == []
 
     def test_sorted_by_surface_then_label(self):
         corpus = corpus_from_rows(
@@ -137,7 +147,7 @@ class TestListEntities:
                 )
             ]
         )
-        entities = [(s, str(l)) for s, l in list_entities(corpus)]
+        entities = [(s, str(l)) for s, l in list_entities(string_sentences(corpus))]
         assert entities == [
             ("a", "Name-God"),
             ("a", "Name-Person-Name"),
@@ -147,9 +157,27 @@ class TestListEntities:
 
 def test_renderers_smoke():
     corpus = one_sentence_corpus()
-    stats = compute_stats(tag_counts(corpus), list_entities(corpus))
+    stats = compute_stats(tag_counts(corpus), list_entities(string_sentences(corpus)))
     text = render_text(stats)
     assert "total_tokens\t3" in text
     assert "B-Name-Person-Name\t1" in text
     payload = render_json(stats)
     assert '"entity_count": 1' in payload
+
+
+def test_read_stats_matches_the_stats_of_the_parsed_corpus():
+    # strings read one document at a time give the stats and entities of the object corpus
+    rng = random.Random(1919)
+    for i in range(300):
+        corpus = recurring_surface_corpus(rng) if i % 2 else random_corpus(rng)
+        text = corpus_to_text(corpus)
+        parsed = parse_conll(io.StringIO(text))
+        entities = oracle_list_entities(parsed)
+        expected = compute_stats(tag_counts(parsed), entities)
+        assert expected == oracle_compute_stats(parsed)
+        for lines in (io.StringIO(text), text.splitlines(keepends=True)):
+            report, read_entities = read_stats(lines)
+            assert read_entities == entities
+            assert report == expected
+            assert render_json(report) == render_json(expected)
+        assert list_entities(string_sentences(parsed)) == entities
