@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from .annotator import (  # noqa: F401
     AnnotatedCorpus,
-    AnnotatedSentence,
-    IobTag,
+    Sentence,
     Token,
     emit_conll,
     parse_conll,

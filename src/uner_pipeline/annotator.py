@@ -11,19 +11,19 @@ letters and digits. Projection tags every token a link span overlaps
 (greedy inclusion), truncates a span at a sentence break, counts what became
 of each span, and finds each span's tokens by bisection, so it runs in
 O((tokens + spans) x log tokens). Only sentences carrying at least one B tag
-survive projection. Every B or I tag of one label is one shared object.
+survive projection. A corpus sentence is its token texts and its tag strings,
+as a CoNLL file holds them: projection writes them, ``emit_conll`` joins them.
 
 Reading CoNLL back is split in two. ``read_conll_events`` checks the layout
-and yields each sentence as its first line number and two string lists,
-token texts and tags. ``TagChecker`` applies the tag grammar and the IOB
-rules to those tag strings, parsing each distinct tag once; ``parse_conll``
-runs it to build a strict corpus, and ``stats`` and ``evaluation`` run it
-over the strings without building one. Both work on whole documents: the
-reader reads a file in blocks, cuts it at header lines and splits a document
-in the layout ``emit_conll`` writes with a few string operations, going line
-by line only from the first document in any other layout on; the checker
-tests a document with set operations and walks its tokens only when it may
-break a rule.
+and yields each document's sentences. ``TagChecker`` applies the tag grammar
+and the IOB rules to those tag strings, checking each distinct tag once;
+``parse_conll`` runs it over a whole file and keeps the sentences, and
+``stats`` and ``evaluation`` run it over the strings as they read. Both work
+on whole documents: the reader reads a file in blocks, cuts it at header
+lines and splits a document in the layout ``emit_conll`` writes with a few
+string operations, going line by line only from the first document in any
+other layout on; the checker tests a document with set operations and walks
+its tokens only when it may break a rule.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import unicodedata
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice
+from functools import cache
+from itertools import accumulate, chain, groupby, islice
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -60,16 +61,10 @@ class Token(NamedTuple):
 
 @dataclass(frozen=True)
 class IobTag:
-    """IOB tag: prefix O carries no label, B/I carry exactly one."""
+    """IOB tag of the ``Sentence.tokens`` view: prefix O carries no label, B/I carry exactly one."""
 
     prefix: str  # "B", "I", or "O"
     label: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.prefix not in ("B", "I", "O"):
-            raise ValueError(f"bad IOB prefix {self.prefix!r}")
-        if (self.prefix == "O") != (self.label is None):
-            raise ValueError("O carries no label; B/I carry exactly one")
 
     def __str__(self) -> str:
         if self.prefix == "O":
@@ -79,39 +74,61 @@ class IobTag:
 
 O_TAG = IobTag("O")
 
-# label -> its B and I tag; frozen and equal for equal labels, so any caller may share them
-_LABEL_TAGS: dict[str, tuple[IobTag, IobTag]] = {}
+
+def _check_tag(s: str) -> None:
+    """Raise DataError unless ``s`` is ``O``, or ``B`` or ``I``, a hyphen and a UNER label."""
+    if s != "O":
+        prefix, sep, rest = s.partition("-")
+        if prefix not in ("B", "I") or not sep:
+            raise DataError(f"bad IOB tag {s!r}")
+        parse_uner_label(rest)
 
 
-def label_tags(label: str) -> tuple[IobTag, IobTag]:
-    """The one B tag and the one I tag of ``label``, shared by every token they tag."""
-    if label not in _LABEL_TAGS:
-        _LABEL_TAGS[label] = (IobTag("B", label), IobTag("I", label))
-    return _LABEL_TAGS[label]
-
-
+@cache
 def parse_iob_tag(s: str) -> IobTag:
-    """Parse a tag string like ``O`` or ``B-Name-Location-GPE-City``."""
-    if s == "O":
-        return O_TAG
-    prefix, sep, rest = s.partition("-")
-    if prefix not in ("B", "I") or not sep:
-        raise DataError(f"bad IOB tag {s!r}")
-    return IobTag(prefix, parse_uner_label(rest))
+    """Parse a tag string like ``O`` or ``B-Name-Location-GPE-City``; one IobTag per distinct string."""
+    _check_tag(s)
+    return O_TAG if s == "O" else IobTag(s[0], s[2:])
 
 
-@dataclass
-class AnnotatedSentence:
-    """Sentence as a list of (token, tag) pairs."""
+class Sentence(NamedTuple):
+    """One corpus sentence: token ``i`` is ``texts[i]``, tagged with the string ``tags[i]``.
 
-    tokens: list[tuple[Token, IobTag]]
+    Token ``i`` of a sentence read from a CoNLL file is on line
+    ``first_line + i``; a projected sentence has 0. Texts are never changed,
+    so copies may share them. ``start`` serves the ``tokens`` view alone.
+    """
+
+    first_line: int
+    texts: list[str]
+    tags: list[str]
+    start: int = 0
+
+    @property
+    def tokens(self) -> list[tuple[Token, IobTag]]:
+        """The (Token, IobTag) pairs ``parse_conll`` built before a sentence held strings; read-only.
+
+        Offsets are made up as then: tokens joined by single spaces,
+        sentences by single newlines, per document from zero (``parse_conll``
+        sets ``start``). Each distinct tag string gives one shared IobTag.
+        Only the benchmark's checker and tracer read this view. Once they
+        read CoNLL with a reader of their own (ROADMAP item 1), it goes, with
+        ``start``, ``IobTag``, ``parse_iob_tag`` and the offsets it makes up.
+        """
+        pairs = []
+        offset = self.start
+        for text, tag in zip(self.texts, self.tags):
+            end = offset + len(text)
+            pairs.append((Token(text, offset, end), parse_iob_tag(tag)))
+            offset = end + 1  # one space, or one newline after the last token
+        return pairs
 
 
 @dataclass
 class AnnotatedCorpus:
     """Documents (id, sentences) in deterministic input order."""
 
-    documents: list[tuple[str, list[AnnotatedSentence]]] = field(default_factory=list)
+    documents: list[tuple[str, list[Sentence]]] = field(default_factory=list)
 
 
 def _is_punct(ch: str) -> bool:
@@ -181,7 +198,7 @@ def project_annotations(
     tokens: list[Token],
     sentences: list[tuple[int, int]],
     counters: Counter | None = None,
-) -> list[AnnotatedSentence]:
+) -> list[Sentence]:
     """Project link spans onto tokens as B/I tags, keep entity sentences only.
 
     A token overlapping a labeled span counts as inside the entity (greedy
@@ -204,7 +221,7 @@ def project_annotations(
     sentence_ends = [end for _, end in sentences]
     # non-decreasing; len(sentences) marks a token after the last sentence
     sentence_of_token = [bisect_right(sentence_ends, start) for start in starts]
-    tags: list[IobTag] = [O_TAG] * len(tokens)
+    tags = ["O"] * len(tokens)
     b_sentences: set[int] = set()  # the sentences given a B tag
 
     for span in doc.links:
@@ -221,25 +238,25 @@ def project_annotations(
         home_end = bisect_right(sentence_of_token, sentence_of_token[lo], lo, hi)
         if home_end != hi:
             counters["spans_truncated"] += 1
-        untagged = [i for i in range(lo, home_end) if tags[i] is O_TAG]
+        untagged = [i for i in range(lo, home_end) if tags[i] == "O"]
         if not untagged:
             counters["spans_shadowed"] += 1
             continue
         counters["spans_projected"] += 1
-        b_tag, i_tag = label_tags(label)
+        b_tag, i_tag = "B-" + label, "I-" + label
         tags[untagged[0]] = b_tag
         b_sentences.add(sentence_of_token[lo])
         for i in untagged[1:]:
             tags[i] = i_tag
 
-    result: list[AnnotatedSentence] = []
+    result: list[Sentence] = []
     lo = 0
     while lo < len(tokens) and sentence_of_token[lo] < len(sentences):
         hi = bisect_right(sentence_of_token, sentence_of_token[lo], lo)
         counters["sentences_total"] += 1
         if sentence_of_token[lo] in b_sentences:
             counters["sentences_kept"] += 1
-            result.append(AnnotatedSentence(list(zip(tokens[lo:hi], tags[lo:hi]))))
+            result.append(Sentence(0, [token.text for token in tokens[lo:hi]], tags[lo:hi]))
         else:
             counters["sentences_dropped"] += 1
         lo = hi
@@ -248,7 +265,7 @@ def project_annotations(
 
 def annotate_document(
     doc: Document, labels: dict[str, str], counters: Counter | None = None
-) -> list[AnnotatedSentence]:
+) -> list[Sentence]:
     """Tokenize, split, and project one document."""
     tokens = tokenize(doc.text)
     sentences = split_sentences(doc.text)
@@ -286,17 +303,9 @@ def emit_conll(corpus: AnnotatedCorpus, writer: IO[str]) -> None:
     for doc_id, sentences in corpus.documents:
         lines = [f"{DOC_HEADER_PREFIX}{doc_id}\n"]
         for sentence in sentences:
-            lines.extend(f"{token.text}\t{tag}\n" for token, tag in sentence.tokens)
+            lines.extend(f"{text}\t{tag}\n" for text, tag in zip(sentence.texts, sentence.tags))
             lines.append("\n")
         writer.write("".join(lines))
-
-
-class ConllSentence(NamedTuple):
-    """One sentence as ``read_conll_events`` yields it: token ``i`` is on line ``first_line + i``."""
-
-    first_line: int
-    texts: list[str]
-    tags: list[str]
 
 
 # a file is read this many characters at a time; any other iterable in its own pieces
@@ -307,7 +316,7 @@ _CUT = "\n" + DOC_HEADER_PREFIX
 _NOT_LAYOUT = bytes(b for b in range(256) if b not in b"\t\n")
 
 
-def read_conll_events(lines: Iterable[str]) -> Iterator[tuple[str, list[ConllSentence]]]:
+def read_conll_events(lines: Iterable[str]) -> Iterator[tuple[str, list[Sentence]]]:
     """Structural CoNLL reader: yields (doc_id, sentences) one document at a time.
 
     Validates layout only (headers, tab-separated token lines); tags are kept
@@ -378,7 +387,7 @@ def _skip_blank_lines(pieces: Iterator[str]) -> tuple[int, str]:
     return blank_lines, head
 
 
-def _split_plain_document(document: str, header_line: int) -> tuple[str, list[ConllSentence]] | None:
+def _split_plain_document(document: str, header_line: int) -> tuple[str, list[Sentence]] | None:
     """One document in the layout ``emit_conll`` writes, split whole; None for any other layout.
 
     ``document`` is the header line without its prefix, then the document's
@@ -394,14 +403,14 @@ def _split_plain_document(document: str, header_line: int) -> tuple[str, list[Co
     blocks = body.split("\n\n")
     if blocks.pop():  # text after the last blank line
         return None
-    sentences: list[ConllSentence] = []
+    sentences: list[Sentence] = []
     first_line = header_line + 1
     for block in blocks:
         cells = block.replace("\n", "\t").split("\t")
         if not all(cells):
             return None
         texts = cells[::2]
-        sentences.append(ConllSentence(first_line, texts, cells[1::2]))
+        sentences.append(Sentence(first_line, texts, cells[1::2]))
         first_line += len(texts) + 1  # its token lines and the blank line after them
     tokens = first_line - header_line - 1 - len(blocks)  # the lines split, less the blank ones
     # the body's tabs and newlines alone; a lone surrogate, which text from a string may hold, is neither
@@ -421,10 +430,10 @@ def _lines(pieces: Iterable[str]) -> Iterator[str]:
         yield partial
 
 
-def _read_by_lines(pieces: Iterable[str], first_line: int) -> Iterator[tuple[str, list[ConllSentence]]]:
+def _read_by_lines(pieces: Iterable[str], first_line: int) -> Iterator[tuple[str, list[Sentence]]]:
     """``read_conll_events`` one line at a time, numbering the lines from ``first_line``."""
     doc_id: str | None = None
-    sentences: list[ConllSentence] = []
+    sentences: list[Sentence] = []
     texts: list[str] = []
     tags: list[str] = []
     first_token_line = 0
@@ -439,7 +448,7 @@ def _read_by_lines(pieces: Iterable[str], first_line: int) -> Iterator[tuple[str
             continue
         if not line:
             if texts:
-                sentences.append(ConllSentence(first_token_line, texts, tags))
+                sentences.append(Sentence(first_token_line, texts, tags))
                 texts, tags = [], []
             continue
         if doc_id is None:
@@ -452,7 +461,7 @@ def _read_by_lines(pieces: Iterable[str], first_line: int) -> Iterator[tuple[str
         texts.append(text)
         tags.append(tag)
     if texts:
-        sentences.append(ConllSentence(first_token_line, texts, tags))
+        sentences.append(Sentence(first_token_line, texts, tags))
     if doc_id is not None:
         yield doc_id, sentences
 
@@ -460,7 +469,7 @@ def _read_by_lines(pieces: Iterable[str], first_line: int) -> Iterator[tuple[str
 class TagChecker:
     """The strict tag and IOB check of a CoNLL file, one document at a time.
 
-    Each distinct tag string is parsed once; ``tags`` maps it to its IobTag.
+    Each distinct tag string is checked once; ``tags`` holds those that pass.
     The first tag that does not parse, in file order, is the error, and
     ``check`` raises it. Otherwise the IOB rules (a B tag in each sentence, an
     I tag only after a B or I tag of its label) are applied, and the first
@@ -474,36 +483,37 @@ class TagChecker:
     """
 
     def __init__(self) -> None:
-        self.tags: dict[str, IobTag] = {}
+        self.tags: set[str] = set()
         self.violations: list[str] = []
         self._b_tags: set[str] = set()  # the known tags with prefix B
         self._allowed_pairs: set[tuple[str, str]] = set()  # adjacent tags that keep the rules
 
-    def check(self, doc_id: str, sentences: list[ConllSentence]) -> None:
+    def check(self, doc_id: str, sentences: list[Sentence]) -> None:
         """Check one document; a tag that does not parse raises DataError naming its line."""
         tags = self.tags
         runs = list(map(itemgetter(0), groupby(chain.from_iterable(s.tags for s in sentences))))
-        if not tags.keys() >= set(runs):
-            for first_line, _, sentence_tags in sentences:
-                if tags.keys() >= set(sentence_tags):
+        if not tags.issuperset(runs):
+            for sentence in sentences:
+                if tags.issuperset(sentence.tags):
                     continue
-                for i, tag_string in enumerate(sentence_tags):
+                for i, tag_string in enumerate(sentence.tags):
                     if tag_string not in tags:
                         try:
-                            tags[tag_string] = parse_iob_tag(tag_string)
+                            _check_tag(tag_string)
                         except DataError as exc:
-                            raise DataError(f"line {first_line + i}: {exc}") from exc
+                            raise DataError(f"line {sentence.first_line + i}: {exc}") from exc
+                        tags.add(tag_string)
                         if tag_string[0] == "B":
                             self._b_tags.add(tag_string)
         if len(self.violations) >= 5 or self._keeps_iob(sentences, runs):
             return
-        for s_idx, (_, texts, sentence_tags) in enumerate(sentences):
+        for s_idx, sentence in enumerate(sentences):
             if len(self.violations) >= 5:
                 break
-            self.violations.extend(_sentence_violations(doc_id, s_idx, texts, sentence_tags))
+            self.violations.extend(_sentence_violations(doc_id, s_idx, sentence.texts, sentence.tags))
         del self.violations[5:]
 
-    def _keeps_iob(self, sentences: list[ConllSentence], runs: list[str]) -> bool:
+    def _keeps_iob(self, sentences: list[Sentence], runs: list[str]) -> bool:
         """Whether the document keeps the IOB rules; its tags all parse.
 
         ``runs`` is the document's tags with each run of one tag cut to one.
@@ -530,28 +540,21 @@ class TagChecker:
 
 
 def parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
-    """Parse a CoNLL stream into a corpus, enforcing all invariants.
+    """Read a CoNLL stream into a corpus of its sentences, enforcing all invariants.
 
     Layout errors come from ``read_conll_events``; tags and IOB rules are
     checked by ``TagChecker``, which ``stats`` and ``evaluation`` also run
-    over the strings. Token offsets are synthesized canonically: tokens
-    joined by single spaces, sentences by single newlines, per document
-    starting at zero. Every token with the same tag string shares one IobTag.
+    over the strings. The corpus holds the strings the reader split, and no
+    object per token; a sentence only gains the ``start`` of its tokens view.
     """
     checker = TagChecker()
     corpus = AnnotatedCorpus()
-    for doc_id, raw_sentences in read_conll_events(lines):
-        checker.check(doc_id, raw_sentences)
-        sentences: list[AnnotatedSentence] = []
-        offset = 0
-        for _, texts, tag_strings in raw_sentences:
-            pairs: list[tuple[Token, IobTag]] = []
-            for text, tag_string in zip(texts, tag_strings):
-                end = offset + len(text)
-                pairs.append((Token(text, offset, end), checker.tags[tag_string]))
-                offset = end + 1  # one space, or one newline after the last token
-            sentences.append(AnnotatedSentence(pairs))
-        corpus.documents.append((doc_id, sentences))
+    for doc_id, sentences in read_conll_events(lines):
+        checker.check(doc_id, sentences)
+        # each text, then a space or a newline
+        starts = accumulate((sum(map(len, s.texts)) + len(s.texts) for s in sentences), initial=0)
+        placed = [Sentence(n, texts, tags, start) for (n, texts, tags, _), start in zip(sentences, starts)]
+        corpus.documents.append((doc_id, placed))
     error = checker.iob_error()
     if error is not None:
         raise error

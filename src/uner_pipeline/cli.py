@@ -56,11 +56,11 @@ class RunConfig:
     endpoint: str | None = None
     resource_base: str = linker.DEFAULT_RESOURCE_BASE
     offline: bool = False
-    batch_size: int = 50
-    timeout: float = 30.0
-    retries: int = 3
-    rate_limit: float = 2.0
-    concurrency: int = 1
+    batch_size: int = linker.CLIENT_DEFAULTS["batch_size"]
+    timeout: float = linker.CLIENT_DEFAULTS["timeout"]
+    retries: int = linker.CLIENT_DEFAULTS["retries"]
+    rate_limit: float = linker.CLIENT_DEFAULTS["rate_limit"]
+    concurrency: int = linker.CLIENT_DEFAULTS["concurrency"]
     experiments: tuple[int, ...] = ()
     collapse_depth: int | None = None
     kg_map: Path | None = None
@@ -305,8 +305,7 @@ def cmd_extract(config: RunConfig, manifest: Manifest) -> None:
 
 
 def _client_settings(config: RunConfig) -> dict:  # what linker.check_settings checks
-    names = ("timeout", "retries", "batch_size", "rate_limit", "concurrency")
-    return {name: getattr(config, name) for name in names}
+    return {name: getattr(config, name) for name in linker.CLIENT_DEFAULTS}
 
 
 def _make_client(config: RunConfig) -> linker.SparqlClient | None:
@@ -370,7 +369,7 @@ def cmd_annotate(config: RunConfig, manifest: Manifest, documents_path: Path, ca
                 sentences = annotator.annotate_document(doc, labels, counters)
                 if sentences:  # written at once, so annotate holds one document
                     counters["documents_kept"] += 1
-                    counters["tokens"] += sum(len(sentence.tokens) for sentence in sentences)
+                    counters["tokens"] += sum(len(sentence.texts) for sentence in sentences)
                     annotator.emit_conll(annotator.AnnotatedCorpus([(doc.doc_id, sentences)]), out)
 
 
@@ -433,8 +432,8 @@ def cmd_enrich(config: RunConfig, manifest: Manifest, corpus_path: Path) -> None
             counters[f"{base}_dictionary_size"] += len(dictionary.entries)
             enrich.save_dictionary(dictionary, config.out / f"dictionary_{base}.tsv")
         for experiment_id, enriched in results:
-            tags = (tag for _, doc in enriched.documents for s in doc for _, tag in s.tokens)
-            counters[f"exp{experiment_id}_entities"] += sum(tag.prefix == "B" for tag in tags)
+            tags = (tag for _, doc in enriched.documents for s in doc for tag in s.tags)
+            counters[f"exp{experiment_id}_entities"] += sum(tag[0] == "B" for tag in tags)
             with atomic_output(config.out / f"corpus_exp{experiment_id}.conll") as fh:
                 annotator.emit_conll(enriched, fh)
             del enriched  # written, so the next result is computed without it

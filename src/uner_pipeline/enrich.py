@@ -13,8 +13,9 @@ A dictionary is applied in (application rank, position) order over the runs
 that are still all O: surfaces longest first, each scanned left to right.
 Surfaces are indexed by their token tuple, so each token position is probed
 once per distinct surface length and the cost is O(tokens x distinct surface
-lengths), whatever the dictionary size. The result copies each sentence's
-token list and shares the frozen tokens and tags with its input.
+lengths), whatever the dictionary size. A corpus is its sentences' token
+texts and tag strings; a result copies each sentence's tag list and shares
+its token texts, which are never changed, with its input.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .annotator import AnnotatedCorpus, AnnotatedSentence, label_tags
+from .annotator import AnnotatedCorpus, Sentence
 from .atomic import atomic_output
 from .errors import DataError
 from .mapping import EquivalenceMap, iter_tsv, map_to_uner
@@ -88,9 +89,8 @@ def build_global_dictionary(corpus: AnnotatedCorpus) -> Dictionary:
     excluded.
     """
     occurrences: dict[str, Counter[str]] = {}
-    sentences = (s.tokens for _, doc in corpus.documents for s in doc)
-    pairs = ([(token.text, str(tag)) for token, tag in tokens] for tokens in sentences)
-    for surface, label in iter_entities(pairs):
+    sentences = (zip(s.texts, s.tags) for _, doc in corpus.documents for s in doc)
+    for surface, label in iter_entities(sentences):
         occurrences.setdefault(surface, Counter())[label] += 1
     entries: dict[str, str] = {}
     for surface, counts in occurrences.items():
@@ -144,26 +144,22 @@ def filter_by_kg(
 
 
 def _copy_sentences(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
-    """A corpus whose token lists can be changed without touching ``corpus``.
-
-    Tokens and tags are frozen, so the copies share them.
-    """
+    """A corpus whose tag lists can be changed without touching ``corpus``; it shares the texts."""
     return AnnotatedCorpus(
         [
-            (doc_id, [AnnotatedSentence(list(sentence.tokens)) for sentence in sentences])
+            (doc_id, [Sentence(line, texts, tags.copy(), start) for line, texts, tags, start in sentences])
             for doc_id, sentences in corpus.documents
         ]
     )
 
 
-def _all_o(sentence: AnnotatedSentence, start: int, length: int) -> bool:
-    return all(tag.prefix == "O" for _, tag in sentence.tokens[start : start + length])
+def _all_o(tags: list[str], start: int, length: int) -> bool:
+    return all(tag == "O" for tag in tags[start : start + length])
 
 
-def _retag(sentence: AnnotatedSentence, start: int, length: int, label: str) -> None:
-    b_tag, i_tag = label_tags(label)
-    for i in range(start, start + length):
-        sentence.tokens[i] = (sentence.tokens[i][0], b_tag if i == start else i_tag)
+def _retag(tags: list[str], start: int, length: int, label: str) -> None:
+    tags[start] = "B-" + label
+    tags[start + 1 : start + length] = ["I-" + label] * (length - 1)
 
 
 def apply_dictionary(corpus: AnnotatedCorpus, dictionary: Dictionary) -> AnnotatedCorpus:
@@ -182,8 +178,7 @@ def apply_dictionary(corpus: AnnotatedCorpus, dictionary: Dictionary) -> Annotat
     lengths = sorted({len(parts) for parts in index})
     result = _copy_sentences(corpus)
     for _, sentences in result.documents:
-        for sentence in sentences:
-            texts = [token.text for token, _ in sentence.tokens]
+        for _, texts, tags, _ in sentences:
             candidates = []
             for start in range(len(texts)):
                 for length in lengths:
@@ -194,8 +189,8 @@ def apply_dictionary(corpus: AnnotatedCorpus, dictionary: Dictionary) -> Annotat
                         candidates.append((hit[0], start, length, hit[1]))
             candidates.sort()  # (rank, start) pairs are unique, so labels are never compared
             for _, start, length, label in candidates:
-                if _all_o(sentence, start, length):
-                    _retag(sentence, start, length, label)
+                if _all_o(tags, start, length):
+                    _retag(tags, start, length, label)
     return result
 
 
@@ -211,33 +206,31 @@ def apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
     for _, sentences in result.documents:
         cache: dict[tuple[str, ...], str] = {}  # surface.split(" ") -> label
         lengths: set[int] = set()
-        for sentence in sentences:
-            tokens = sentence.tokens
-            texts = [token.text for token, _ in tokens]
+        for _, texts, tags, _ in sentences:
             i = 0
-            while i < len(tokens):
-                tag = tokens[i][1]
-                if tag.prefix == "B":
+            while i < len(tags):
+                tag = tags[i]
+                if tag[0] == "B":
                     j = i + 1
-                    while j < len(tokens) and tokens[j][1].prefix == "I":
+                    while j < len(tags) and tags[j][0] == "I":
                         j += 1
                     parts = tuple(" ".join(texts[i:j]).split(" "))
                     if parts not in cache:
-                        cache[parts] = tag.label
+                        cache[parts] = tag[2:]
                         lengths.add(len(parts))
                     i = j
                     continue
-                if tag.prefix == "O":
+                if tag == "O":
                     matches = [
                         parts
                         for parts in (tuple(texts[i : i + length]) for length in lengths)
-                        if parts in cache and _all_o(sentence, i, len(parts))
+                        if parts in cache and _all_o(tags, i, len(parts))
                     ]
                     if matches:
                         # from one start a longer run has more characters, so
                         # the most tokens is the first match in application order
                         parts = max(matches, key=len)
-                        _retag(sentence, i, len(parts), cache[parts])
+                        _retag(tags, i, len(parts), cache[parts])
                         i += len(parts)
                         continue
                 i += 1

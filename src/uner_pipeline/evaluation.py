@@ -26,7 +26,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain, zip_longest
 from typing import Iterable, Mapping
 
-from .annotator import ConllSentence, TagChecker, read_conll_events
+from .annotator import Sentence, TagChecker, read_conll_events
 from .errors import AlignmentError, DataError
 from .stats import coarse_json, compute_stats
 
@@ -125,7 +125,7 @@ def align(golden: Iterable[str], system: Iterable[str]) -> Alignment:
 
 
 def _token_divergence(
-    gold_sentences: list[ConllSentence], sys_sentences: list[ConllSentence]
+    gold_sentences: list[Sentence], sys_sentences: list[Sentence]
 ) -> AlignmentError:
     """The error for the first sentence whose token texts differ between the two files."""
     for gold_sentence, sys_sentence in zip(gold_sentences, sys_sentences):

@@ -31,6 +31,9 @@ log = logging.getLogger(__name__)
 DEFAULT_RESOURCE_BASE = "http://dbpedia.org/resource"
 ENDPOINT_ENV_VAR = "UNER_SPARQL_ENDPOINT"
 
+# the client settings' defaults, RunConfig's too; check_settings holds their ranges
+CLIENT_DEFAULTS = {"timeout": 30.0, "retries": 3, "batch_size": 50, "rate_limit": 2.0, "concurrency": 1}
+
 # rdf:type lookup for one or many entities per request
 QUERY_TEMPLATE = (
     "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
@@ -188,11 +191,11 @@ class SparqlClient:
         endpoint: str,
         *,
         resource_base: str = DEFAULT_RESOURCE_BASE,
-        timeout: float = 30.0,
-        retries: int = 3,
-        batch_size: int = 50,
-        rate_limit: float = 2.0,
-        concurrency: int = 2,
+        timeout: float = CLIENT_DEFAULTS["timeout"],
+        retries: int = CLIENT_DEFAULTS["retries"],
+        batch_size: int = CLIENT_DEFAULTS["batch_size"],
+        rate_limit: float = CLIENT_DEFAULTS["rate_limit"],
+        concurrency: int = CLIENT_DEFAULTS["concurrency"],
         backoff: float = 0.5,
         session=None,
         sleep=time.sleep,

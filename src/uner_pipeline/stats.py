@@ -112,7 +112,7 @@ def read_stats(lines: Iterable[str]) -> tuple[CorpusStats, list[tuple[str, str]]
     def sentences() -> Iterator[Iterable[tuple[str, str]]]:
         for doc_id, document in read_conll_events(lines):
             checker.check(doc_id, document)
-            for _, texts, tags in document:
+            for _, texts, tags, _ in document:
                 counts.update(tags)
                 yield zip(texts, tags)
 

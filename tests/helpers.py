@@ -18,13 +18,13 @@ from uner_pipeline.annotator import (
     DOC_HEADER_PREFIX,
     O_TAG,
     AnnotatedCorpus,
-    AnnotatedSentence,
-    ConllSentence,
     IobTag,
+    Sentence,
     Token,
     emit_conll,
     parse_conll,
     parse_iob_tag,
+    read_conll_events,
 )
 from uner_pipeline.enrich import (
     EXPERIMENTS,
@@ -52,6 +52,11 @@ LABEL_POOL = [
 ]
 
 
+def make_sentence(pairs: list[tuple[str, str]]) -> Sentence:
+    """A sentence of (token text, tag string) pairs, made as projection makes one: unchecked."""
+    return Sentence(0, [text for text, _ in pairs], [tag for _, tag in pairs])
+
+
 def corpus_from_rows(rows: list[tuple[str, list[list[tuple[str, str]]]]]) -> AnnotatedCorpus:
     """Build a corpus (canonical offsets) from (doc_id, sentences of (token, tag))."""
     lines: list[str] = []
@@ -74,12 +79,12 @@ def string_sentences(corpus: AnnotatedCorpus) -> Iterator[list[tuple[str, str]]]
     """Each sentence of a corpus as the (token text, tag string) pairs ``stats.iter_entities`` walks."""
     for _, sentences in corpus.documents:
         for sentence in sentences:
-            yield [(token.text, str(tag)) for token, tag in sentence.tokens]
+            yield list(zip(sentence.texts, sentence.tags))
 
 
 def tag_counts(corpus: AnnotatedCorpus) -> Counter[str]:
     """How many tokens of the corpus carry each tag string, ``O`` included."""
-    return Counter(str(tag) for _, sentences in corpus.documents for s in sentences for _, tag in s.tokens)
+    return Counter(tag for _, sentences in corpus.documents for s in sentences for tag in s.tags)
 
 
 def random_word(rng: random.Random, min_len: int = 1, max_len: int = 8) -> str:
@@ -305,11 +310,78 @@ def oracle_per_tag_metrics(pairs: list[TagPair], collapse_depth: int | None = No
     return report
 
 
+# A sentence as it was before it held strings: a list of (Token, IobTag)
+# pairs. ``annotator.AnnotatedSentence`` kept verbatim under the name the
+# oracles below use for it, with the writer and the reader of such corpora.
+
+
+@dataclass
+class OracleSentence:
+    """Sentence as a list of (token, tag) pairs."""
+
+    tokens: list[tuple[Token, IobTag]]
+
+
+def oracle_corpus_to_text(corpus: AnnotatedCorpus) -> str:
+    """A corpus of OracleSentences in CoNLL layout, as ``emit_conll`` wrote one."""
+    lines: list[str] = []
+    for doc_id, sentences in corpus.documents:
+        lines.append(f"{DOC_HEADER_PREFIX}{doc_id}\n")
+        for sentence in sentences:
+            lines.extend(f"{token.text}\t{tag}\n" for token, tag in sentence.tokens)
+            lines.append("\n")
+    return "".join(lines)
+
+
+def oracle_objects(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
+    """The corpus of OracleSentences that ``oracle_parse_conll`` reads from a corpus's text."""
+    return oracle_parse_conll(io.StringIO(corpus_to_text(corpus)))
+
+
+# ``annotator.parse_conll`` as it was before a sentence held strings: one
+# Token with canonical offsets and one shared IobTag per token. Kept verbatim
+# as the differential oracle of the ``Sentence.tokens`` view, but for three
+# names: it runs ``OracleTagChecker``, which maps each tag string to its
+# IobTag as the TagChecker of that time did, it makes OracleSentences, and it
+# skips the fourth field a reader's sentence now has.
+
+
+def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
+    """Parse a CoNLL stream into a corpus, enforcing all invariants.
+
+    Layout errors come from ``read_conll_events``; tags and IOB rules are
+    checked by ``TagChecker``, which ``stats`` and ``evaluation`` also run
+    over the strings. Token offsets are synthesized canonically: tokens
+    joined by single spaces, sentences by single newlines, per document
+    starting at zero. Every token with the same tag string shares one IobTag.
+    """
+    checker = OracleTagChecker()
+    corpus = AnnotatedCorpus()
+    for doc_id, raw_sentences in read_conll_events(lines):
+        checker.check(doc_id, raw_sentences)
+        sentences: list[OracleSentence] = []
+        offset = 0
+        for _, texts, tag_strings, _ in raw_sentences:
+            pairs: list[tuple[Token, IobTag]] = []
+            for text, tag_string in zip(texts, tag_strings):
+                end = offset + len(text)
+                pairs.append((Token(text, offset, end), checker.tags[tag_string]))
+                offset = end + 1  # one space, or one newline after the last token
+            sentences.append(OracleSentence(pairs))
+        corpus.documents.append((doc_id, sentences))
+    error = checker.iob_error()
+    if error is not None:
+        raise error
+    return corpus
+
+
 # The CoNLL reader, the strict corpus builder, the IOB check and the corpus
 # statistics as they were before the system file was checked as tag strings:
 # one (text, tag, line) tuple per token, a frozen Token and IobTag per token,
 # and statistics counted token by token. Kept verbatim as differential
-# oracles; only the names gained their prefix.
+# oracles; only the names gained their prefix (the parser's is
+# ``oracle_builder_parse_conll``), and a sentence is an OracleSentence. The
+# IOB check and the statistics read any sentence's ``tokens``.
 
 
 def oracle_read_conll_events(
@@ -388,7 +460,7 @@ class OracleCorpusBuilder:
 
     def add(self, doc_id: str, raw_sentences: list[list[tuple[str, str, int]]]) -> None:
         """Append one document; a tag that does not parse raises DataError naming its line."""
-        sentences: list[AnnotatedSentence] = []
+        sentences: list[OracleSentence] = []
         tags = self._tags
         offset = 0
         for raw_sentence in raw_sentences:
@@ -403,7 +475,7 @@ class OracleCorpusBuilder:
                 end = offset + len(text)
                 pairs.append((Token(text, offset, end), tag))
                 offset = end + 1  # one space, or one newline after the last token
-            sentences.append(AnnotatedSentence(pairs))
+            sentences.append(OracleSentence(pairs))
         self._corpus.documents.append((doc_id, sentences))
 
     def finish(self) -> AnnotatedCorpus:
@@ -414,7 +486,7 @@ class OracleCorpusBuilder:
         return self._corpus
 
 
-def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
+def oracle_builder_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
     """Parse a CoNLL stream into a corpus, enforcing all invariants.
 
     Layout errors come from ``read_conll_events``; tags and IOB rules are
@@ -500,7 +572,7 @@ def oracle_eval(golden: str, system: str, collapse_depth: int | None = None):
     pairs = oracle_align(io.StringIO(golden), io.StringIO(system))
     report = oracle_per_tag_metrics(pairs, collapse_depth)
     try:
-        coarse = oracle_compute_stats(oracle_parse_conll(io.StringIO(system))).coarse_counts
+        coarse = oracle_compute_stats(oracle_builder_parse_conll(io.StringIO(system))).coarse_counts
     except DataError as exc:
         coarse = exc
     return report, len(pairs), coarse
@@ -509,11 +581,12 @@ def oracle_eval(golden: str, system: str, collapse_depth: int | None = None):
 # The CoNLL reader, the strict tag check (with the IOB rules it applies) and
 # the lock-step align as they were before documents were read, checked and
 # counted whole: one line, and one token, at a time. Kept verbatim as
-# differential oracles; only the names changed, and the align returns its
-# pair counts and system error as a tuple.
+# differential oracles; only the names changed, the align returns its pair
+# counts and system error as a tuple, and the checker skips the fourth field
+# a reader's sentence now has.
 
 
-def oracle_read_conll_by_lines(lines: Iterable[str]) -> Iterator[tuple[str, list[ConllSentence]]]:
+def oracle_read_conll_by_lines(lines: Iterable[str]) -> Iterator[tuple[str, list[Sentence]]]:
     """Structural CoNLL reader: yields (doc_id, sentences) one document at a time.
 
     Validates layout only (headers, tab-separated token lines); tags are kept
@@ -522,7 +595,7 @@ def oracle_read_conll_by_lines(lines: Iterable[str]) -> Iterator[tuple[str, list
     line number of its first token.
     """
     doc_id: str | None = None
-    sentences: list[ConllSentence] = []
+    sentences: list[Sentence] = []
     texts: list[str] = []
     tags: list[str] = []
     first_line = 0
@@ -538,7 +611,7 @@ def oracle_read_conll_by_lines(lines: Iterable[str]) -> Iterator[tuple[str, list
             continue
         if not line:
             if texts:
-                sentences.append(ConllSentence(first_line, texts, tags))
+                sentences.append(Sentence(first_line, texts, tags))
                 texts, tags = [], []
             continue
         if doc_id is None:
@@ -551,7 +624,7 @@ def oracle_read_conll_by_lines(lines: Iterable[str]) -> Iterator[tuple[str, list
         texts.append(text)
         tags.append(tag)
     if texts:
-        sentences.append(ConllSentence(first_line, texts, tags))
+        sentences.append(Sentence(first_line, texts, tags))
     if doc_id is not None:
         yield doc_id, sentences
 
@@ -591,10 +664,10 @@ class OracleTagChecker:
         self.tags: dict[str, IobTag] = {}
         self.violations: list[str] = []
 
-    def check(self, doc_id: str, sentences: list[ConllSentence]) -> None:
+    def check(self, doc_id: str, sentences: list[Sentence]) -> None:
         """Check one document; a tag that does not parse raises DataError naming its line."""
         tags = self.tags
-        for first_line, _, sentence_tags in sentences:
+        for first_line, _, sentence_tags, _ in sentences:
             if tags.keys() >= set(sentence_tags):
                 continue
             for i, tag_string in enumerate(sentence_tags):
@@ -603,7 +676,7 @@ class OracleTagChecker:
                         tags[tag_string] = parse_iob_tag(tag_string)
                     except DataError as exc:
                         raise DataError(f"line {first_line + i}: {exc}") from exc
-        for s_idx, (_, texts, sentence_tags) in enumerate(sentences):
+        for s_idx, (_, texts, sentence_tags, _) in enumerate(sentences):
             if len(self.violations) >= 5:
                 break
             self.violations.extend(oracle_sentence_violations(doc_id, s_idx, texts, sentence_tags))
@@ -680,9 +753,10 @@ def oracle_lock_step_align(
 # The dictionary appliers as they were before the indexed rewrite in
 # ``enrich``: every surface tried at every position, on a deep copy. Kept
 # verbatim as differential oracles; they are quadratic, so keep inputs small.
+# They take and give corpora of OracleSentences (``oracle_objects``).
 
 
-def _match_at(sentence: AnnotatedSentence, start: int, parts: list[str]) -> bool:
+def _match_at(sentence: OracleSentence, start: int, parts: list[str]) -> bool:
     """True if the all-O token run at ``start`` spells out ``parts``."""
     if start + len(parts) > len(sentence.tokens):
         return False
@@ -693,7 +767,7 @@ def _match_at(sentence: AnnotatedSentence, start: int, parts: list[str]) -> bool
     return True
 
 
-def _retag(sentence: AnnotatedSentence, start: int, length: int, label: str) -> None:
+def _retag(sentence: OracleSentence, start: int, length: int, label: str) -> None:
     for offset in range(length):
         token, _ = sentence.tokens[start + offset]
         sentence.tokens[start + offset] = (token, IobTag("B" if offset == 0 else "I", label))
@@ -769,7 +843,7 @@ def oracle_apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
 # ``annotator.project_annotations`` as it was before the bisection rewrite:
 # every token scanned once per span and once per sentence. Kept verbatim as a
 # differential oracle, apart from the ``spans_projected`` line; it is
-# quadratic, so keep inputs small.
+# quadratic, so keep inputs small. It gives OracleSentences.
 
 
 def oracle_project_annotations(
@@ -778,7 +852,7 @@ def oracle_project_annotations(
     tokens: list[Token],
     sentences: list[tuple[int, int]],
     counters: Counter | None = None,
-) -> list[AnnotatedSentence]:
+) -> list[OracleSentence]:
     """Project link spans onto tokens as B/I tags, keep entity sentences only.
 
     A token overlapping a labeled span counts as inside the entity (greedy
@@ -821,7 +895,7 @@ def oracle_project_annotations(
         for i in untagged[1:]:
             tags[i] = IobTag("I", label)
 
-    result: list[AnnotatedSentence] = []
+    result: list[OracleSentence] = []
     for s_idx in range(len(sentences)):
         pairs = [
             (tokens[i], tags[i])
@@ -833,7 +907,7 @@ def oracle_project_annotations(
         counters["sentences_total"] += 1
         if any(tag.prefix == "B" for _, tag in pairs):
             counters["sentences_kept"] += 1
-            result.append(AnnotatedSentence(pairs))
+            result.append(OracleSentence(pairs))
         else:
             counters["sentences_dropped"] += 1
     return result

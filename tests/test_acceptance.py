@@ -201,9 +201,9 @@ def non_o_positions(corpus: AnnotatedCorpus):
     positions = set()
     for d, (_, sentences) in enumerate(corpus.documents):
         for s, sentence in enumerate(sentences):
-            for t, (_, tag) in enumerate(sentence.tokens):
-                if tag.prefix != "O":
-                    positions.add((d, s, t, str(tag)))
+            for t, tag in enumerate(sentence.tags):
+                if tag != "O":
+                    positions.add((d, s, t, tag))
     return positions
 
 
@@ -238,7 +238,7 @@ def test_criterion_7_enrichment_laws():
         [("d", [[("x", "B-Name-God"), ("New", "O"), ("York", "O")]])]
     )
     dominated = apply_dictionary(nested, Dictionary({"New York": city, "York": city}))
-    tags = [str(tag) for _, tag in dominated.documents[0][1][0].tokens]
+    tags = dominated.documents[0][1][0].tags
     assert tags == ["B-Name-God", "B-Name-Location-GPE-City", "I-Name-Location-GPE-City"]
     print(f"\nACCEPTANCE 7 PASS: no-overwrite, monotonicity, idempotence on {corpora} "
           f"corpora x 7 experiments, each retagging some; New York/York dominance holds")

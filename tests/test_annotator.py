@@ -8,24 +8,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from helpers import (
     corpus_from_rows,
     corpus_to_text,
+    make_sentence,
     OracleTagChecker,
+    oracle_parse_conll,
     oracle_validate_iob,
     oracle_project_annotations,
     oracle_read_conll_by_lines,
     oracle_split_sentences,
     oracle_tokenize,
     random_corpus,
+    recurring_surface_corpus,
 )
 from uner_pipeline import annotator
 from uner_pipeline.annotator import (
     DOC_HEADER_PREFIX,
     O_TAG,
     AnnotatedCorpus,
-    ConllSentence,
-    IobTag,
+    Sentence,
     TagChecker,
     Token,
     annotate_document,
@@ -143,8 +146,7 @@ class TestProjectAnnotations:
         text = "the 2015 European Games began"
         sentences = self.make(text, [LinkSpan(4, 23, "2015 European Games", "G")], {"G": GAME})
         assert len(sentences) == 1
-        tags = [str(tag) for _, tag in sentences[0].tokens]
-        assert tags == [
+        assert sentences[0].tags == [
             "O",
             "B-Name-Event-Occasion-Game",
             "I-Name-Event-Occasion-Game",
@@ -156,7 +158,7 @@ class TestProjectAnnotations:
         text = "Has the Games entity. Nothing here."
         sentences = self.make(text, [LinkSpan(8, 13, "Games", "G")], {"G": GAME})
         assert len(sentences) == 1
-        assert sentences[0].tokens[0][0].text == "Has"
+        assert sentences[0].texts[0] == "Has"
 
     def test_unlabeled_target_stays_o(self):
         text = "only Thing here"
@@ -172,7 +174,7 @@ class TestProjectAnnotations:
         )
         assert counters["spans_truncated"] == 1
         assert len(sentences) == 1
-        texts_tags = [(t.text, str(tag)) for t, tag in sentences[0].tokens]
+        texts_tags = list(zip(sentences[0].texts, sentences[0].tags))
         assert texts_tags == [
             ("He", "O"),
             ("visited", "O"),
@@ -184,7 +186,7 @@ class TestProjectAnnotations:
         # span covers only "aris" of token "Paris"; greedy inclusion tags it
         text = "in Paris now"
         sentences = self.make(text, [LinkSpan(4, 8, "aris", "P")], {"P": CITY})
-        assert [str(tag) for _, tag in sentences[0].tokens] == [
+        assert sentences[0].tags == [
             "O",
             "B-Name-Location-GPE-City",
             "O",
@@ -239,6 +241,32 @@ class TestConllRoundTrip:
             parse_conll(io.StringIO("# doc_id = d\na\tQ-Name\n\n"))
 
 
+def view_outcome(parse, text):
+    """Each document's sentences as their (Token, IobTag) pairs, and the tags by string."""
+    corpus = parse(io.StringIO(text))
+    documents = [(doc_id, [s.tokens for s in sentences]) for doc_id, sentences in corpus.documents]
+    tags = {}  # tag string -> the first IobTag met for it
+    for _, sentences in documents:
+        for pairs in sentences:
+            for _, tag in pairs:
+                assert tags.setdefault(str(tag), tag) is tag, f"two objects for {tag}"
+    return documents, tags
+
+
+def test_tokens_view_gives_the_pairs_parse_conll_built():
+    # what the benchmark's checker and tracer read: texts, canonical offsets and one IobTag per tag string
+    rng = random.Random(2020)
+    texts = [(FIXTURES / "experiments" / "corpus.conll").read_text(encoding="utf-8")]
+    texts += [corpus_to_text(random_corpus(rng, max_docs=6)) for _ in range(40)]
+    texts += [corpus_to_text(recurring_surface_corpus(rng)) for _ in range(40)]
+    for text in texts:
+        got, got_tags = view_outcome(parse_conll, text)
+        expected, expected_tags = view_outcome(oracle_parse_conll, text)
+        assert got == expected
+        assert got_tags == expected_tags
+    assert got_tags["O"] is O_TAG
+
+
 class TestValidateIob:
     def test_clean_corpus(self):
         corpus = corpus_from_rows(
@@ -247,28 +275,12 @@ class TestValidateIob:
         assert oracle_validate_iob(corpus) == []
 
     def test_label_switch_flagged(self):
-        corpus = AnnotatedCorpus(
-            [
-                (
-                    "d",
-                    [
-                        __import__("uner_pipeline.annotator", fromlist=["AnnotatedSentence"]).AnnotatedSentence(
-                            [
-                                (Token("a", 0, 1), IobTag("B", parse_uner_label("Name-God"))),
-                                (Token("b", 2, 3), IobTag("I", CITY)),
-                            ]
-                        )
-                    ],
-                )
-            ]
-        )
-        violations = oracle_validate_iob(corpus)
+        sentence = make_sentence([("a", f"B-{parse_uner_label('Name-God')}"), ("b", f"I-{CITY}")])
+        violations = oracle_validate_iob(AnnotatedCorpus([("d", [sentence])]))
         assert len(violations) == 1 and "not preceded" in violations[0]
 
     def test_missing_b_flagged(self):
-        sentence = __import__("uner_pipeline.annotator", fromlist=["AnnotatedSentence"]).AnnotatedSentence(
-            [(Token("a", 0, 1), IobTag("O"))]
-        )
+        sentence = make_sentence([("a", "O")])
         violations = oracle_validate_iob(AnnotatedCorpus([("d", [sentence])]))
         assert violations == ["doc d sentence 0: no B tag"]
 
@@ -292,28 +304,32 @@ def test_annotate_document_end_to_end():
     sentences = annotate_document(doc, {"G": GAME, "B": CITY}, counters)
     assert counters["sentences_kept"] == 1
     assert counters["sentences_dropped"] == 1
-    tags = [str(tag) for _, tag in sentences[0].tokens]
+    tags = sentences[0].tags
     assert tags.count("B-Name-Event-Occasion-Game") == 1
     assert tags.count("B-Name-Location-GPE-City") == 1
 
 
 # Differential gate for the bisection rewrite of project_annotations: the
 # sentences (token text, offsets, tag string) and every counter must equal
-# those of the old scan, kept in helpers as oracle_project_annotations.
+# those of the old scan, kept in helpers as oracle_project_annotations. A
+# projected sentence holds token texts alone, so each token's text is given
+# its source offsets before projection, and the texts of a kept sentence name
+# the source tokens it holds.
 LABELS = {"P": PERSON, "C": CITY}  # target "U" has no label
 
 
 def project_both(text, links):
     """Project ``links`` over ``text`` with both functions: (got, expected)."""
     doc = Document("d", "t", text, tuple(LinkSpan(a, b, text[a:b], t) for a, b, t in links))
-    tokens, sentences = tokenize(text), split_sentences(text)
-    runs = []
-    for project in (project_annotations, oracle_project_annotations):
-        counters = Counter()
-        annotated = project(doc, LABELS, tokens, sentences, counters)
-        rows = [[(t.text, t.start, t.end, str(tag)) for t, tag in s.tokens] for s in annotated]
-        runs.append((rows, counters))
-    return runs
+    tokens = [Token(f"{t.text}@{t.start}:{t.end}", t.start, t.end) for t in tokenize(text)]
+    sentences = split_sentences(text)
+    counters = Counter()
+    annotated = project_annotations(doc, LABELS, tokens, sentences, counters)
+    got = ([list(zip(s.texts, s.tags)) for s in annotated], counters)
+    counters = Counter()
+    annotated = oracle_project_annotations(doc, LABELS, tokens, sentences, counters)
+    expected = ([[(t.text, str(tag)) for t, tag in s.tokens] for s in annotated], counters)
+    return got, expected
 
 
 PINNED_TEXT = "Ann Bob Cid went home. Dan saw St. Petersburg."
@@ -487,7 +503,7 @@ def check_outcome(checker, documents):
     for d, tag_lists in enumerate(documents):
         sentences = []
         for tags in tag_lists:
-            sentences.append(ConllSentence(first_line, [f"w{i}" for i in range(len(tags))], tags))
+            sentences.append(Sentence(first_line, [f"w{i}" for i in range(len(tags))], tags))
             first_line += len(tags) + 1
         try:
             checker.check(f"d{d}", sentences)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import string
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -16,6 +17,8 @@ from helpers import (
     oracle_apply_dictionary,
     oracle_apply_local_dictionaries,
     oracle_build_global_dictionary,
+    oracle_corpus_to_text,
+    oracle_objects,
     oracle_run_experiments,
     random_corpus,
     recurring_surface_corpus,
@@ -49,11 +52,7 @@ PERSON = parse_uner_label("Name-Person-Name")
 
 
 def tags_of(corpus: AnnotatedCorpus) -> list[list[str]]:
-    return [
-        [str(tag) for _, tag in sentence.tokens]
-        for _, sentences in corpus.documents
-        for sentence in sentences
-    ]
+    return [sentence.tags for _, sentences in corpus.documents for sentence in sentences]
 
 
 class TestBuildGlobalDictionary:
@@ -403,15 +402,16 @@ class TestRunExperiment:
         expected = apply_dictionary(apply_local_dictionaries(self.corpus), kg_dict)
         assert got == expected
 
-    def test_results_share_no_token_lists(self):
+    def test_results_share_no_tag_lists(self):
+        # the token texts are never changed, so results share them; each has its own tags
         base_before = corpus_to_text(self.corpus)
         results = self.results(3, 6)  # 6 starts from the very corpus 3 returns
         third, sixth = results[3], results[6]
         sixth_before = corpus_to_text(sixth)
         for _, sentences in third.documents:
             for sentence in sentences:
-                sentence.tokens.reverse()
-                sentence.tokens.pop()
+                sentence.tags.reverse()
+                sentence.tags.pop()
             sentences.append(sentences[0])
         assert corpus_to_text(self.corpus) == base_before
         assert corpus_to_text(sixth) == sixth_before
@@ -425,9 +425,9 @@ def non_o_positions(corpus: AnnotatedCorpus) -> set[tuple[int, int, int, str]]:
     positions = set()
     for d, (_, sentences) in enumerate(corpus.documents):
         for s, sentence in enumerate(sentences):
-            for t, (_, tag) in enumerate(sentence.tokens):
-                if tag.prefix != "O":
-                    positions.add((d, s, t, str(tag)))
+            for t, tag in enumerate(sentence.tags):
+                if tag != "O":
+                    positions.add((d, s, t, tag))
     return positions
 
 
@@ -557,6 +557,34 @@ def test_enrich_holds_one_result_corpus_at_a_time(tmp_path):
     assert four <= 1.2 * alone
 
 
+def test_enrich_memory_is_a_small_multiple_of_the_corpus_file(tmp_path):
+    # a sentence holds its token texts and tag strings, not an object per token
+    rng = random.Random(2026)
+    surfaces = [["Paris"], ["New", "York"], ["Obama"], ["Ann", "Lee"], ["Rome"], ["Barack", "Obama"]]
+    rows = []
+    for d in range(300):
+        sentences = []
+        for _ in range(rng.randint(3, 12)):
+            sentence = []
+            for k in range(rng.randint(5, 25)):
+                if k and rng.random() > 0.15:  # lower-case filler, as in running text
+                    sentence.append(("".join(rng.choices(string.ascii_lowercase, k=rng.randint(1, 9))), "O"))
+                    continue
+                # a sentence opens with an entity; a surface later on is one half the time
+                label = rng.choice(LABEL_POOL) if k == 0 or rng.random() < 0.5 else None
+                sentence += [
+                    (word, "O" if label is None else f"{'I' if j else 'B'}-{label}")
+                    for j, word in enumerate(rng.choice(surfaces))
+                ]
+            sentences.append(sentence)
+        rows.append((f"doc{d}", sentences))
+    peak = enrich_peak_bytes(corpus_from_rows(rows), (1,), tmp_path / "out", None)
+    size = (tmp_path / "out" / "corpus.conll").stat().st_size
+    assert size > 400_000
+    assert (tmp_path / "out" / "corpus_exp1.conll").stat().st_size > size  # experiment 1 retagged some
+    assert peak <= 14 * size, peak / size
+
+
 def test_dictionary_save_load_round_trip(tmp_path):
     # a "#MeToo" link tokenizes to "#" and "MeToo"; its line holds a tab, so it is no comment
     dictionary = Dictionary(
@@ -613,7 +641,7 @@ dictionaries = st.dictionaries(
 def test_apply_dictionary_matches_oracle(corpus, dictionary):
     before = corpus_to_text(corpus)
     got = corpus_to_text(apply_dictionary(corpus, dictionary))
-    assert got == corpus_to_text(oracle_apply_dictionary(corpus, dictionary))
+    assert got == oracle_corpus_to_text(oracle_apply_dictionary(oracle_objects(corpus), dictionary))
     assert corpus_to_text(corpus) == before
 
 
@@ -622,7 +650,7 @@ def test_apply_dictionary_matches_oracle(corpus, dictionary):
 def test_apply_local_dictionaries_matches_oracle(corpus):
     before = corpus_to_text(corpus)
     got = corpus_to_text(apply_local_dictionaries(corpus))
-    assert got == corpus_to_text(oracle_apply_local_dictionaries(corpus))
+    assert got == oracle_corpus_to_text(oracle_apply_local_dictionaries(oracle_objects(corpus)))
     assert corpus_to_text(corpus) == before
 
 

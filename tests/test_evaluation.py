@@ -15,8 +15,8 @@ from helpers import (
     corpus_to_text,
     oracle_align,
     oracle_eval,
+    oracle_builder_parse_conll,
     oracle_lock_step_align,
-    oracle_parse_conll,
     oracle_read_conll_by_lines,
     pair_counts,
     random_corpus,
@@ -294,10 +294,12 @@ def test_align_matches_the_line_by_line_align(documents, fault, data):
 
 
 def parse_outcome(parse, text: str):
+    """Each document's sentences as (Token, IobTag) pairs, or the error's type and message."""
     try:
-        return parse(io.StringIO(text))
+        corpus = parse(io.StringIO(text))
     except DataError as exc:
         return type(exc), str(exc)
+    return [(doc_id, [sentence.tokens for sentence in sentences]) for doc_id, sentences in corpus.documents]
 
 
 LAYOUT_FAULTS = st.sampled_from(
@@ -324,7 +326,7 @@ def test_parse_conll_matches_the_builder_parse(documents, fault, data):
     elif fault == "token-before-header":
         lines.insert(0, "stray\tO\n")
     text = "".join(lines)
-    assert parse_outcome(parse_conll, text) == parse_outcome(oracle_parse_conll, text)
+    assert parse_outcome(parse_conll, text) == parse_outcome(oracle_builder_parse_conll, text)
 
 
 @settings(max_examples=200, deadline=None)
@@ -342,8 +344,7 @@ def test_emitted_corpora_read_back_whole(rng, recurring, cut_points):
     for source in (lines, pieces):
         reparsed = parse_conll(source)
         assert [
-            (doc_id, [[(token.text, str(tag)) for token, tag in s.tokens] for s in sentences])
-            for doc_id, sentences in reparsed.documents
+            (doc_id, [list(zip(s.texts, s.tags)) for s in sentences]) for doc_id, sentences in reparsed.documents
         ] == rows
         assert corpus_to_text(reparsed) == text
 

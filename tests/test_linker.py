@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import uner_pipeline
 from helpers import oracle_load_catalog, target_from_uri
+from uner_pipeline import cli
 from uner_pipeline.errors import DataError, QueryError
 from uner_pipeline.linker import (
     ClassCatalog,
@@ -448,6 +451,16 @@ class TestSettings:
         client = make_client(FakeSession({}), timeout=1e-9, retries=1, batch_size=1, concurrency=1, rate_limit=0)
         assert (client.timeout, client.retries, client.batch_size, client.concurrency) == (1e-9, 1, 1, 1)
         check_settings(timeout=0.5, retries=1, batch_size=1, concurrency=1, rate_limit=0.0)
+
+    def test_a_client_defaults_to_the_settings_of_a_run(self):
+        # a library client and a CLI run start from the same five settings
+        names = ("timeout", "retries", "batch_size", "rate_limit", "concurrency")
+        parameters = inspect.signature(SparqlClient).parameters
+        fields = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
+        assert {name: parameters[name].default for name in names} == {name: fields[name] for name in names}
+        assert cli._client_settings(cli.RunConfig()) == {name: fields[name] for name in names}
+        client = SparqlClient("http://fake/sparql", session=FakeSession({}))
+        assert (client.timeout, client.retries, client.batch_size, client.concurrency) == (30.0, 3, 50, 1)
 
 
 def test_endpoint_environment_override(monkeypatch):
