@@ -16,14 +16,15 @@ as a CoNLL file holds them: projection writes them, ``emit_conll`` joins them.
 
 Reading CoNLL back is split in two. ``read_conll_events`` checks the layout
 and yields each document's sentences. ``TagChecker`` applies the tag grammar
-and the IOB rules to those tag strings, checking each distinct tag once;
-``parse_conll`` runs it over a whole file and keeps the sentences, and
-``stats`` and ``evaluation`` run it over the strings as they read. Both work
-on whole documents: the reader reads a file in blocks, cuts it at header
-lines and splits a document in the layout ``emit_conll`` writes with a few
-string operations, going line by line only from the first document in any
-other layout on; the checker tests a document with set operations and walks
-its tokens only when it may break a rule.
+and the IOB rules to those tag strings, checking each distinct tag once.
+``read_checked`` is the reader under the checker: ``parse_conll`` keeps what
+it yields and ``stats`` counts it, while ``evaluation`` runs the checker
+itself so that it can go on scoring after an error. Both work on whole
+documents: the reader reads a file in blocks, cuts it at header lines and
+splits each document in the layout ``emit_conll`` writes with a few string
+operations, reading any other document line by line; the checker tests a
+document with set operations and walks its tokens only when it may break a
+rule.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, chain, groupby, islice
+from itertools import chain, groupby, islice
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -96,31 +97,30 @@ class Sentence(NamedTuple):
 
     Token ``i`` of a sentence read from a CoNLL file is on line
     ``first_line + i``; a projected sentence has 0. Texts are never changed,
-    so copies may share them. ``start`` serves the ``tokens`` view alone.
+    so copies may share them.
     """
 
     first_line: int
     texts: list[str]
     tags: list[str]
-    start: int = 0
 
     @property
     def tokens(self) -> list[tuple[Token, IobTag]]:
-        """The (Token, IobTag) pairs ``parse_conll`` built before a sentence held strings; read-only.
+        """The sentence as (Token, IobTag) pairs; read-only.
 
-        Offsets are made up as then: tokens joined by single spaces,
-        sentences by single newlines, per document from zero (``parse_conll``
-        sets ``start``). Each distinct tag string gives one shared IobTag.
-        Only the benchmark's checker and tracer read this view. Once they
-        read CoNLL with a reader of their own (ROADMAP item 1), it goes, with
-        ``start``, ``IobTag``, ``parse_iob_tag`` and the offsets it makes up.
+        Offsets are made up: tokens joined by single spaces, from zero at the
+        sentence's first token. Each distinct tag string gives one shared
+        IobTag. Only the benchmark's checker and tracer read this view, for
+        token texts and tags. Once they read CoNLL with a reader of their own
+        (ROADMAP item 1), it goes, with ``IobTag``, ``O_TAG`` and
+        ``parse_iob_tag``.
         """
         pairs = []
-        offset = self.start
+        offset = 0
         for text, tag in zip(self.texts, self.tags):
             end = offset + len(text)
             pairs.append((Token(text, offset, end), parse_iob_tag(tag)))
-            offset = end + 1  # one space, or one newline after the last token
+            offset = end + 1  # one space
         return pairs
 
 
@@ -328,19 +328,20 @@ def read_conll_events(lines: Iterable[str]) -> Iterator[tuple[str, list[Sentence
     at a time; the elements of any other iterable are the pieces, so an
     iterable of lines is read no further than a file of them would be. Lines
     end at ``\n``, as a text file iterates them. The text is cut at header
-    lines, and a document in the layout ``emit_conll`` writes is split whole,
-    with no work per line. From the first document in any other layout on,
-    the rest of the stream goes line by line through ``_read_by_lines``,
-    which words every layout error. A document is yielded once the next
-    header line has been read, so memory holds one document and one piece.
+    lines, and each document is read on its own: one in the layout
+    ``emit_conll`` writes is split whole, with no work per line, and any
+    other goes line by line through ``_read_by_lines``, which words every
+    layout error. A document is yielded once the next header line has been
+    read, so memory holds one document and one piece.
     """
     read = getattr(lines, "read", None)
     pieces = iter(lambda: read(READ_BLOCK), "") if read is not None else iter(lines)
     blank_lines, head = _skip_blank_lines(pieces)
-    if not head.startswith(DOC_HEADER_PREFIX):  # an empty stream, or a line before any header
-        yield from _read_by_lines(chain([head], pieces), blank_lines + 1)
+    if not head:
         return
     header_line = blank_lines + 1  # the line of the first header not yet yielded
+    if not head.startswith(DOC_HEADER_PREFIX):
+        raise DataError(f"line {header_line}: token line before any document header")
     parts = ["\n"]  # the text not yet yielded, from the cut of that header on
     tail = "\n"  # the last characters read, all of a cut but one
     for piece in chain([head], pieces):
@@ -352,21 +353,13 @@ def read_conll_events(lines: Iterable[str]) -> Iterator[tuple[str, list[Sentence
         text = "".join(parts)
         start = 0
         while (cut := text.find(_CUT, start + 1)) >= 0:
-            document = _split_plain_document(text[start + len(_CUT) : cut + 1], header_line)
-            if document is None:
-                yield from _read_by_lines(chain([text[start + 1 :]], pieces), header_line)
-                return
-            yield document
-            header_line += text.count("\n", start + 1, cut + 1)
+            document = text[start + len(_CUT) : cut + 1]
+            yield _split_plain_document(document, header_line) or _read_by_lines(document, header_line, False)
+            header_line += document.count("\n")
             start = cut
         parts = [text[start:]]
-    # the last document; a last sentence with no blank line after it sends it line by line
-    text = "".join(parts)
-    document = _split_plain_document(text[len(_CUT) :], header_line)
-    if document is None:
-        yield from _read_by_lines([text[1:]], header_line)
-    else:
-        yield document
+    document = "".join(parts)[len(_CUT) :]
+    yield _split_plain_document(document, header_line) or _read_by_lines(document, header_line, True)
 
 
 def _skip_blank_lines(pieces: Iterator[str]) -> tuple[int, str]:
@@ -420,39 +413,23 @@ def _split_plain_document(document: str, header_line: int) -> tuple[str, list[Se
     return doc_id, sentences
 
 
-def _lines(pieces: Iterable[str]) -> Iterator[str]:
-    """The lines of the concatenated pieces, each without its newline."""
-    partial = ""
-    for piece in pieces:
-        *lines, partial = (partial + piece).split("\n")
-        yield from lines
-    if partial:
-        yield partial
+def _read_by_lines(document: str, header_line: int, last: bool) -> tuple[str, list[Sentence]]:
+    """One document in any layout, read line by line; ``document`` is as ``_split_plain_document`` takes it.
 
-
-def _read_by_lines(pieces: Iterable[str], first_line: int) -> Iterator[tuple[str, list[Sentence]]]:
-    """``read_conll_events`` one line at a time, numbering the lines from ``first_line``."""
-    doc_id: str | None = None
+    Only the last document of a stream may end inside a sentence; any other
+    is followed by a header, which then stands inside that sentence.
+    """
+    doc_id, *lines = document.removesuffix("\n").split("\n")
     sentences: list[Sentence] = []
     texts: list[str] = []
     tags: list[str] = []
     first_token_line = 0
-    for line_no, line in enumerate(_lines(pieces), start=first_line):
-        if line.startswith(DOC_HEADER_PREFIX):
-            if texts:
-                raise DataError(f"line {line_no}: document header inside a sentence")
-            if doc_id is not None:
-                yield doc_id, sentences
-            doc_id = line[len(DOC_HEADER_PREFIX) :]
-            sentences = []
-            continue
+    for line_no, line in enumerate(lines, start=header_line + 1):
         if not line:
             if texts:
                 sentences.append(Sentence(first_token_line, texts, tags))
                 texts, tags = [], []
             continue
-        if doc_id is None:
-            raise DataError(f"line {line_no}: token line before any document header")
         text, sep, tag = line.partition("\t")
         if not sep or not text or not tag:
             raise DataError(f"line {line_no}: expected 'token<TAB>tag', got {line!r}")
@@ -461,9 +438,10 @@ def _read_by_lines(pieces: Iterable[str], first_line: int) -> Iterator[tuple[str
         texts.append(text)
         tags.append(tag)
     if texts:
+        if not last:
+            raise DataError(f"line {header_line + 1 + len(lines)}: document header inside a sentence")
         sentences.append(Sentence(first_token_line, texts, tags))
-    if doc_id is not None:
-        yield doc_id, sentences
+    return doc_id, sentences
 
 
 class TagChecker:
@@ -539,23 +517,21 @@ class TagChecker:
         return DataError("corpus violates IOB invariants: " + "; ".join(self.violations))
 
 
-def parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
-    """Read a CoNLL stream into a corpus of its sentences, enforcing all invariants.
+def read_checked(lines: Iterable[str]) -> Iterator[tuple[str, list[Sentence]]]:
+    """``read_conll_events`` under one ``TagChecker``: the strict read of a CoNLL stream.
 
-    Layout errors come from ``read_conll_events``; tags and IOB rules are
-    checked by ``TagChecker``, which ``stats`` and ``evaluation`` also run
-    over the strings. The corpus holds the strings the reader split, and no
-    object per token; a sentence only gains the ``start`` of its tokens view.
+    A tag that does not parse raises DataError as its document is read; the
+    IOB error, if any, is raised after the last document.
     """
     checker = TagChecker()
-    corpus = AnnotatedCorpus()
     for doc_id, sentences in read_conll_events(lines):
         checker.check(doc_id, sentences)
-        # each text, then a space or a newline
-        starts = accumulate((sum(map(len, s.texts)) + len(s.texts) for s in sentences), initial=0)
-        placed = [Sentence(n, texts, tags, start) for (n, texts, tags, _), start in zip(sentences, starts)]
-        corpus.documents.append((doc_id, placed))
+        yield doc_id, sentences
     error = checker.iob_error()
     if error is not None:
         raise error
-    return corpus
+
+
+def parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
+    """Read a CoNLL stream into a corpus of the strings it holds, through ``read_checked``."""
+    return AnnotatedCorpus(list(read_checked(lines)))

@@ -147,7 +147,7 @@ def _copy_sentences(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
     """A corpus whose tag lists can be changed without touching ``corpus``; it shares the texts."""
     return AnnotatedCorpus(
         [
-            (doc_id, [Sentence(line, texts, tags.copy(), start) for line, texts, tags, start in sentences])
+            (doc_id, [Sentence(line, texts, tags.copy()) for line, texts, tags in sentences])
             for doc_id, sentences in corpus.documents
         ]
     )
@@ -178,7 +178,7 @@ def apply_dictionary(corpus: AnnotatedCorpus, dictionary: Dictionary) -> Annotat
     lengths = sorted({len(parts) for parts in index})
     result = _copy_sentences(corpus)
     for _, sentences in result.documents:
-        for _, texts, tags, _ in sentences:
+        for _, texts, tags in sentences:
             candidates = []
             for start in range(len(texts)):
                 for length in lengths:
@@ -206,7 +206,7 @@ def apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
     for _, sentences in result.documents:
         cache: dict[tuple[str, ...], str] = {}  # surface.split(" ") -> label
         lengths: set[int] = set()
-        for _, texts, tags, _ in sentences:
+        for _, texts, tags in sentences:
             i = 0
             while i < len(tags):
                 tag = tags[i]

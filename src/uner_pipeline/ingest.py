@@ -19,10 +19,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 from urllib.parse import unquote
 
-from .errors import DataError, UsageError
+from .errors import UsageError
 
 DUMP_FORMATS = ("json_lines", "plain_anchored")
 
@@ -44,7 +44,6 @@ class RawDocument:
 
     doc_id: str
     title: str
-    source_url: str
     markup_text: str
 
 
@@ -73,43 +72,29 @@ class Document:
 
 
 def parse_dump_stream(
-    reader: IO | Iterable[str | bytes],
+    lines: Iterable[str],
     fmt: str = "json_lines",
     counters: Counter | None = None,
 ) -> Iterator[RawDocument]:
-    """Yield documents from an extracted-dump stream in file order.
+    """Yield documents from the lines of an extracted dump, in file order.
 
     Malformed lines/blocks are skipped and counted under ``malformed_lines``,
     among them a JSON record whose id, title or text holds a lone surrogate;
     documents whose id holds a line break under ``unwritable_doc_id``, and
-    duplicate document ids under ``duplicate_doc_id``.
-    Invalid UTF-8 in a bytes reader aborts with a DataError naming the line.
-    A text reader decodes on its own: the CLI opens the dump as UTF-8 text,
-    so a bad byte raises UnicodeDecodeError, which it reports as a data
-    error (exit 2).
+    duplicate document ids under ``duplicate_doc_id``. The lines are text:
+    the CLI opens the dump as UTF-8, so a bad byte raises UnicodeDecodeError
+    as it is read, which the CLI reports as a data error (exit 2).
     """
     if fmt not in DUMP_FORMATS:
         raise UsageError(f"unknown dump format {fmt!r}; expected one of {DUMP_FORMATS}")
     counters = counters if counters is not None else Counter()
-    lines = _decoded_lines(reader)
     if fmt == "json_lines":
         yield from _parse_json_lines(lines, counters)
     else:
         yield from _parse_plain_anchored(lines, counters)
 
 
-def _decoded_lines(reader) -> Iterator[str]:
-    for line_no, raw in enumerate(reader, start=1):
-        if isinstance(raw, bytes):
-            try:
-                yield raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataError(f"line {line_no}: invalid UTF-8 ({exc})") from exc
-        else:
-            yield raw
-
-
-def _parse_json_lines(lines: Iterator[str], counters: Counter) -> Iterator[RawDocument]:
+def _parse_json_lines(lines: Iterable[str], counters: Counter) -> Iterator[RawDocument]:
     seen_ids: set[str] = set()
     for line in lines:
         if not line.strip():
@@ -128,15 +113,10 @@ def _parse_json_lines(lines: Iterator[str], counters: Counter) -> Iterator[RawDo
             continue
         if not _is_new_id(doc_id, seen_ids, counters):
             continue
-        yield RawDocument(
-            doc_id=doc_id,
-            title=title,
-            source_url=str(obj.get("url", "")),
-            markup_text=text,
-        )
+        yield RawDocument(doc_id=doc_id, title=title, markup_text=text)
 
 
-def _parse_plain_anchored(lines: Iterator[str], counters: Counter) -> Iterator[RawDocument]:
+def _parse_plain_anchored(lines: Iterable[str], counters: Counter) -> Iterator[RawDocument]:
     """Blocks delimited by ``<doc id=".." url=".." title="..">`` ... ``</doc>``."""
     seen_ids: set[str] = set()
     attrs: dict[str, str] | None = None
@@ -171,12 +151,7 @@ def _finish_block(attrs, body, seen_ids, counters) -> RawDocument | None:
         return None
     if not _is_new_id(doc_id, seen_ids, counters):
         return None
-    return RawDocument(
-        doc_id=doc_id,
-        title=attrs["title"],
-        source_url=attrs.get("url", ""),
-        markup_text="".join(body),
-    )
+    return RawDocument(doc_id=doc_id, title=attrs["title"], markup_text="".join(body))
 
 
 def _is_new_id(doc_id: str, seen_ids: set[str], counters: Counter) -> bool:

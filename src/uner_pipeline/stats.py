@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .annotator import TagChecker, read_conll_events
+from .annotator import read_checked
 
 COARSE_CLASSES = ("Person", "Location", "Organization")
 
@@ -105,21 +105,16 @@ def compute_stats(
 
 
 def read_stats(lines: Iterable[str]) -> tuple[CorpusStats, list[tuple[str, str]]]:
-    """Stats and distinct entities of a CoNLL stream, read as strings and checked as ``parse_conll`` does."""
-    checker = TagChecker()
+    """Stats and distinct entities of a CoNLL stream, read as strings through ``read_checked``."""
     counts: Counter[str] = Counter()
 
     def sentences() -> Iterator[Iterable[tuple[str, str]]]:
-        for doc_id, document in read_conll_events(lines):
-            checker.check(doc_id, document)
-            for _, texts, tags, _ in document:
+        for _, document in read_checked(lines):
+            for _, texts, tags in document:
                 counts.update(tags)
                 yield zip(texts, tags)
 
     entities = list_entities(sentences())
-    error = checker.iob_error()
-    if error is not None:
-        raise error
     return compute_stats(counts, entities), entities
 
 

@@ -341,9 +341,10 @@ def oracle_objects(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
 # ``annotator.parse_conll`` as it was before a sentence held strings: one
 # Token with canonical offsets and one shared IobTag per token. Kept verbatim
 # as the differential oracle of the ``Sentence.tokens`` view, but for three
-# names: it runs ``OracleTagChecker``, which maps each tag string to its
-# IobTag as the TagChecker of that time did, it makes OracleSentences, and it
-# skips the fourth field a reader's sentence now has.
+# names and one rule: it runs ``OracleTagChecker``, which maps each tag string
+# to its IobTag as the TagChecker of that time did, it makes OracleSentences,
+# and its offsets start from zero at each sentence's first token, as the
+# view's do, not at each document's.
 
 
 def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
@@ -352,21 +353,21 @@ def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
     Layout errors come from ``read_conll_events``; tags and IOB rules are
     checked by ``TagChecker``, which ``stats`` and ``evaluation`` also run
     over the strings. Token offsets are synthesized canonically: tokens
-    joined by single spaces, sentences by single newlines, per document
-    starting at zero. Every token with the same tag string shares one IobTag.
+    joined by single spaces, per sentence starting at zero. Every token with
+    the same tag string shares one IobTag.
     """
     checker = OracleTagChecker()
     corpus = AnnotatedCorpus()
     for doc_id, raw_sentences in read_conll_events(lines):
         checker.check(doc_id, raw_sentences)
         sentences: list[OracleSentence] = []
-        offset = 0
-        for _, texts, tag_strings, _ in raw_sentences:
+        for _, texts, tag_strings in raw_sentences:
             pairs: list[tuple[Token, IobTag]] = []
+            offset = 0
             for text, tag_string in zip(texts, tag_strings):
                 end = offset + len(text)
                 pairs.append((Token(text, offset, end), checker.tags[tag_string]))
-                offset = end + 1  # one space, or one newline after the last token
+                offset = end + 1  # one space
             sentences.append(OracleSentence(pairs))
         corpus.documents.append((doc_id, sentences))
     error = checker.iob_error()
@@ -380,8 +381,10 @@ def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
 # one (text, tag, line) tuple per token, a frozen Token and IobTag per token,
 # and statistics counted token by token. Kept verbatim as differential
 # oracles; only the names gained their prefix (the parser's is
-# ``oracle_builder_parse_conll``), and a sentence is an OracleSentence. The
-# IOB check and the statistics read any sentence's ``tokens``.
+# ``oracle_builder_parse_conll``), a sentence is an OracleSentence, and the
+# builder's offsets start from zero at each sentence's first token, as the
+# ``Sentence.tokens`` view's do. The IOB check and the statistics read any
+# sentence's ``tokens``.
 
 
 def oracle_read_conll_events(
@@ -449,9 +452,8 @@ class OracleCorpusBuilder:
     """Builds a strict corpus from ``read_conll_events`` one document at a time.
 
     Token offsets are synthesized canonically: tokens joined by single spaces,
-    sentences by single newlines, per document starting at zero. Each distinct
-    tag string is parsed once, and its frozen IobTag is shared by every
-    document the builder adds.
+    per sentence starting at zero. Each distinct tag string is parsed once,
+    and its frozen IobTag is shared by every document the builder adds.
     """
 
     def __init__(self) -> None:
@@ -462,9 +464,9 @@ class OracleCorpusBuilder:
         """Append one document; a tag that does not parse raises DataError naming its line."""
         sentences: list[OracleSentence] = []
         tags = self._tags
-        offset = 0
         for raw_sentence in raw_sentences:
             pairs: list[tuple[Token, IobTag]] = []
+            offset = 0
             for text, tag_string, line_no in raw_sentence:
                 tag = tags.get(tag_string)
                 if tag is None:
@@ -474,7 +476,7 @@ class OracleCorpusBuilder:
                         raise DataError(f"line {line_no}: {exc}") from exc
                 end = offset + len(text)
                 pairs.append((Token(text, offset, end), tag))
-                offset = end + 1  # one space, or one newline after the last token
+                offset = end + 1  # one space
             sentences.append(OracleSentence(pairs))
         self._corpus.documents.append((doc_id, sentences))
 
@@ -581,9 +583,8 @@ def oracle_eval(golden: str, system: str, collapse_depth: int | None = None):
 # The CoNLL reader, the strict tag check (with the IOB rules it applies) and
 # the lock-step align as they were before documents were read, checked and
 # counted whole: one line, and one token, at a time. Kept verbatim as
-# differential oracles; only the names changed, the align returns its pair
-# counts and system error as a tuple, and the checker skips the fourth field
-# a reader's sentence now has.
+# differential oracles; only the names changed, and the align returns its
+# pair counts and system error as a tuple.
 
 
 def oracle_read_conll_by_lines(lines: Iterable[str]) -> Iterator[tuple[str, list[Sentence]]]:
@@ -667,7 +668,7 @@ class OracleTagChecker:
     def check(self, doc_id: str, sentences: list[Sentence]) -> None:
         """Check one document; a tag that does not parse raises DataError naming its line."""
         tags = self.tags
-        for first_line, _, sentence_tags, _ in sentences:
+        for first_line, _, sentence_tags in sentences:
             if tags.keys() >= set(sentence_tags):
                 continue
             for i, tag_string in enumerate(sentence_tags):
@@ -676,7 +677,7 @@ class OracleTagChecker:
                         tags[tag_string] = parse_iob_tag(tag_string)
                     except DataError as exc:
                         raise DataError(f"line {first_line + i}: {exc}") from exc
-        for s_idx, (_, texts, sentence_tags, _) in enumerate(sentences):
+        for s_idx, (_, texts, sentence_tags) in enumerate(sentences):
             if len(self.violations) >= 5:
                 break
             self.violations.extend(oracle_sentence_violations(doc_id, s_idx, texts, sentence_tags))

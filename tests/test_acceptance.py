@@ -145,7 +145,7 @@ def test_criterion_4_iob_well_formedness_property():
     sentences = 0
     for i in range(10_000):
         markup = random_markup_document(rng, labeled_targets)
-        doc = build_document(RawDocument(str(i), "t", "", markup))
+        doc = build_document(RawDocument(str(i), "t", markup))
         annotated = annotate_document(doc, labeled_targets)
         corpus = AnnotatedCorpus([(str(i), annotated)] if annotated else [])
         violations = oracle_validate_iob(corpus)

@@ -254,7 +254,7 @@ def view_outcome(parse, text):
 
 
 def test_tokens_view_gives_the_pairs_parse_conll_built():
-    # what the benchmark's checker and tracer read: texts, canonical offsets and one IobTag per tag string
+    # the benchmark's checker and tracer read texts and tags; offsets count from each sentence's first token
     rng = random.Random(2020)
     texts = [(FIXTURES / "experiments" / "corpus.conll").read_text(encoding="utf-8")]
     texts += [corpus_to_text(random_corpus(rng, max_docs=6)) for _ in range(40)]
@@ -476,8 +476,8 @@ def test_reader_reads_a_file_in_blocks(tmp_path):
 
 @pytest.mark.parametrize("cut", ["stream", "lines", "characters"])
 def test_the_layout_emit_conll_writes_is_never_read_line_by_line(monkeypatch, cut):
-    def refuse(pieces, first_line):
-        raise AssertionError(f"line {first_line} was read line by line")
+    def refuse(document, header_line, last):
+        raise AssertionError(f"the document at line {header_line} was read line by line")
 
     monkeypatch.setattr(annotator, "_read_by_lines", refuse)
     text = corpus_to_text(random_corpus(random.Random(11), max_docs=6))
@@ -487,6 +487,33 @@ def test_the_layout_emit_conll_writes_is_never_read_line_by_line(monkeypatch, cu
     documents = list(read_conll_events(source))
     assert documents == list(oracle_read_conll_by_lines(io.StringIO(text)))
     assert len(documents) > 3
+
+
+@pytest.mark.parametrize("cut", ["stream", "lines", "characters"])
+def test_one_document_in_another_layout_is_the_only_one_read_line_by_line(monkeypatch, cut):
+    split, by_lines = annotator._split_plain_document, annotator._read_by_lines
+    split_results, by_lines_headers = [], []
+
+    def spy_split(document, header_line):
+        split_results.append(split(document, header_line))
+        return split_results[-1]
+
+    def spy_by_lines(*args):
+        by_lines_headers.append(args[1])  # the line of the document's header
+        return by_lines(*args)
+
+    # the first document has an extra blank line; the rest are in emit_conll's layout
+    first = "# doc_id = first\na\tB-Name\n\n\nb\tB-Name\n\n"
+    rest = corpus_to_text(random_corpus(random.Random(5), max_docs=6)) + "# doc_id = last\n"
+    text = first + rest
+    monkeypatch.setattr(annotator, "_split_plain_document", spy_split)
+    monkeypatch.setattr(annotator, "_read_by_lines", spy_by_lines)
+    source = {"stream": io.StringIO(text), "lines": io.StringIO(text).readlines(), "characters": list(text)}[cut]
+    documents = list(read_conll_events(source))
+    assert documents == list(oracle_read_conll_by_lines(io.StringIO(text)))
+    assert len(documents) == 1 + rest.count(DOC_HEADER_PREFIX) > 2
+    assert split_results[0] is None and by_lines_headers == [1]
+    assert len(split_results) == len(documents) and None not in split_results[1:]
 
 
 # two labels, so that an I tag can follow a B or I tag of the other label, and

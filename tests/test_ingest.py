@@ -11,6 +11,7 @@ from uner_pipeline.ingest import (
     LINE_BREAKS,
     Document,
     LinkSpan,
+    RawDocument,
     build_document,
     collect_unique_targets,
     extract_links,
@@ -25,12 +26,7 @@ def jl(**kwargs) -> str:
 class TestParseDumpStreamJsonLines:
     def test_direct_field_mapping(self):
         stream = io.StringIO(jl(id="12", url="u", title="T", text="body") + "\n")
-        docs = list(parse_dump_stream(stream))
-        assert len(docs) == 1
-        assert docs[0].doc_id == "12"
-        assert docs[0].title == "T"
-        assert docs[0].source_url == "u"
-        assert docs[0].markup_text == "body"
+        assert list(parse_dump_stream(stream)) == [RawDocument("12", "T", "body")]  # the url is ignored
 
     def test_empty_stream(self):
         counters = Counter()
@@ -60,8 +56,9 @@ class TestParseDumpStreamJsonLines:
         assert len(docs) == 1 and docs[0].title == "A"
         assert counters["duplicate_doc_id"] == 1
 
-    def test_bytes_input_accepted(self):
-        stream = io.BytesIO((jl(id="5", title="T", text="zürich") + "\n").encode("utf-8"))
+    def test_utf8_text_stream_decoded_by_its_reader(self):
+        raw = io.BytesIO((jl(id="5", title="T", text="zürich") + "\n").encode("utf-8"))
+        stream = io.TextIOWrapper(raw, encoding="utf-8")
         docs = list(parse_dump_stream(stream))
         assert docs[0].markup_text == "zürich"
 
@@ -292,11 +289,7 @@ class TestCollectUniqueTargets:
 
 def test_build_document_invariants():
     raw_text = 'intro [[Paris|the city]] then <a href="Berlin">Berlin</a>.'
-    doc = build_document(
-        __import__("uner_pipeline.ingest", fromlist=["RawDocument"]).RawDocument(
-            "1", "T", "", raw_text
-        )
-    )
+    doc = build_document(RawDocument("1", "T", raw_text))
     assert doc.text == "intro the city then Berlin."
     for span in doc.links:
         assert doc.text[span.start : span.end] == span.surface
