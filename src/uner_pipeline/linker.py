@@ -16,7 +16,6 @@ import os
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection
@@ -316,6 +315,8 @@ def resolve_all(
     if client is None:
         counters["unresolved"] += len(misses)
         return result
+
+    from concurrent.futures import ThreadPoolExecutor  # imported here, so only a run that queries pays for it
 
     batches = [misses[i : i + client.batch_size] for i in range(0, len(misses), client.batch_size)]
     with ThreadPoolExecutor(max_workers=client.concurrency) as executor:

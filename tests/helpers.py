@@ -11,20 +11,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator
 from urllib.parse import unquote
 
 from uner_pipeline.annotator import (
     DOC_HEADER_PREFIX,
-    O_TAG,
     AnnotatedCorpus,
-    IobTag,
     Sentence,
     Token,
     emit_conll,
     parse_conll,
-    parse_iob_tag,
-    read_conll_events,
 )
 from uner_pipeline.enrich import (
     EXPERIMENTS,
@@ -37,7 +33,7 @@ from uner_pipeline.enrich import (
     surface_token_count,
 )
 from uner_pipeline.errors import AlignmentError, ConfigurationError, DataError, LabelParseError
-from uner_pipeline.evaluation import EvalReport, TagMetrics, collapse_tag
+from uner_pipeline.evaluation import EvalReport, TagMetrics
 from uner_pipeline.ingest import Document
 from uner_pipeline.linker import DEFAULT_RESOURCE_BASE, ClassCatalog
 from uner_pipeline.mapping import EquivalenceMap, iter_tsv, parse_uner_label
@@ -215,115 +211,207 @@ def pair_counts(gold_tags: list[str], system_tags: list[str]) -> Counter:
     return Counter(zip(gold_tags, system_tags))
 
 
-# The eval path as it was before the lock-step ``align``: both files read in
-# full, one TagPair per token, each pair collapsed and counted on its own, and
-# the system file parsed a second time for the coarse counts. Kept verbatim as
-# differential oracles.
+# One reference per rule of a CoNLL file: ``oracle_read_conll_by_lines`` for
+# the layout, ``oracle_parse_tag`` and ``oracle_sentence_violations`` (run by
+# ``OracleTagChecker``) for the tag grammar and the IOB rules,
+# ``oracle_read_checked`` for the strict parse, ``oracle_lock_step_align`` for
+# the pairing of two files and ``brute_force_metrics`` (above) for the scores.
+# Each works a line, or a token, at a time.
 
 
-class TagPair(NamedTuple):
-    """One aligned token with its golden and system tags."""
+def oracle_read_conll_by_lines(lines: Iterable[str]) -> Iterator[tuple[str, list[Sentence]]]:
+    """Structural CoNLL reader: yields (doc_id, sentences) one document at a time.
 
-    token_text: str
-    gold: str
-    system: str
-
-
-def oracle_align(golden: Iterable[str], system: Iterable[str]) -> list[TagPair]:
-    """Position-wise pairing of two CoNLL streams.
-
-    Document ids, sentence boundaries, and token texts must coincide; the
-    first divergence aborts with both line numbers.
+    Validates layout only (headers, tab-separated token lines); tags are kept
+    as raw strings so files with unusual tag inventories still load. A
+    sentence's token lines are consecutive, so each sentence keeps only the
+    line number of its first token.
     """
-    golden_docs = list(oracle_read_conll_events(golden))
-    system_docs = list(oracle_read_conll_events(system))
-    if len(golden_docs) != len(system_docs):
-        raise AlignmentError(
-            f"document count differs: golden has {len(golden_docs)}, system has {len(system_docs)}"
-        )
-    pairs: list[TagPair] = []
-    for (gold_id, gold_sentences), (sys_id, sys_sentences) in zip(golden_docs, system_docs):
-        if gold_id != sys_id:
-            raise AlignmentError(f"document id mismatch: golden {gold_id!r} vs system {sys_id!r}")
-        if len(gold_sentences) != len(sys_sentences):
-            raise AlignmentError(
-                f"document {gold_id}: golden has {len(gold_sentences)} sentences, "
-                f"system has {len(sys_sentences)}"
+    doc_id: str | None = None
+    sentences: list[Sentence] = []
+    texts: list[str] = []
+    tags: list[str] = []
+    first_line = 0
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if line.startswith(DOC_HEADER_PREFIX):
+            if texts:
+                raise DataError(f"line {line_no}: document header inside a sentence")
+            if doc_id is not None:
+                yield doc_id, sentences
+            doc_id = line[len(DOC_HEADER_PREFIX) :]
+            sentences = []
+            continue
+        if not line:
+            if texts:
+                sentences.append(Sentence(first_line, texts, tags))
+                texts, tags = [], []
+            continue
+        if doc_id is None:
+            raise DataError(f"line {line_no}: token line before any document header")
+        text, sep, tag = line.partition("\t")
+        if not sep or not text or not tag:
+            raise DataError(f"line {line_no}: expected 'token<TAB>tag', got {line!r}")
+        if not texts:
+            first_line = line_no
+        texts.append(text)
+        tags.append(tag)
+    if texts:
+        sentences.append(Sentence(first_line, texts, tags))
+    if doc_id is not None:
+        yield doc_id, sentences
+
+
+@dataclass(frozen=True)
+class OracleTag:
+    """A parsed IOB tag: prefix O carries no label, B/I carry exactly one."""
+
+    prefix: str  # "B", "I", or "O"
+    label: str | None = None
+
+    def __str__(self) -> str:
+        if self.prefix == "O":
+            return "O"
+        return f"{self.prefix}-{self.label}"
+
+
+ORACLE_O = OracleTag("O")
+
+
+def oracle_parse_tag(s: str) -> OracleTag:
+    """Parse ``O``, or ``B`` or ``I``, a hyphen and a UNER label; DataError otherwise."""
+    if s == "O":
+        return ORACLE_O
+    prefix, sep, label = s.partition("-")
+    if prefix not in ("B", "I") or not sep:
+        raise DataError(f"bad IOB tag {s!r}")
+    return OracleTag(prefix, parse_uner_label(label))
+
+
+def oracle_sentence_violations(doc_id: str, s_idx: int, texts: list[str], tags: list[str]) -> Iterator[str]:
+    """IOB violations of one sentence whose tag strings all parse.
+
+    Such a tag is ``O`` or its prefix, a hyphen and its label, so two labels
+    are equal exactly when the tags agree from their third character on.
+    """
+    previous = "O"
+    saw_b = False
+    for t_idx, tag in enumerate(tags):
+        if tag[0] == "B":
+            saw_b = True
+        elif tag[0] == "I" and (previous == "O" or previous[2:] != tag[2:]):
+            yield (
+                f"doc {doc_id} sentence {s_idx} token {t_idx} ({texts[t_idx]!r}): "
+                f"{tag} not preceded by B/I of the same label"
             )
-        for gold_sentence, sys_sentence in zip(gold_sentences, sys_sentences):
-            if len(gold_sentence) != len(sys_sentence):
-                raise AlignmentError(
-                    f"sentence length mismatch near golden line {gold_sentence[0][2]} "
-                    f"/ system line {sys_sentence[0][2]}"
-                )
-            for (g_text, g_tag, g_line), (s_text, s_tag, s_line) in zip(gold_sentence, sys_sentence):
-                if g_text != s_text:
-                    raise AlignmentError(
-                        f"token text mismatch at golden line {g_line} / system line {s_line}: "
-                        f"{g_text!r} vs {s_text!r}"
-                    )
-                pairs.append(TagPair(g_text, g_tag, s_tag))
-    return pairs
+        previous = tag
+    if not saw_b:
+        yield f"doc {doc_id} sentence {s_idx}: no B tag"
 
 
-def oracle_per_tag_metrics(pairs: list[TagPair], collapse_depth: int | None = None) -> EvalReport:
-    """Precision/recall/F1 per tag (percent), macro over non-all-zero tags.
-
-    O is scored in the per-tag table when present but never enters the macro.
-    Values are kept at full precision; rounding happens only at rendering.
-    """
-    if not pairs:
-        raise DataError("nothing to score: empty pair list")
-    true_positive: Counter[str] = Counter()
-    false_positive: Counter[str] = Counter()
-    false_negative: Counter[str] = Counter()
-    for _, gold, system in pairs:
-        if collapse_depth is not None:
-            gold, system = collapse_tag(gold, collapse_depth), collapse_tag(system, collapse_depth)
-        if gold == system:
-            true_positive[gold] += 1
-        else:
-            false_negative[gold] += 1
-            false_positive[system] += 1
-    tags = sorted(true_positive.keys() | false_positive.keys() | false_negative.keys())
-    report = EvalReport(collapse_depth=collapse_depth)
-    for tag in tags:
-        tp, fp, fn = true_positive[tag], false_positive[tag], false_negative[tag]
-        precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0
-        recall = 100.0 * tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        report.per_tag[tag] = TagMetrics(precision, recall, f1, support=tp + fn)
-    counted = [
-        tag
-        for tag in tags
-        if tag != "O"
-        and (report.per_tag[tag].precision, report.per_tag[tag].recall, report.per_tag[tag].f1)
-        != (0.0, 0.0, 0.0)
+def oracle_document_violations(doc_id: str, sentences: list[Sentence]) -> list[str]:
+    """IOB violations of one document whose tag strings all parse, in reading order."""
+    return [
+        violation
+        for s_idx, (_, texts, tags) in enumerate(sentences)
+        for violation in oracle_sentence_violations(doc_id, s_idx, texts, tags)
     ]
-    report.counted_tags = counted
-    if counted:
-        report.macro = (
-            sum(report.per_tag[t].precision for t in counted) / len(counted),
-            sum(report.per_tag[t].recall for t in counted) / len(counted),
-            sum(report.per_tag[t].f1 for t in counted) / len(counted),
-        )
-    return report
 
 
-# A sentence as it was before it held strings: a list of (Token, IobTag)
-# pairs. ``annotator.AnnotatedSentence`` kept verbatim under the name the
-# oracles below use for it, with the writer and the reader of such corpora.
+class OracleTagChecker:
+    """The strict tag and IOB check of a CoNLL file, one document at a time.
+
+    Each distinct tag string is parsed once; ``tags`` holds those that
+    pass. The first tag that does not parse, in file order, is the error,
+    and ``check`` raises it. Otherwise the document's violations are
+    listed (``oracle_document_violations``) and the first five in the file
+    are kept for ``iob_error``, which reports them once the whole file has
+    been checked.
+    """
+
+    def __init__(self) -> None:
+        self.tags: set[str] = set()
+        self.violations: list[str] = []
+
+    def check(self, doc_id: str, sentences: list[Sentence]) -> None:
+        """Check one document; a tag that does not parse raises DataError naming its line."""
+        tags = self.tags
+        for first_line, _, sentence_tags in sentences:
+            for i, tag_string in enumerate(sentence_tags):
+                if tag_string not in tags:
+                    try:
+                        oracle_parse_tag(tag_string)
+                    except DataError as exc:
+                        raise DataError(f"line {first_line + i}: {exc}") from exc
+                    tags.add(tag_string)
+        self.violations.extend(oracle_document_violations(doc_id, sentences))
+        del self.violations[5:]
+
+    def iob_error(self) -> DataError | None:
+        """The IOB error of everything checked so far, or None."""
+        if not self.violations:
+            return None
+        return DataError("corpus violates IOB invariants: " + "; ".join(self.violations))
 
 
 @dataclass
 class OracleSentence:
-    """Sentence as a list of (token, tag) pairs."""
+    """A sentence as (Token, OracleTag) pairs; one read from a file keeps its first token's line.
 
-    tokens: list[tuple[Token, IobTag]]
+    A corpus sentence was such a list of pairs before it held strings. Token
+    offsets are made up: tokens joined by single spaces, from zero at the
+    sentence's first token.
+    """
+
+    tokens: list[tuple[Token, OracleTag]]
+    first_line: int = 0
+
+
+def oracle_read_checked(lines: Iterable[str]) -> Iterator[tuple[str, list[Sentence]]]:
+    """``oracle_read_conll_by_lines`` under one ``OracleTagChecker``: the strict read of a CoNLL stream.
+
+    A tag that does not parse raises DataError as its document is read; the
+    IOB error, if any, is raised once the last document has been yielded.
+    """
+    checker = OracleTagChecker()
+    for doc_id, sentences in oracle_read_conll_by_lines(lines):
+        checker.check(doc_id, sentences)
+        yield doc_id, sentences
+    error = checker.iob_error()
+    if error is not None:
+        raise error
+
+
+def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
+    """The strict read of a CoNLL stream as a corpus of OracleSentences.
+
+    Every token with the same tag string shares one OracleTag.
+    """
+    tags: dict[str, OracleTag] = {}
+    corpus = AnnotatedCorpus()
+    for doc_id, raw_sentences in oracle_read_checked(lines):
+        sentences: list[OracleSentence] = []
+        for first_line, texts, tag_strings in raw_sentences:
+            pairs: list[tuple[Token, OracleTag]] = []
+            offset = 0
+            for text, tag_string in zip(texts, tag_strings):
+                if tag_string not in tags:
+                    tags[tag_string] = oracle_parse_tag(tag_string)
+                end = offset + len(text)
+                pairs.append((Token(text, offset, end), tags[tag_string]))
+                offset = end + 1  # one space
+            sentences.append(OracleSentence(pairs, first_line))
+        corpus.documents.append((doc_id, sentences))
+    return corpus
+
+
+def oracle_objects(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
+    """The corpus of OracleSentences that ``oracle_parse_conll`` reads from a corpus's text."""
+    return oracle_parse_conll(io.StringIO(corpus_to_text(corpus)))
 
 
 def oracle_corpus_to_text(corpus: AnnotatedCorpus) -> str:
-    """A corpus of OracleSentences in CoNLL layout, as ``emit_conll`` wrote one."""
+    """A corpus of OracleSentences in CoNLL layout."""
     lines: list[str] = []
     for doc_id, sentences in corpus.documents:
         lines.append(f"{DOC_HEADER_PREFIX}{doc_id}\n")
@@ -333,177 +421,89 @@ def oracle_corpus_to_text(corpus: AnnotatedCorpus) -> str:
     return "".join(lines)
 
 
-def oracle_objects(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
-    """The corpus of OracleSentences that ``oracle_parse_conll`` reads from a corpus's text."""
-    return oracle_parse_conll(io.StringIO(corpus_to_text(corpus)))
+def oracle_lock_step_align(
+    golden: Iterable[str], system: Iterable[str]
+) -> tuple[Counter[tuple[str, str]], DataError | None]:
+    """Position-wise pairing of two CoNLL streams in one lock-step pass.
 
+    The two files are read one document at a time, side by side, and each is
+    read once. Document ids, sentence boundaries, and token texts must
+    coincide; the first divergence aborts with both line numbers. When one
+    file runs out of documents first, the rest of the other is read so that
+    the error gives both document counts. Errors surface in reading order: a
+    divergence in an early document is reported before a layout error or a
+    count mismatch further on.
 
-# ``annotator.parse_conll`` as it was before a sentence held strings: one
-# Token with canonical offsets and one shared IobTag per token. Kept verbatim
-# as the differential oracle of the ``Sentence.tokens`` view, but for three
-# names and one rule: it runs ``OracleTagChecker``, which maps each tag string
-# to its IobTag as the TagChecker of that time did, it makes OracleSentences,
-# and its offsets start from zero at each sentence's first token, as the
-# view's do, not at each document's.
-
-
-def oracle_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
-    """Parse a CoNLL stream into a corpus, enforcing all invariants.
-
-    Layout errors come from ``read_conll_events``; tags and IOB rules are
-    checked by ``TagChecker``, which ``stats`` and ``evaluation`` also run
-    over the strings. Token offsets are synthesized canonically: tokens
-    joined by single spaces, per sentence starting at zero. Every token with
-    the same tag string shares one IobTag.
+    Each system document also goes through one ``OracleTagChecker``. Its
+    first DataError (a tag that does not parse, or at the end the IOB
+    violations) is kept in the result, while the scoring carries on.
     """
+    pair_counts: Counter[tuple[str, str]] = Counter()
     checker = OracleTagChecker()
-    corpus = AnnotatedCorpus()
-    for doc_id, raw_sentences in read_conll_events(lines):
-        checker.check(doc_id, raw_sentences)
-        sentences: list[OracleSentence] = []
-        for _, texts, tag_strings in raw_sentences:
-            pairs: list[tuple[Token, IobTag]] = []
-            offset = 0
-            for text, tag_string in zip(texts, tag_strings):
-                end = offset + len(text)
-                pairs.append((Token(text, offset, end), checker.tags[tag_string]))
-                offset = end + 1  # one space
-            sentences.append(OracleSentence(pairs))
-        corpus.documents.append((doc_id, sentences))
-    error = checker.iob_error()
-    if error is not None:
-        raise error
-    return corpus
+    system_error: DataError | None = None
+    golden_docs, system_docs = oracle_read_conll_by_lines(golden), oracle_read_conll_by_lines(system)
+    for index, (gold_doc, sys_doc) in enumerate(zip_longest(golden_docs, system_docs)):
+        if gold_doc is None or sys_doc is None:
+            golden_count = index + (gold_doc is not None) + sum(1 for _ in golden_docs)
+            system_count = index + (sys_doc is not None) + sum(1 for _ in system_docs)
+            raise AlignmentError(
+                f"document count differs: golden has {golden_count}, system has {system_count}"
+            )
+        (gold_id, gold_sentences), (sys_id, sys_sentences) = gold_doc, sys_doc
+        if gold_id != sys_id:
+            raise AlignmentError(f"document id mismatch: golden {gold_id!r} vs system {sys_id!r}")
+        if len(gold_sentences) != len(sys_sentences):
+            raise AlignmentError(
+                f"document {gold_id}: golden has {len(gold_sentences)} sentences, "
+                f"system has {len(sys_sentences)}"
+            )
+        for gold_sentence, sys_sentence in zip(gold_sentences, sys_sentences):
+            gold_texts, sys_texts = gold_sentence.texts, sys_sentence.texts
+            if len(gold_texts) != len(sys_texts):
+                raise AlignmentError(
+                    f"sentence length mismatch near golden line {gold_sentence.first_line} "
+                    f"/ system line {sys_sentence.first_line}"
+                )
+            if gold_texts != sys_texts:
+                i = next(i for i, (g, s) in enumerate(zip(gold_texts, sys_texts)) if g != s)
+                raise AlignmentError(
+                    f"token text mismatch at golden line {gold_sentence.first_line + i} / "
+                    f"system line {sys_sentence.first_line + i}: {gold_texts[i]!r} vs {sys_texts[i]!r}"
+                )
+            pair_counts.update(zip(gold_sentence.tags, sys_sentence.tags))
+        if system_error is None:
+            try:
+                checker.check(sys_id, sys_sentences)
+            except DataError as exc:
+                system_error = exc
+    if system_error is None:
+        system_error = checker.iob_error()
+    return pair_counts, system_error
 
 
-# The CoNLL reader, the strict corpus builder, the IOB check and the corpus
-# statistics as they were before the system file was checked as tag strings:
-# one (text, tag, line) tuple per token, a frozen Token and IobTag per token,
-# and statistics counted token by token. Kept verbatim as differential
-# oracles; only the names gained their prefix (the parser's is
-# ``oracle_builder_parse_conll``), a sentence is an OracleSentence, and the
-# builder's offsets start from zero at each sentence's first token, as the
-# ``Sentence.tokens`` view's do. The IOB check and the statistics read any
-# sentence's ``tokens``.
+def oracle_eval(golden: str, system: str, collapse_depth: int | None = None):
+    """The eval of two CoNLL texts by the references: (report, aligned tokens, coarse counts).
 
-
-def oracle_read_conll_events(
-    lines: Iterable[str],
-) -> Iterator[tuple[str, list[list[tuple[str, str, int]]]]]:
-    """Structural CoNLL reader: yields (doc_id, sentences of (text, tag, line_no)).
-
-    Validates layout only (headers, tab-separated token lines); tags are kept
-    as raw strings so files with unusual tag inventories still load.
+    The coarse counts are those of the strictly parsed system file; when the
+    align found that file faulty, its DataError stands in their place.
     """
-    doc_id: str | None = None
-    sentences: list[list[tuple[str, str, int]]] = []
-    current: list[tuple[str, str, int]] = []
-    line_no = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if line.startswith(DOC_HEADER_PREFIX):
-            if current:
-                raise DataError(f"line {line_no}: document header inside a sentence")
-            if doc_id is not None:
-                yield doc_id, sentences
-            doc_id = line[len(DOC_HEADER_PREFIX) :]
-            sentences = []
-            continue
-        if not line:
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        if doc_id is None:
-            raise DataError(f"line {line_no}: token line before any document header")
-        text, sep, tag = line.partition("\t")
-        if not sep or not text or not tag:
-            raise DataError(f"line {line_no}: expected 'token<TAB>tag', got {line!r}")
-        current.append((text, tag, line_no))
-    if current:
-        sentences.append(current)
-    if doc_id is not None:
-        yield doc_id, sentences
+    pair_counts, system_error = oracle_lock_step_align(io.StringIO(golden), io.StringIO(system))
+    if not pair_counts:
+        raise DataError("nothing to score: empty pair counts")
+    gold_tags, system_tags = zip(*pair_counts.elements())
+    per_tag, macro, counted = brute_force_metrics(list(gold_tags), list(system_tags), collapse_depth)
+    metrics = {tag: TagMetrics(*values) for tag, values in per_tag.items()}
+    report = EvalReport(metrics, macro, counted, collapse_depth)
+    if system_error is None:
+        coarse = oracle_compute_stats(oracle_parse_conll(io.StringIO(system))).coarse_counts
+    else:
+        coarse = system_error
+    return report, pair_counts.total(), coarse
 
 
-def oracle_validate_iob(corpus: AnnotatedCorpus) -> list[str]:
-    """Return IOB well-formedness violations, one message per offense."""
-    violations: list[str] = []
-    for doc_id, sentences in corpus.documents:
-        for s_idx, sentence in enumerate(sentences):
-            previous: IobTag = O_TAG
-            saw_b = False
-            for t_idx, (token, tag) in enumerate(sentence.tokens):
-                if tag.prefix == "B":
-                    saw_b = True
-                elif tag.prefix == "I":
-                    if previous.prefix == "O" or previous.label != tag.label:
-                        violations.append(
-                            f"doc {doc_id} sentence {s_idx} token {t_idx} ({token.text!r}): "
-                            f"I-{tag.label} not preceded by B/I of the same label"
-                        )
-                previous = tag
-            if not saw_b:
-                violations.append(f"doc {doc_id} sentence {s_idx}: no B tag")
-    return violations
-
-
-class OracleCorpusBuilder:
-    """Builds a strict corpus from ``read_conll_events`` one document at a time.
-
-    Token offsets are synthesized canonically: tokens joined by single spaces,
-    per sentence starting at zero. Each distinct tag string is parsed once,
-    and its frozen IobTag is shared by every document the builder adds.
-    """
-
-    def __init__(self) -> None:
-        self._corpus = AnnotatedCorpus()
-        self._tags: dict[str, IobTag] = {}
-
-    def add(self, doc_id: str, raw_sentences: list[list[tuple[str, str, int]]]) -> None:
-        """Append one document; a tag that does not parse raises DataError naming its line."""
-        sentences: list[OracleSentence] = []
-        tags = self._tags
-        for raw_sentence in raw_sentences:
-            pairs: list[tuple[Token, IobTag]] = []
-            offset = 0
-            for text, tag_string, line_no in raw_sentence:
-                tag = tags.get(tag_string)
-                if tag is None:
-                    try:
-                        tag = tags[tag_string] = parse_iob_tag(tag_string)
-                    except DataError as exc:
-                        raise DataError(f"line {line_no}: {exc}") from exc
-                end = offset + len(text)
-                pairs.append((Token(text, offset, end), tag))
-                offset = end + 1  # one space
-            sentences.append(OracleSentence(pairs))
-        self._corpus.documents.append((doc_id, sentences))
-
-    def finish(self) -> AnnotatedCorpus:
-        """The corpus built so far; DataError if it breaks the IOB invariants."""
-        violations = oracle_validate_iob(self._corpus)
-        if violations:
-            raise DataError("corpus violates IOB invariants: " + "; ".join(violations[:5]))
-        return self._corpus
-
-
-def oracle_builder_parse_conll(lines: Iterable[str]) -> AnnotatedCorpus:
-    """Parse a CoNLL stream into a corpus, enforcing all invariants.
-
-    Layout errors come from ``read_conll_events``; tags and IOB rules are
-    checked by ``CorpusBuilder``, which ``evaluation.align`` also uses to build
-    the system corpus in its single pass.
-    """
-    builder = OracleCorpusBuilder()
-    for doc_id, raw_sentences in oracle_read_conll_events(lines):
-        builder.add(doc_id, raw_sentences)
-    return builder.finish()
-
-
-# ``stats.iter_entities`` and ``stats.list_entities`` as they were before stats
-# read its corpus as strings: a walk over the (Token, IobTag) corpus. Kept
-# verbatim as differential oracles; only the names gained the prefix.
+# ``stats.iter_entities``, ``list_entities`` and ``compute_stats`` as they were
+# before stats read its corpus as strings: walks over a corpus of
+# OracleSentences (``oracle_objects``). Kept as differential oracles.
 
 
 def oracle_iter_entities(corpus: AnnotatedCorpus):
@@ -569,188 +569,6 @@ def oracle_compute_stats(
     return stats
 
 
-def oracle_eval(golden: str, system: str, collapse_depth: int | None = None):
-    """The two-pass eval of two CoNLL texts: (report, aligned tokens, coarse counts or the DataError)."""
-    pairs = oracle_align(io.StringIO(golden), io.StringIO(system))
-    report = oracle_per_tag_metrics(pairs, collapse_depth)
-    try:
-        coarse = oracle_compute_stats(oracle_builder_parse_conll(io.StringIO(system))).coarse_counts
-    except DataError as exc:
-        coarse = exc
-    return report, len(pairs), coarse
-
-
-# The CoNLL reader, the strict tag check (with the IOB rules it applies) and
-# the lock-step align as they were before documents were read, checked and
-# counted whole: one line, and one token, at a time. Kept verbatim as
-# differential oracles; only the names changed, and the align returns its
-# pair counts and system error as a tuple.
-
-
-def oracle_read_conll_by_lines(lines: Iterable[str]) -> Iterator[tuple[str, list[Sentence]]]:
-    """Structural CoNLL reader: yields (doc_id, sentences) one document at a time.
-
-    Validates layout only (headers, tab-separated token lines); tags are kept
-    as raw strings so files with unusual tag inventories still load. A
-    sentence's token lines are consecutive, so each sentence keeps only the
-    line number of its first token.
-    """
-    doc_id: str | None = None
-    sentences: list[Sentence] = []
-    texts: list[str] = []
-    tags: list[str] = []
-    first_line = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if line.startswith(DOC_HEADER_PREFIX):
-            if texts:
-                raise DataError(f"line {line_no}: document header inside a sentence")
-            if doc_id is not None:
-                yield doc_id, sentences
-            doc_id = line[len(DOC_HEADER_PREFIX) :]
-            sentences = []
-            continue
-        if not line:
-            if texts:
-                sentences.append(Sentence(first_line, texts, tags))
-                texts, tags = [], []
-            continue
-        if doc_id is None:
-            raise DataError(f"line {line_no}: token line before any document header")
-        text, sep, tag = line.partition("\t")
-        if not sep or not text or not tag:
-            raise DataError(f"line {line_no}: expected 'token<TAB>tag', got {line!r}")
-        if not texts:
-            first_line = line_no
-        texts.append(text)
-        tags.append(tag)
-    if texts:
-        sentences.append(Sentence(first_line, texts, tags))
-    if doc_id is not None:
-        yield doc_id, sentences
-
-
-def oracle_sentence_violations(doc_id: str, s_idx: int, texts: list[str], tags: list[str]) -> Iterator[str]:
-    """IOB violations of one sentence whose tag strings all parse.
-
-    Such a tag is ``O`` or its prefix, a hyphen and its label, so two labels
-    are equal exactly when the tags agree from their third character on.
-    """
-    previous = "O"
-    saw_b = False
-    for t_idx, tag in enumerate(tags):
-        if tag[0] == "B":
-            saw_b = True
-        elif tag[0] == "I" and (previous == "O" or previous[2:] != tag[2:]):
-            yield (
-                f"doc {doc_id} sentence {s_idx} token {t_idx} ({texts[t_idx]!r}): "
-                f"{tag} not preceded by B/I of the same label"
-            )
-        previous = tag
-    if not saw_b:
-        yield f"doc {doc_id} sentence {s_idx}: no B tag"
-
-
-class OracleTagChecker:
-    """The strict tag and IOB check of a CoNLL file, one document at a time.
-
-    Each distinct tag string is parsed once; ``tags`` maps it to its IobTag.
-    The first tag that does not parse, in file order, is the error, and
-    ``check`` raises it. Otherwise the IOB rules of ``validate_iob`` are
-    applied to the tag strings, and the first five violations are kept for
-    ``iob_error``, which reports them once the whole file has been checked.
-    """
-
-    def __init__(self) -> None:
-        self.tags: dict[str, IobTag] = {}
-        self.violations: list[str] = []
-
-    def check(self, doc_id: str, sentences: list[Sentence]) -> None:
-        """Check one document; a tag that does not parse raises DataError naming its line."""
-        tags = self.tags
-        for first_line, _, sentence_tags in sentences:
-            if tags.keys() >= set(sentence_tags):
-                continue
-            for i, tag_string in enumerate(sentence_tags):
-                if tag_string not in tags:
-                    try:
-                        tags[tag_string] = parse_iob_tag(tag_string)
-                    except DataError as exc:
-                        raise DataError(f"line {first_line + i}: {exc}") from exc
-        for s_idx, (_, texts, sentence_tags) in enumerate(sentences):
-            if len(self.violations) >= 5:
-                break
-            self.violations.extend(oracle_sentence_violations(doc_id, s_idx, texts, sentence_tags))
-        del self.violations[5:]
-
-    def iob_error(self) -> DataError | None:
-        """The IOB error of everything checked so far, or None."""
-        if not self.violations:
-            return None
-        return DataError("corpus violates IOB invariants: " + "; ".join(self.violations))
-
-
-def oracle_lock_step_align(
-    golden: Iterable[str], system: Iterable[str]
-) -> tuple[Counter[tuple[str, str]], DataError | None]:
-    """Position-wise pairing of two CoNLL streams in one lock-step pass.
-
-    The two files are read one document at a time, side by side, and each is
-    read once. Document ids, sentence boundaries, and token texts must
-    coincide; the first divergence aborts with both line numbers. When one
-    file runs out of documents first, the rest of the other is read so that
-    the error gives both document counts. Errors surface in reading order: a
-    divergence in an early document is reported before a layout error or a
-    count mismatch further on.
-
-    Each system document also goes through the ``TagChecker`` that
-    ``parse_conll`` uses. Its first DataError (a tag that does not parse, or
-    at the end the IOB violations) is kept in the result, while the scoring
-    carries on. Memory holds one document of each file.
-    """
-    pair_counts: Counter[tuple[str, str]] = Counter()
-    checker = OracleTagChecker()
-    system_error: DataError | None = None
-    golden_docs, system_docs = oracle_read_conll_by_lines(golden), oracle_read_conll_by_lines(system)
-    for index, (gold_doc, sys_doc) in enumerate(zip_longest(golden_docs, system_docs)):
-        if gold_doc is None or sys_doc is None:
-            golden_count = index + (gold_doc is not None) + sum(1 for _ in golden_docs)
-            system_count = index + (sys_doc is not None) + sum(1 for _ in system_docs)
-            raise AlignmentError(
-                f"document count differs: golden has {golden_count}, system has {system_count}"
-            )
-        (gold_id, gold_sentences), (sys_id, sys_sentences) = gold_doc, sys_doc
-        if gold_id != sys_id:
-            raise AlignmentError(f"document id mismatch: golden {gold_id!r} vs system {sys_id!r}")
-        if len(gold_sentences) != len(sys_sentences):
-            raise AlignmentError(
-                f"document {gold_id}: golden has {len(gold_sentences)} sentences, "
-                f"system has {len(sys_sentences)}"
-            )
-        for gold_sentence, sys_sentence in zip(gold_sentences, sys_sentences):
-            gold_texts, sys_texts = gold_sentence.texts, sys_sentence.texts
-            if len(gold_texts) != len(sys_texts):
-                raise AlignmentError(
-                    f"sentence length mismatch near golden line {gold_sentence.first_line} "
-                    f"/ system line {sys_sentence.first_line}"
-                )
-            if gold_texts != sys_texts:
-                i = next(i for i, (g, s) in enumerate(zip(gold_texts, sys_texts)) if g != s)
-                raise AlignmentError(
-                    f"token text mismatch at golden line {gold_sentence.first_line + i} / "
-                    f"system line {sys_sentence.first_line + i}: {gold_texts[i]!r} vs {sys_texts[i]!r}"
-                )
-            pair_counts.update(zip(gold_sentence.tags, sys_sentence.tags))
-        if system_error is None:
-            try:
-                checker.check(sys_id, sys_sentences)
-            except DataError as exc:
-                system_error = exc
-    if system_error is None:
-        system_error = checker.iob_error()
-    return pair_counts, system_error
-
-
 # The dictionary appliers as they were before the indexed rewrite in
 # ``enrich``: every surface tried at every position, on a deep copy. Kept
 # verbatim as differential oracles; they are quadratic, so keep inputs small.
@@ -771,7 +589,7 @@ def _match_at(sentence: OracleSentence, start: int, parts: list[str]) -> bool:
 def _retag(sentence: OracleSentence, start: int, length: int, label: str) -> None:
     for offset in range(length):
         token, _ = sentence.tokens[start + offset]
-        sentence.tokens[start + offset] = (token, IobTag("B" if offset == 0 else "I", label))
+        sentence.tokens[start + offset] = (token, OracleTag("B" if offset == 0 else "I", label))
 
 
 def oracle_apply_dictionary(corpus: AnnotatedCorpus, dictionary: Dictionary) -> AnnotatedCorpus:
@@ -843,8 +661,9 @@ def oracle_apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
 
 # ``annotator.project_annotations`` as it was before the bisection rewrite:
 # every token scanned once per span and once per sentence. Kept verbatim as a
-# differential oracle, apart from the ``spans_projected`` line; it is
-# quadratic, so keep inputs small. It gives OracleSentences.
+# differential oracle, apart from the ``spans_projected`` line and the
+# OracleTag it gives each token; it is quadratic, so keep inputs small. It
+# gives OracleSentences.
 
 
 def oracle_project_annotations(
@@ -868,7 +687,7 @@ def oracle_project_annotations(
         while sentence_idx < len(sentences) and token.start >= sentences[sentence_idx][1]:
             sentence_idx += 1
         sentence_of_token.append(sentence_idx if sentence_idx < len(sentences) else -1)
-    tags: list[IobTag] = [O_TAG] * len(tokens)
+    tags: list[OracleTag] = [ORACLE_O] * len(tokens)
 
     for span in doc.links:
         label = labels.get(span.target)
@@ -892,9 +711,9 @@ def oracle_project_annotations(
             counters["spans_shadowed"] += 1
             continue
         counters["spans_projected"] += 1  # the one added line: counted as the rewrite does
-        tags[untagged[0]] = IobTag("B", label)
+        tags[untagged[0]] = OracleTag("B", label)
         for i in untagged[1:]:
-            tags[i] = IobTag("I", label)
+            tags[i] = OracleTag("I", label)
 
     result: list[OracleSentence] = []
     for s_idx in range(len(sentences)):
@@ -1081,7 +900,8 @@ def oracle_run_experiment(
 # ``enrich.build_global_dictionary`` as it was before ``run_experiments`` took
 # global_multi from the global dictionary's multi-token entries: one corpus
 # walk per base. Kept verbatim as a differential oracle; only the function
-# name gained its prefix, and it walks with ``oracle_iter_entities``.
+# name gained its prefix, and it walks a corpus of OracleSentences
+# (``oracle_objects``) with ``oracle_iter_entities``.
 
 
 def oracle_build_global_dictionary(
@@ -1113,9 +933,10 @@ def oracle_run_experiments(
 ) -> tuple[dict[int, AnnotatedCorpus], Counter]:
     """What the enrich stage made of ``oracle_run_experiment``: the result
     corpora by id, and each experiment's counters prefixed ``exp<N>_``."""
+    objects = oracle_objects(corpus)
     resources = ExperimentResources(
-        global_dictionary=oracle_build_global_dictionary(corpus),
-        global_multi_dictionary=oracle_build_global_dictionary(corpus, multi_token_only=True),
+        global_dictionary=oracle_build_global_dictionary(objects),
+        global_multi_dictionary=oracle_build_global_dictionary(objects, multi_token_only=True),
         kg_map=kg_map,
         equivalences=equivalences,
     )

@@ -18,7 +18,7 @@ from helpers import (
     brute_force_metrics,
     corpus_from_rows,
     corpus_to_text,
-    oracle_validate_iob,
+    oracle_document_violations,
     pair_counts,
     random_corpus,
     random_markup_document,
@@ -28,7 +28,7 @@ from helpers import (
 )
 from test_linker import WORKED_COMPACT, WORKED_TYPES, FakeSession, make_client
 from uner_pipeline import cli
-from uner_pipeline.annotator import AnnotatedCorpus, annotate_document, parse_conll
+from uner_pipeline.annotator import AnnotatedCorpus, TagChecker, annotate_document, parse_conll
 from uner_pipeline.enrich import (
     Dictionary,
     apply_dictionary,
@@ -143,13 +143,15 @@ def test_criterion_4_iob_well_formedness_property():
     }
     documents = 0
     sentences = 0
+    checker = TagChecker()  # one for the whole run, as for one corpus file
     for i in range(10_000):
         markup = random_markup_document(rng, labeled_targets)
         doc = build_document(RawDocument(str(i), "t", markup))
         annotated = annotate_document(doc, labeled_targets)
-        corpus = AnnotatedCorpus([(str(i), annotated)] if annotated else [])
-        violations = oracle_validate_iob(corpus)
+        violations = oracle_document_violations(str(i), annotated)
         assert violations == [], f"doc {i}: {violations[:3]}"
+        checker.check(str(i), annotated)
+        assert checker.violations == [], f"doc {i}: {checker.violations[:3]}"
         documents += 1
         sentences += len(annotated)
     assert documents == 10_000

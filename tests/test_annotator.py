@@ -14,8 +14,8 @@ from helpers import (
     corpus_to_text,
     make_sentence,
     OracleTagChecker,
+    oracle_document_violations,
     oracle_parse_conll,
-    oracle_validate_iob,
     oracle_project_annotations,
     oracle_read_conll_by_lines,
     oracle_split_sentences,
@@ -242,15 +242,19 @@ class TestConllRoundTrip:
 
 
 def view_outcome(parse, text):
-    """Each document's sentences as their (Token, IobTag) pairs, and the tags by string."""
+    """Each document's sentences as (Token, prefix, label) triples, and the tag objects by string."""
     corpus = parse(io.StringIO(text))
     documents = [(doc_id, [s.tokens for s in sentences]) for doc_id, sentences in corpus.documents]
-    tags = {}  # tag string -> the first IobTag met for it
+    tags = {}  # tag string -> the first tag object met for it
     for _, sentences in documents:
         for pairs in sentences:
             for _, tag in pairs:
                 assert tags.setdefault(str(tag), tag) is tag, f"two objects for {tag}"
-    return documents, tags
+    triples = [
+        (doc_id, [[(token, tag.prefix, tag.label) for token, tag in pairs] for pairs in sentences])
+        for doc_id, sentences in documents
+    ]
+    return triples, tags
 
 
 def test_tokens_view_gives_the_pairs_parse_conll_built():
@@ -263,8 +267,15 @@ def test_tokens_view_gives_the_pairs_parse_conll_built():
         got, got_tags = view_outcome(parse_conll, text)
         expected, expected_tags = view_outcome(oracle_parse_conll, text)
         assert got == expected
-        assert got_tags == expected_tags
+        assert got_tags.keys() == expected_tags.keys()
     assert got_tags["O"] is O_TAG
+
+
+def iob_violations(doc_id, sentences):
+    """The reference's IOB violations of one document, and those ``TagChecker`` keeps."""
+    checker = TagChecker()
+    checker.check(doc_id, sentences)
+    return oracle_document_violations(doc_id, sentences), checker.violations
 
 
 class TestValidateIob:
@@ -272,17 +283,17 @@ class TestValidateIob:
         corpus = corpus_from_rows(
             [("d", [[("a", "B-Name"), ("b", "I-Name"), ("c", "O")]])]
         )
-        assert oracle_validate_iob(corpus) == []
+        assert iob_violations(*corpus.documents[0]) == ([], [])
 
     def test_label_switch_flagged(self):
         sentence = make_sentence([("a", f"B-{parse_uner_label('Name-God')}"), ("b", f"I-{CITY}")])
-        violations = oracle_validate_iob(AnnotatedCorpus([("d", [sentence])]))
+        violations, kept = iob_violations("d", [sentence])
         assert len(violations) == 1 and "not preceded" in violations[0]
+        assert kept == violations
 
     def test_missing_b_flagged(self):
         sentence = make_sentence([("a", "O")])
-        violations = oracle_validate_iob(AnnotatedCorpus([("d", [sentence])]))
-        assert violations == ["doc d sentence 0: no B tag"]
+        assert iob_violations("d", [sentence]) == (["doc d sentence 0: no B tag"],) * 2
 
 
 def test_parse_iob_tag():

@@ -1,18 +1,28 @@
-"""The package's import rule, read from its source with ``ast``.
+"""The package's import rule, and the test helpers' use, read from source with ``ast``.
 
 Every import in ``src/uner_pipeline`` names a standard-library module, the
-package itself, or ``requests``, the one runtime dependency. ``requests`` is
-imported only inside a function body, so offline and eval runs, which never
-send a request, never pay for its import.
+package itself, or ``requests``, the one runtime dependency. ``requests`` and
+``concurrent`` (the thread pool that sends requests) are imported only inside
+a function body, so offline and eval runs, which never send a request, never
+pay for their import; a run in a fresh interpreter shows that neither is
+loaded. Every top-level name in ``tests/helpers.py`` is used by a test module,
+directly or through another helper, so no oracle outlives its last test.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+from conftest import FIXTURES
+
 PACKAGE = "uner_pipeline"
-SOURCES = sorted((Path(__file__).parent.parent / "src" / PACKAGE).glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / PACKAGE).glob("*.py"))
 THIRD_PARTY = "requests"
+# imported only inside a function: the modules that only a run with an endpoint needs
+LAZY = (THIRD_PARTY, "concurrent")
 
 
 def import_sites(source: str) -> list[tuple[str, int, bool]]:
@@ -50,10 +60,38 @@ def test_imports_are_stdlib_the_package_or_requests():
     assert offenders == []
 
 
-def test_requests_is_imported_only_inside_functions():
-    requests_sites = [site for site in package_sites() if site[1] == THIRD_PARTY]
-    assert requests_sites, "the linker's lazy import of requests was not found"
-    assert [site for site in requests_sites if not site[3]] == []
+def test_requests_and_the_thread_pool_are_imported_only_inside_functions():
+    sites = package_sites()
+    for module in LAZY:
+        assert any(site[1] == module for site in sites), f"the linker's lazy import of {module} was not found"
+    assert [site for site in sites if site[1] in LAZY and not site[3]] == []
+
+
+# run the command line in a fresh interpreter, then name the lazy modules it loaded
+RUN_AND_LIST = (
+    "import sys\n"
+    "from uner_pipeline import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print('loaded', code, *sorted(m for m in ('requests', 'concurrent.futures') if m in sys.modules))\n"
+)
+
+
+def loaded_after(*argv: str) -> str:
+    """The last stdout line of a fresh interpreter that ran ``uner-pipeline argv``."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_AND_LIST, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    return result.stdout.splitlines()[-1]
+
+
+def test_offline_pipeline_and_eval_load_neither_requests_nor_the_thread_pool(tmp_path):
+    out = tmp_path / "run"
+    pipeline = ["pipeline", "--input", str(FIXTURES / "dump.jsonl"), "--cache", str(FIXTURES / "class_cache.tsv")]
+    assert loaded_after(*pipeline, "--offline", "--out", str(out)) == "loaded 0"
+    corpus = str(out / "corpus.conll")
+    assert loaded_after("eval", "--out", str(tmp_path / "eval"), corpus, corpus) == "loaded 0"
 
 
 def test_import_sites_sees_module_level_and_nested_imports():
@@ -71,3 +109,72 @@ def test_import_sites_sees_module_level_and_nested_imports():
         ("requests", 3, False),
         ("requests", 6, True),
     ]
+
+
+HELPERS = Path(__file__).parent / "helpers.py"
+TEST_MODULES = sorted(Path(__file__).parent.glob("test_*.py"))
+
+
+def helper_definitions(source: str) -> dict[str, set[str]]:
+    """Each top-level name that ``source`` defines, with the names its definition reads."""
+    definitions: dict[str, set[str]] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        reads = {child.id for child in ast.walk(node) if isinstance(child, ast.Name)}
+        for name in names:
+            definitions[name] = reads
+    return definitions
+
+
+def names_from_helpers(source: str) -> set[str]:
+    """The names a test module imports from ``helpers`` or reads as ``helpers.<name>``."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "helpers":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "helpers":
+            names.add(node.attr)
+    return names
+
+
+def unused_helpers(helpers_source: str, test_sources: list[str]) -> list[str]:
+    """The top-level names of the helpers that no test module reaches, directly or through another helper."""
+    definitions = helper_definitions(helpers_source)
+    reached: set[str] = set()
+    pending = set().union(*map(names_from_helpers, test_sources))
+    while pending:
+        name = pending.pop()
+        if name in definitions and name not in reached:
+            reached.add(name)
+            pending |= definitions[name]
+    return sorted(definitions.keys() - reached)
+
+
+def test_every_helper_is_used_by_a_test_module():
+    test_sources = [path.read_text(encoding="utf-8") for path in TEST_MODULES]
+    assert "oracle_lock_step_align" in helper_definitions(HELPERS.read_text(encoding="utf-8"))
+    assert unused_helpers(HELPERS.read_text(encoding="utf-8"), test_sources) == []
+
+
+def test_unused_helpers_follows_uses_through_other_helpers():
+    helpers_source = (
+        "LIMIT = 3\n"
+        "def _step(x):\n"
+        "    return x + LIMIT\n"
+        "def oracle(x):\n"
+        "    return _step(x)\n"
+        "def dead_oracle(x):\n"
+        "    return oracle(x)\n"
+        "class Record:\n"
+        "    pass\n"
+        "UNUSED: int = 1\n"
+    )
+    tests = ["from helpers import oracle\n", "import helpers\nhelpers.Record()\n"]
+    assert unused_helpers(helpers_source, tests) == ["UNUSED", "dead_oracle"]
+    assert unused_helpers(helpers_source, tests[:1]) == ["Record", "UNUSED", "dead_oracle"]

@@ -474,8 +474,9 @@ def _check_against_oracle(corpus, experiment_ids, kg_map, equivalences):
         assert corpus_to_text(result) == corpus_to_text(expected[experiment_id]), experiment_id
     assert counters == expected_counters
     bases = sorted({EXPERIMENTS[e].dictionary for e in experiment_ids} - {None})
+    objects = oracle_objects(corpus)
     oracle_dictionaries = {
-        base: oracle_build_global_dictionary(corpus, multi_token_only=base == "global_multi") for base in bases
+        base: oracle_build_global_dictionary(objects, multi_token_only=base == "global_multi") for base in bases
     }
     assert dictionaries == oracle_dictionaries
     for base, dictionary in dictionaries.items():  # the same entries in the same order
@@ -507,9 +508,10 @@ def test_every_experiment_subset_matches_each_experiment_run_alone():
     rng = random.Random(127)
     for _ in range(3):
         corpus = recurring_surface_corpus(rng)
-        surfaces = list(oracle_build_global_dictionary(corpus).entries)
+        surfaces = list(oracle_build_global_dictionary(oracle_objects(corpus)).entries)
         inputs.append((corpus, {surface: rng.choice(["dbo:City", "dbo:Person", "owl:Thing"]) for surface in surfaces}))
     for corpus, kg_map in inputs:
+        objects = oracle_objects(corpus)
         alone = {experiment_id: _run_texts(corpus, [experiment_id], kg_map) for experiment_id in EXPERIMENTS}
         for size in range(1, len(EXPERIMENTS) + 1):
             for subset in itertools.combinations(EXPERIMENTS, size):
@@ -525,7 +527,7 @@ def test_every_experiment_subset_matches_each_experiment_run_alone():
                 bases = sorted({EXPERIMENTS[experiment_id].dictionary for experiment_id in subset} - {None})
                 assert list(dictionaries) == bases
                 for base in bases:
-                    oracle = oracle_build_global_dictionary(corpus, multi_token_only=base == "global_multi")
+                    oracle = oracle_build_global_dictionary(objects, multi_token_only=base == "global_multi")
                     assert list(dictionaries[base].entries.items()) == list(oracle.entries.items())
                     assert dictionaries[base].provenance == oracle.provenance
 
