@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import copy
 import io
+import itertools
 import random
 import string
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 from typing import Collection, Iterable, Iterator
@@ -22,17 +22,8 @@ from uner_pipeline.annotator import (
     emit_conll,
     parse_conll,
 )
-from uner_pipeline.enrich import (
-    EXPERIMENTS,
-    Dictionary,
-    application_order,
-    apply_dictionary,
-    apply_local_dictionaries,
-    filter_by_kg,
-    surface_is_admissible,
-    surface_token_count,
-)
-from uner_pipeline.errors import AlignmentError, ConfigurationError, DataError, LabelParseError
+from uner_pipeline.enrich import Dictionary, surface_is_admissible, surface_token_count
+from uner_pipeline.errors import AlignmentError, DataError, LabelParseError
 from uner_pipeline.evaluation import EvalReport, TagMetrics
 from uner_pipeline.ingest import Document
 from uner_pipeline.linker import DEFAULT_RESOURCE_BASE, ClassCatalog
@@ -53,16 +44,28 @@ def make_sentence(pairs: list[tuple[str, str]]) -> Sentence:
     return Sentence(0, [text for text, _ in pairs], [tag for _, tag in pairs])
 
 
-def corpus_from_rows(rows: list[tuple[str, list[list[tuple[str, str]]]]]) -> AnnotatedCorpus:
-    """Build a corpus (canonical offsets) from (doc_id, sentences of (token, tag))."""
+Rows = list[tuple[str, list[list[tuple[str, str]]]]]  # (doc_id, sentences of (token text, tag string))
+
+
+def rows_to_text(rows: Rows) -> str:
+    """Rows in CoNLL layout: a header per document, a line per token, a blank line after each sentence."""
     lines: list[str] = []
     for doc_id, sentences in rows:
-        lines.append(f"# doc_id = {doc_id}\n")
+        lines.append(f"{DOC_HEADER_PREFIX}{doc_id}\n")
         for sentence in sentences:
-            for token, tag in sentence:
-                lines.append(f"{token}\t{tag}\n")
+            lines.extend(f"{text}\t{tag}\n" for text, tag in sentence)
             lines.append("\n")
-    return parse_conll(lines)
+    return "".join(lines)
+
+
+def corpus_from_rows(rows: Rows) -> AnnotatedCorpus:
+    """Build a corpus from (doc_id, sentences of (token, tag))."""
+    return parse_conll(io.StringIO(rows_to_text(rows)))
+
+
+def corpus_rows(corpus: AnnotatedCorpus) -> Rows:
+    """The rows ``corpus_from_rows`` would build ``corpus`` from."""
+    return [(doc_id, [list(zip(s.texts, s.tags)) for s in sentences]) for doc_id, sentences in corpus.documents]
 
 
 def corpus_to_text(corpus: AnnotatedCorpus) -> str:
@@ -73,9 +76,7 @@ def corpus_to_text(corpus: AnnotatedCorpus) -> str:
 
 def string_sentences(corpus: AnnotatedCorpus) -> Iterator[list[tuple[str, str]]]:
     """Each sentence of a corpus as the (token text, tag string) pairs ``stats.iter_entities`` walks."""
-    for _, sentences in corpus.documents:
-        for sentence in sentences:
-            yield list(zip(sentence.texts, sentence.tags))
+    return (sentence for _, sentences in corpus_rows(corpus) for sentence in sentences)
 
 
 def tag_counts(corpus: AnnotatedCorpus) -> Counter[str]:
@@ -410,17 +411,6 @@ def oracle_objects(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
     return oracle_parse_conll(io.StringIO(corpus_to_text(corpus)))
 
 
-def oracle_corpus_to_text(corpus: AnnotatedCorpus) -> str:
-    """A corpus of OracleSentences in CoNLL layout."""
-    lines: list[str] = []
-    for doc_id, sentences in corpus.documents:
-        lines.append(f"{DOC_HEADER_PREFIX}{doc_id}\n")
-        for sentence in sentences:
-            lines.extend(f"{token.text}\t{tag}\n" for token, tag in sentence.tokens)
-            lines.append("\n")
-    return "".join(lines)
-
-
 def oracle_lock_step_align(
     golden: Iterable[str], system: Iterable[str]
 ) -> tuple[Counter[tuple[str, str]], DataError | None]:
@@ -501,36 +491,30 @@ def oracle_eval(golden: str, system: str, collapse_depth: int | None = None):
     return report, pair_counts.total(), coarse
 
 
-# ``stats.iter_entities``, ``list_entities`` and ``compute_stats`` as they were
-# before stats read its corpus as strings: walks over a corpus of
-# OracleSentences (``oracle_objects``). Kept as differential oracles.
+# ``oracle_iter_entities`` is the entity-run reference of the stats oracles and
+# the enrich reference. ``oracle_list_entities`` and ``oracle_compute_stats``
+# are ``stats.list_entities`` and ``compute_stats`` as they were before stats
+# read strings: walks over a corpus of OracleSentences (``oracle_objects``).
 
 
-def oracle_iter_entities(corpus: AnnotatedCorpus):
-    """Yield (doc_id, surface, label) for every B..I entity run."""
-    for doc_id, sentences in corpus.documents:
-        for sentence in sentences:
-            run_tokens: list[str] = []
-            run_label: str | None = None
-            for token, tag in sentence.tokens:
-                if tag.prefix == "B":
-                    if run_tokens:
-                        yield doc_id, " ".join(run_tokens), run_label
-                    run_tokens = [token.text]
-                    run_label = tag.label
-                elif tag.prefix == "I" and run_tokens:
-                    run_tokens.append(token.text)
-                else:
-                    if run_tokens:
-                        yield doc_id, " ".join(run_tokens), run_label
-                    run_tokens, run_label = [], None
-            if run_tokens:
-                yield doc_id, " ".join(run_tokens), run_label
+def oracle_iter_entities(sentences: Iterable[Iterable[tuple[str, str]]]) -> Iterator[tuple[str, str]]:
+    """Yield (surface, label) for every B..I run of sentences of (token text, tag string) pairs."""
+    for sentence in sentences:
+        run, label = [], None  # the open run's token texts and label
+        for text, tag_string in [*sentence, ("", "O")]:  # an O after the last token closes its run
+            tag = oracle_parse_tag(tag_string)
+            if tag.prefix == "I" and run:
+                run.append(text)
+                continue
+            if run:
+                yield " ".join(run), label
+            run, label = ([text], tag.label) if tag.prefix == "B" else ([], None)
 
 
 def oracle_list_entities(corpus: AnnotatedCorpus) -> list[tuple[str, str]]:
     """Distinct (surface, label) pairs, sorted by surface then label."""
-    return sorted({(surface, label) for _, surface, label in oracle_iter_entities(corpus)})
+    pairs = ([(token.text, str(tag)) for token, tag in s.tokens] for _, doc in corpus.documents for s in doc)
+    return sorted(set(oracle_iter_entities(pairs)))
 
 
 def oracle_compute_stats(
@@ -567,96 +551,6 @@ def oracle_compute_stats(
     stats.distinct_entity_count = len(entities)
     assert stats.total_tokens == stats.non_entity_tokens + stats.entity_tokens
     return stats
-
-
-# The dictionary appliers as they were before the indexed rewrite in
-# ``enrich``: every surface tried at every position, on a deep copy. Kept
-# verbatim as differential oracles; they are quadratic, so keep inputs small.
-# They take and give corpora of OracleSentences (``oracle_objects``).
-
-
-def _match_at(sentence: OracleSentence, start: int, parts: list[str]) -> bool:
-    """True if the all-O token run at ``start`` spells out ``parts``."""
-    if start + len(parts) > len(sentence.tokens):
-        return False
-    for offset, part in enumerate(parts):
-        token, tag = sentence.tokens[start + offset]
-        if tag.prefix != "O" or token.text != part:
-            return False
-    return True
-
-
-def _retag(sentence: OracleSentence, start: int, length: int, label: str) -> None:
-    for offset in range(length):
-        token, _ = sentence.tokens[start + offset]
-        sentence.tokens[start + offset] = (token, OracleTag("B" if offset == 0 else "I", label))
-
-
-def oracle_apply_dictionary(corpus: AnnotatedCorpus, dictionary: Dictionary) -> AnnotatedCorpus:
-    """Retag O-token runs that spell out dictionary surfaces; input unchanged.
-
-    Surfaces are tried longest first; within one surface the scan is left to
-    right and never overlaps its own matches. Non-O tags are never modified.
-    """
-    result = copy.deepcopy(corpus)
-    ordered = [(s, s.split(" ")) for s in application_order(dictionary.entries)]
-    for _, sentences in result.documents:
-        for sentence in sentences:
-            for surface, parts in ordered:
-                label = dictionary.entries[surface]
-                i = 0
-                limit = len(sentence.tokens) - len(parts)
-                while i <= limit:
-                    if _match_at(sentence, i, parts):
-                        _retag(sentence, i, len(parts), label)
-                        i += len(parts)
-                    else:
-                        i += 1
-    return result
-
-
-def oracle_apply_local_dictionaries(corpus: AnnotatedCorpus) -> AnnotatedCorpus:
-    """Per document, propagate each linked entity's label forward.
-
-    A single left-to-right pass: when an entity run is seen its surface is
-    cached (first label wins); when an O run spells out a cached surface it is
-    retagged. Earlier occurrences are never back-filled, and nothing leaks
-    across documents.
-    """
-    result = copy.deepcopy(corpus)
-    for _, sentences in result.documents:
-        cache: dict[str, str] = {}
-        ordered_surfaces: list[tuple[str, list[str]]] = []
-        dirty = False
-        for sentence in sentences:
-            i = 0
-            while i < len(sentence.tokens):
-                token, tag = sentence.tokens[i]
-                if tag.prefix == "B":
-                    j = i + 1
-                    while j < len(sentence.tokens) and sentence.tokens[j][1].prefix == "I":
-                        j += 1
-                    surface = " ".join(t.text for t, _ in sentence.tokens[i:j])
-                    if surface not in cache:
-                        cache[surface] = tag.label
-                        dirty = True
-                    i = j
-                    continue
-                if tag.prefix == "O" and cache:
-                    if dirty:
-                        ordered_surfaces = [(s, s.split(" ")) for s in application_order(cache)]
-                        dirty = False
-                    matched = False
-                    for surface, parts in ordered_surfaces:
-                        if _match_at(sentence, i, parts):
-                            _retag(sentence, i, len(parts), cache[surface])
-                            i += len(parts)
-                            matched = True
-                            break
-                    if matched:
-                        continue
-                i += 1
-    return result
 
 
 # ``annotator.project_annotations`` as it was before the bisection rewrite:
@@ -833,121 +727,120 @@ def oracle_load_catalog(path: str | Path, keep: Collection[str] | None = None) -
     return ClassCatalog({target: classes for target, classes in seen.items() if classes is not None})
 
 
-# ``enrich.ExperimentResources`` and ``run_experiment`` as they were before
-# ``enrich.run_experiments`` replaced them: one experiment per call, the base
-# dictionaries looked up by attribute name and each kg filter cached on first
-# use. Kept verbatim as a differential oracle; only the function name gained
-# its prefix, and the kg map is the plain dict ``load_kg_map`` now returns.
+# The enrich reference, written from README "Enrichment experiments" and using
+# no name of ``uner_pipeline.enrich``. It works on rows and tries every surface
+# at every position, so keep inputs small. Its appliers take any dictionary.
 
-ORACLE_EXPERIMENT_IDS = tuple(EXPERIMENTS)
-
-
-@dataclass
-class ExperimentResources:
-    """Inputs the experiments draw on; unused fields may stay None.
-
-    A base dictionary named ``b`` in EXPERIMENTS lives in ``b_dictionary``.
-    ``kg_filtered`` maps a base to its knowledge-graph-filtered dictionary and
-    the filter's counters; run_experiment fills it on first use, so
-    experiments that share a base filter it once.
-    """
-
-    global_dictionary: Dictionary | None = None
-    global_multi_dictionary: Dictionary | None = None
-    kg_map: dict[str, str] | None = None
-    equivalences: EquivalenceMap | None = None
-    kg_filtered: dict[str, tuple[Dictionary, Counter]] = field(default_factory=dict)
+ORACLE_EXPERIMENTS = {  # README's table: id -> (local propagation first, base dictionary, kg filter)
+    1: (False, "global", False),
+    2: (False, "global_multi", False),
+    3: (True, None, False),
+    4: (False, "global", True),
+    5: (False, "global_multi", True),
+    6: (True, "global", True),
+    7: (True, "global_multi", True),
+}
 
 
-def _require(resource, name: str, experiment_id: int):
-    if resource is None:
-        raise ConfigurationError(f"experiment {experiment_id} needs {name}")
-    return resource
+def oracle_global_dictionaries(rows: Rows) -> dict[str, dict[str, str]]:
+    """``global`` gives each entity surface of three or more characters, one a letter, its most
+    frequent label, ties to the smallest; ``global_multi`` is its surfaces of two or more tokens,
+    the texts between single spaces. Surfaces keep the order they first occur in."""
+    counts: dict[str, Counter[str]] = {}
+    for surface, label in oracle_iter_entities(sentence for _, sentences in rows for sentence in sentences):
+        counts.setdefault(surface, Counter())[label] += 1
+    whole = {
+        surface: max(sorted(labels), key=labels.__getitem__)  # max keeps the first of equal counts
+        for surface, labels in counts.items()
+        if len(surface) >= 3 and any(ch.isalpha() for ch in surface)
+    }
+    return {"global": whole, "global_multi": {surface: label for surface, label in whole.items() if " " in surface}}
 
 
-def oracle_run_experiment(
-    experiment_id: int,
-    corpus: AnnotatedCorpus,
-    resources: ExperimentResources,
-    counters: Counter | None = None,
-) -> AnnotatedCorpus:
-    """Run one of the seven completion strategies and return the new corpus."""
-    if experiment_id not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"unknown experiment id {experiment_id}; expected 1..{ORACLE_EXPERIMENT_IDS[-1]}"
-        )
-    local_first, base, kg_filter = EXPERIMENTS[experiment_id]
-    dictionary = None
-    if base is not None:
-        dictionary = _require(
-            getattr(resources, f"{base}_dictionary"), f"the {base} dictionary", experiment_id
-        )
-    if kg_filter:
-        if base not in resources.kg_filtered:
-            kg = _require(resources.kg_map, "a knowledge-graph class map", experiment_id)
-            equivalences = _require(resources.equivalences, "the equivalence table", experiment_id)
-            filter_counters: Counter = Counter()
-            filtered = filter_by_kg(dictionary, kg, equivalences, filter_counters)
-            resources.kg_filtered[base] = (filtered, filter_counters)
-        dictionary, filter_counters = resources.kg_filtered[base]
-        if counters is not None:  # every experiment reports its filter's drops
-            counters.update(filter_counters)
-    if local_first:
-        corpus = apply_local_dictionaries(corpus)
-    return corpus if dictionary is None else apply_dictionary(corpus, dictionary)
+def oracle_filter_by_kg(entries: dict[str, str], kg_map: dict[str, str], equivalences: EquivalenceMap):
+    """The entries whose surface the kg map names, retyped to its class's label, and the counters: a class
+    that maps to NULL or that the table lacks drops its entry, counted; a surface the map lacks, uncounted."""
+    kept, counters = {}, Counter()
+    for surface in filter(kg_map.__contains__, entries):
+        cls = kg_map[surface]
+        if cls not in equivalences.entries:
+            counters["class_not_in_equivalence"] += 1
+        if equivalences.entries.get(cls) is None:
+            counters["kg_entries_dropped"] += 1
+        else:
+            kept[surface] = equivalences.entries[cls]
+    return kept, counters
 
 
-# ``enrich.build_global_dictionary`` as it was before ``run_experiments`` took
-# global_multi from the global dictionary's multi-token entries: one corpus
-# walk per base. Kept verbatim as a differential oracle; only the function
-# name gained its prefix, and it walks a corpus of OracleSentences
-# (``oracle_objects``) with ``oracle_iter_entities``.
+def _oracle_lists(rows: Rows) -> list[tuple[str, list[tuple[list[str], list[str]]]]]:
+    """Each document's sentences as (texts, tags) lists, to be retagged in place."""
+    return [(doc_id, [([t for t, _ in s], [tag for _, tag in s]) for s in sentences]) for doc_id, sentences in rows]
 
 
-def oracle_build_global_dictionary(
-    corpus: AnnotatedCorpus, multi_token_only: bool = False
-) -> Dictionary:
-    """Modal label per distinct entity surface, ties to the smallest label string.
-
-    Surfaces shorter than three characters or with no alphabetic character are
-    excluded; with ``multi_token_only`` single-token surfaces are dropped too.
-    """
-    occurrences: dict[str, Counter[str]] = {}
-    for _, surface, label in oracle_iter_entities(corpus):
-        occurrences.setdefault(surface, Counter())[label] += 1
-    entries: dict[str, str] = {}
-    for surface, counts in occurrences.items():
-        if not surface_is_admissible(surface):
-            continue
-        if multi_token_only and surface_token_count(surface) < 2:
-            continue
-        entries[surface] = min(counts, key=lambda label: (-counts[label], label))
-    return Dictionary(entries, "global_multi" if multi_token_only else "global")
+def _oracle_rows(documents: list[tuple[str, list[tuple[list[str], list[str]]]]]) -> Rows:
+    return [(doc_id, [list(zip(texts, tags)) for texts, tags in sentences]) for doc_id, sentences in documents]
 
 
-def oracle_run_experiments(
-    corpus: AnnotatedCorpus,
-    experiment_ids,
-    kg_map: dict[str, str] | None = None,
-    equivalences: EquivalenceMap | None = None,
-) -> tuple[dict[int, AnnotatedCorpus], Counter]:
-    """What the enrich stage made of ``oracle_run_experiment``: the result
-    corpora by id, and each experiment's counters prefixed ``exp<N>_``."""
-    objects = oracle_objects(corpus)
-    resources = ExperimentResources(
-        global_dictionary=oracle_build_global_dictionary(objects),
-        global_multi_dictionary=oracle_build_global_dictionary(objects, multi_token_only=True),
-        kg_map=kg_map,
-        equivalences=equivalences,
-    )
-    results: dict[int, AnnotatedCorpus] = {}
-    counters: Counter = Counter()
+def _oracle_fill(texts: list[str], tags: list[str], start: int, surface: str, label: str) -> int:
+    """Retag the run at ``start`` if it is all O and spells ``surface``; the number of tokens retagged."""
+    parts = surface.split(" ")
+    end = start + len(parts)
+    if texts[start:end] != parts or any(tag != "O" for tag in tags[start:end]):
+        return 0
+    tags[start:end] = [f"B-{label}"] + [f"I-{label}"] * (len(parts) - 1)
+    return len(parts)
+
+
+def oracle_dictionary_pass(rows: Rows, entries: dict[str, str]) -> Rows:
+    """Surface by surface in (characters desc, tokens desc, lexicographic) order, each
+    sentence scanned left to right: every all-O run that spells the surface is retagged."""
+    documents = _oracle_lists(rows)
+    order = sorted(entries, key=lambda surface: (-len(surface), -len(surface.split(" ")), surface))
+    for surface, (_, sentences) in itertools.product(order, documents):
+        for texts, tags in sentences:
+            start = 0
+            while start < len(texts):
+                start += _oracle_fill(texts, tags, start, surface, entries[surface]) or 1
+    return _oracle_rows(documents)
+
+
+def oracle_local_pass(rows: Rows) -> Rows:
+    """Forward propagation, each document read left to right with a cache of its own. An entity
+    run caches its surface unless it is cached (the first label wins); an all-O run that spells
+    cached surfaces takes the label of the one with the most tokens."""
+    documents = _oracle_lists(rows)
+    for _, sentences in documents:
+        cache: dict[str, str] = {}
+        for texts, tags in sentences:
+            start = 0
+            while start < len(tags):
+                if tags[start].startswith("B-"):
+                    end = start + 1
+                    while end < len(tags) and tags[end].startswith("I-"):
+                        end += 1
+                    cache.setdefault(" ".join(texts[start:end]), tags[start][2:])
+                    start = end
+                    continue
+                surfaces = sorted(cache, key=lambda surface: -surface.count(" "))  # most tokens first
+                start += next(filter(None, (_oracle_fill(texts, tags, start, s, cache[s]) for s in surfaces)), 1)
+    return _oracle_rows(documents)
+
+
+def oracle_enrich(rows: Rows, experiment_ids, kg_map: dict[str, str] | None, equivalences: EquivalenceMap | None):
+    """The base dictionaries the experiments use, each experiment's result rows
+    by id, and the counters of its kg filter prefixed ``exp<N>_``."""
+    bases, local = oracle_global_dictionaries(rows), oracle_local_pass(rows)
+    results, counters = {}, Counter()
     for experiment_id in experiment_ids:
-        experiment_counters: Counter = Counter()
-        results[experiment_id] = oracle_run_experiment(experiment_id, corpus, resources, experiment_counters)
-        for name, count in experiment_counters.items():
-            counters[f"exp{experiment_id}_{name}"] += count
-    return results, counters
+        local_first, base, kg_filter = ORACLE_EXPERIMENTS[experiment_id]
+        entries = bases.get(base)
+        if kg_filter:
+            entries, filter_counters = oracle_filter_by_kg(entries, kg_map, equivalences)
+            counters.update({f"exp{experiment_id}_{name}": count for name, count in filter_counters.items()})
+        start = local if local_first else rows
+        results[experiment_id] = start if entries is None else oracle_dictionary_pass(start, entries)
+    used = sorted({ORACLE_EXPERIMENTS[experiment_id][1] for experiment_id in experiment_ids} - {None})
+    return {base: bases[base] for base in used}, results, counters
 
 
 # Readers that only the tests need, kept as round-trip oracles of the writers

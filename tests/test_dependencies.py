@@ -6,7 +6,9 @@ package itself, or ``requests``, the one runtime dependency. ``requests`` and
 a function body, so offline and eval runs, which never send a request, never
 pay for their import; a run in a fresh interpreter shows that neither is
 loaded. Every top-level name in ``tests/helpers.py`` is used by a test module,
-directly or through another helper, so no oracle outlives its last test.
+directly or through another helper, so no oracle outlives its last test, and
+no oracle uses a name imported from ``enrich``, so the enrich reference is
+written from the README and not from the code it checks.
 """
 
 import ast
@@ -143,17 +145,46 @@ def names_from_helpers(source: str) -> set[str]:
     return names
 
 
+def reached(definitions: dict[str, set[str]], names: set[str]) -> set[str]:
+    """The helpers that ``names`` name, and those they read, directly or through another helper."""
+    found: set[str] = set()
+    pending = set(names)
+    while pending:
+        name = pending.pop()
+        if name in definitions and name not in found:
+            found.add(name)
+            pending |= definitions[name]
+    return found
+
+
 def unused_helpers(helpers_source: str, test_sources: list[str]) -> list[str]:
     """The top-level names of the helpers that no test module reaches, directly or through another helper."""
     definitions = helper_definitions(helpers_source)
-    reached: set[str] = set()
-    pending = set().union(*map(names_from_helpers, test_sources))
-    while pending:
-        name = pending.pop()
-        if name in definitions and name not in reached:
-            reached.add(name)
-            pending |= definitions[name]
-    return sorted(definitions.keys() - reached)
+    return sorted(definitions.keys() - reached(definitions, set().union(*map(names_from_helpers, test_sources))))
+
+
+def names_from_enrich(source: str) -> set[str]:
+    """The names ``source`` imports from ``uner_pipeline.enrich``, and ``enrich`` if it imports the module."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == f"{PACKAGE}.enrich":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == PACKAGE:
+            names.update(alias.asname or alias.name for alias in node.names if alias.name == "enrich")
+    return names
+
+
+def oracles_using_enrich(helpers_source: str) -> dict[str, list[str]]:
+    """The ``oracle_`` helpers that read names from ``enrich``, directly or through other helpers, with the names."""
+    definitions = helper_definitions(helpers_source)
+    banned = names_from_enrich(helpers_source)
+    uses: dict[str, list[str]] = {}
+    for name in definitions:
+        if name.lower().startswith("oracle_"):
+            reads = set().union(*(definitions[helper] for helper in reached(definitions, {name})))
+            if reads & banned:
+                uses[name] = sorted(reads & banned)
+    return uses
 
 
 def test_every_helper_is_used_by_a_test_module():
@@ -178,3 +209,27 @@ def test_unused_helpers_follows_uses_through_other_helpers():
     tests = ["from helpers import oracle\n", "import helpers\nhelpers.Record()\n"]
     assert unused_helpers(helpers_source, tests) == ["UNUSED", "dead_oracle"]
     assert unused_helpers(helpers_source, tests[:1]) == ["Record", "UNUSED", "dead_oracle"]
+
+
+def test_no_oracle_uses_a_name_imported_from_enrich():
+    source = HELPERS.read_text(encoding="utf-8")
+    assert oracles_using_enrich(source) == {}
+    assert {"oracle_enrich", "oracle_dictionary_pass", "oracle_local_pass"} <= helper_definitions(source).keys()
+
+
+def test_oracles_using_enrich_follows_uses_through_other_helpers():
+    helpers_source = (
+        "from uner_pipeline.enrich import Dictionary, apply_dictionary as apply\n"
+        "from uner_pipeline import enrich, mapping\n"
+        "def _step(corpus):\n"
+        "    return apply(corpus)\n"
+        "def oracle_pass(corpus):\n"
+        "    return _step(corpus)\n"
+        "def oracle_order(surfaces):\n"
+        "    return enrich.application_order(surfaces)\n"
+        "def oracle_label(cls):\n"
+        "    return mapping.map_to_uner(cls)\n"
+        "def load_dictionary(path):\n"
+        "    return Dictionary()\n"
+    )
+    assert oracles_using_enrich(helpers_source) == {"oracle_order": ["enrich"], "oracle_pass": ["apply"]}

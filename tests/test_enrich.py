@@ -13,15 +13,16 @@ from helpers import (
     LABEL_POOL,
     corpus_from_rows,
     corpus_to_text,
+    corpus_rows,
     load_dictionary,
-    oracle_apply_dictionary,
-    oracle_apply_local_dictionaries,
-    oracle_build_global_dictionary,
-    oracle_corpus_to_text,
-    oracle_objects,
-    oracle_run_experiments,
+    oracle_dictionary_pass,
+    oracle_enrich,
+    oracle_filter_by_kg,
+    oracle_global_dictionaries,
+    oracle_local_pass,
     random_corpus,
     recurring_surface_corpus,
+    rows_to_text,
     tag_counts,
 )
 from uner_pipeline import cli
@@ -398,9 +399,10 @@ class TestRunExperiment:
 
     def test_experiment_6_is_local_then_kg_dictionary(self):
         got = self.results(6)[6]
-        kg_dict = filter_by_kg(build_global_dictionary(self.corpus), self.kg_map, self.equivalences)
-        expected = apply_dictionary(apply_local_dictionaries(self.corpus), kg_dict)
-        assert got == expected
+        rows = corpus_rows(self.corpus)
+        kg_entries, _ = oracle_filter_by_kg(oracle_global_dictionaries(rows)["global"], self.kg_map, self.equivalences)
+        expected = oracle_dictionary_pass(oracle_local_pass(rows), kg_entries)
+        assert corpus_to_text(got) == rows_to_text(expected)
 
     def test_results_share_no_tag_lists(self):
         # the token texts are never changed, so results share them; each has its own tags
@@ -459,29 +461,40 @@ def test_run_experiments_matches_oracle_on_the_seven_way_fixture():
     with open(FIXTURES / "experiments" / "corpus.conll", encoding="utf-8") as fh:
         corpus = parse_conll(fh)
     kg_map = load_kg_map(FIXTURES / "experiments" / "kg_map.tsv")
-    _check_against_oracle(corpus, range(1, 8), kg_map, EQUIVALENCES)
+    dictionaries, results = _check_against_oracle(corpus, range(1, 8), kg_map, EQUIVALENCES)
+    # the pinned outputs follow the README's rules, not only today's code
+    pinned = FIXTURES / "experiments" / "expected"
+    for experiment_id, rows in results.items():
+        assert rows_to_text(rows) == (pinned / f"corpus_exp{experiment_id}.conll").read_text(encoding="utf-8")
+    assert list(dictionaries) == ["global", "global_multi"]
+    for base, entries in dictionaries.items():
+        assert load_dictionary(pinned / f"dictionary_{base}.tsv", base).entries == entries
+
+
+def assert_same_dictionaries(dictionaries, oracle_dictionaries):
+    """The same bases, each named by its provenance, with the reference's entries in the same order."""
+    assert {base: (d.provenance, list(d.entries.items())) for base, d in dictionaries.items()} == {
+        base: (base, list(entries.items())) for base, entries in oracle_dictionaries.items()
+    }
 
 
 def _check_against_oracle(corpus, experiment_ids, kg_map, equivalences):
+    """run_experiments against the enrich reference; returns the reference's dictionaries and results."""
     before = corpus_to_text(corpus)
     counters = Counter()
     dictionaries, results = run_experiments(corpus, experiment_ids, kg_map, equivalences, counters)
-    expected, expected_counters = oracle_run_experiments(corpus, experiment_ids, kg_map, equivalences)
+    oracle_dictionaries, expected, expected_counters = oracle_enrich(
+        corpus_rows(corpus), experiment_ids, kg_map, equivalences
+    )
     assert counters == expected_counters  # complete before any result is computed
     results = dict(results)
     assert list(results) == list(expected) == list(experiment_ids)
     for experiment_id, result in results.items():
-        assert corpus_to_text(result) == corpus_to_text(expected[experiment_id]), experiment_id
+        assert corpus_to_text(result) == rows_to_text(expected[experiment_id]), experiment_id
     assert counters == expected_counters
-    bases = sorted({EXPERIMENTS[e].dictionary for e in experiment_ids} - {None})
-    objects = oracle_objects(corpus)
-    oracle_dictionaries = {
-        base: oracle_build_global_dictionary(objects, multi_token_only=base == "global_multi") for base in bases
-    }
-    assert dictionaries == oracle_dictionaries
-    for base, dictionary in dictionaries.items():  # the same entries in the same order
-        assert list(dictionary.entries.items()) == list(oracle_dictionaries[base].entries.items())
+    assert_same_dictionaries(dictionaries, oracle_dictionaries)
     assert corpus_to_text(corpus) == before
+    return oracle_dictionaries, expected
 
 
 def test_run_experiments_matches_oracle_on_random_corpora():
@@ -508,28 +521,25 @@ def test_every_experiment_subset_matches_each_experiment_run_alone():
     rng = random.Random(127)
     for _ in range(3):
         corpus = recurring_surface_corpus(rng)
-        surfaces = list(oracle_build_global_dictionary(oracle_objects(corpus)).entries)
+        surfaces = list(oracle_global_dictionaries(corpus_rows(corpus))["global"])
         inputs.append((corpus, {surface: rng.choice(["dbo:City", "dbo:Person", "owl:Thing"]) for surface in surfaces}))
     for corpus, kg_map in inputs:
-        objects = oracle_objects(corpus)
+        rows = corpus_rows(corpus)
         alone = {experiment_id: _run_texts(corpus, [experiment_id], kg_map) for experiment_id in EXPERIMENTS}
         for size in range(1, len(EXPERIMENTS) + 1):
             for subset in itertools.combinations(EXPERIMENTS, size):
                 dictionaries, texts, counters = _run_texts(corpus, subset, kg_map)
-                expected, expected_counters = oracle_run_experiments(corpus, subset, kg_map, EQUIVALENCES)
+                oracle_dictionaries, expected, expected_counters = oracle_enrich(rows, subset, kg_map, EQUIVALENCES)
                 assert list(texts) == list(subset)
                 for experiment_id in subset:
                     assert texts[experiment_id] == alone[experiment_id][1][experiment_id], subset
-                    assert texts[experiment_id] == corpus_to_text(expected[experiment_id]), subset
+                    assert texts[experiment_id] == rows_to_text(expected[experiment_id]), subset
                 assert counters == sum((alone[experiment_id][2] for experiment_id in subset), Counter())
                 assert counters == expected_counters
                 # exactly the bases the subset needs: for experiment 2 alone, no global dictionary to save
                 bases = sorted({EXPERIMENTS[experiment_id].dictionary for experiment_id in subset} - {None})
                 assert list(dictionaries) == bases
-                for base in bases:
-                    oracle = oracle_build_global_dictionary(objects, multi_token_only=base == "global_multi")
-                    assert list(dictionaries[base].entries.items()) == list(oracle.entries.items())
-                    assert dictionaries[base].provenance == oracle.provenance
+                assert_same_dictionaries(dictionaries, oracle_dictionaries)
 
 
 def enrich_peak_bytes(corpus: AnnotatedCorpus, experiment_ids, out: Path, kg_map: Path) -> int:
@@ -643,7 +653,7 @@ dictionaries = st.dictionaries(
 def test_apply_dictionary_matches_oracle(corpus, dictionary):
     before = corpus_to_text(corpus)
     got = corpus_to_text(apply_dictionary(corpus, dictionary))
-    assert got == oracle_corpus_to_text(oracle_apply_dictionary(oracle_objects(corpus), dictionary))
+    assert got == rows_to_text(oracle_dictionary_pass(corpus_rows(corpus), dictionary.entries))
     assert corpus_to_text(corpus) == before
 
 
@@ -652,7 +662,7 @@ def test_apply_dictionary_matches_oracle(corpus, dictionary):
 def test_apply_local_dictionaries_matches_oracle(corpus):
     before = corpus_to_text(corpus)
     got = corpus_to_text(apply_local_dictionaries(corpus))
-    assert got == oracle_corpus_to_text(oracle_apply_local_dictionaries(oracle_objects(corpus)))
+    assert got == rows_to_text(oracle_local_pass(corpus_rows(corpus)))
     assert corpus_to_text(corpus) == before
 
 
