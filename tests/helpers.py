@@ -27,7 +27,7 @@ from uner_pipeline.errors import AlignmentError, DataError, LabelParseError
 from uner_pipeline.evaluation import EvalReport, TagMetrics
 from uner_pipeline.ingest import Document
 from uner_pipeline.linker import DEFAULT_RESOURCE_BASE, ClassCatalog
-from uner_pipeline.mapping import EquivalenceMap, iter_tsv, parse_uner_label
+from uner_pipeline.mapping import EquivalenceMap, parse_uner_label
 from uner_pipeline.stats import COARSE_CLASSES, CorpusStats, coarse_class
 
 LABEL_POOL = [
@@ -491,10 +491,10 @@ def oracle_eval(golden: str, system: str, collapse_depth: int | None = None):
     return report, pair_counts.total(), coarse
 
 
-# ``oracle_iter_entities`` is the entity-run reference of the stats oracles and
-# the enrich reference. ``oracle_list_entities`` and ``oracle_compute_stats``
-# are ``stats.list_entities`` and ``compute_stats`` as they were before stats
-# read strings: walks over a corpus of OracleSentences (``oracle_objects``).
+# The stats references. ``oracle_iter_entities`` gives the entity runs of
+# (text, tag) string pairs, for them and for the enrich reference;
+# ``oracle_list_entities`` and ``oracle_compute_stats`` walk a corpus of
+# OracleSentences (``oracle_objects``) token by token.
 
 
 def oracle_iter_entities(sentences: Iterable[Iterable[tuple[str, str]]]) -> Iterator[tuple[str, str]]:
@@ -553,11 +553,44 @@ def oracle_compute_stats(
     return stats
 
 
-# ``annotator.project_annotations`` as it was before the bisection rewrite:
-# every token scanned once per span and once per sentence. Kept verbatim as a
-# differential oracle, apart from the ``spans_projected`` line and the
-# OracleTag it gives each token; it is quadratic, so keep inputs small. It
-# gives OracleSentences.
+# References for annotate and the class cache, each written from its README
+# section and testing every character, token or line in turn, so keep inputs
+# small: tokenizing and sentence splitting from "CoNLL output", projection from
+# "Projection", and the cache from "Class lookup" over "Label scheme"'s TSV rule.
+
+
+def oracle_tokenize(text: str) -> list[Token]:
+    """Split ``text`` into runs of whitespace, of P or S characters and of other characters;
+    each P or S character is a token, and so is each run of other characters."""
+
+    def kind(ch: str) -> str:
+        return "space" if ch.isspace() else "mark" if unicodedata.category(ch)[0] in "PS" else "word"
+
+    tokens: list[Token] = []
+    start = 0
+    for run_kind, run in itertools.groupby(text, kind):
+        run = "".join(run)
+        if run_kind == "mark":
+            tokens += [Token(ch, start + k, start + k + 1) for k, ch in enumerate(run)]
+        elif run_kind == "word":
+            tokens.append(Token(run, start, start + len(run)))
+        start += len(run)
+    return tokens
+
+
+def oracle_split_sentences(text: str) -> list[tuple[int, int]]:
+    """A sentence ends after a ``.``, ``!`` or ``?`` that whitespace and then an uppercase letter
+    follow, and after a line break that opens a blank line; each piece is trimmed of whitespace."""
+
+    def ends_sentence(i: int) -> bool:
+        rest = text[i + 1 :]
+        if text[i] in ".!?":
+            return rest[:1].isspace() and rest.lstrip()[:1].isupper()
+        return text[i] == "\n" and "\n" in rest and not rest.partition("\n")[0].strip()
+
+    breaks = [i + 1 for i in range(len(text)) if ends_sentence(i)]
+    pieces = [(start, text[start:end]) for start, end in zip([0, *breaks], [*breaks, len(text)])]
+    return [(start + len(p) - len(p.lstrip()), start + len(p.rstrip())) for start, p in pieces if p.strip()]
 
 
 def oracle_project_annotations(
@@ -565,166 +598,70 @@ def oracle_project_annotations(
     labels: dict[str, str],
     tokens: list[Token],
     sentences: list[tuple[int, int]],
-    counters: Counter | None = None,
-) -> list[OracleSentence]:
-    """Project link spans onto tokens as B/I tags, keep entity sentences only.
-
-    A token overlapping a labeled span counts as inside the entity (greedy
-    inclusion); the first overlapping token still untagged gets B, the rest I.
-    Spans whose target has no label are skipped; spans crossing a sentence
-    boundary are truncated at it, with a warning counted.
-    """
-    counters = counters if counters is not None else Counter()
-    sentence_of_token = []
-    sentence_idx = 0
-    for token in tokens:
-        while sentence_idx < len(sentences) and token.start >= sentences[sentence_idx][1]:
-            sentence_idx += 1
-        sentence_of_token.append(sentence_idx if sentence_idx < len(sentences) else -1)
-    tags: list[OracleTag] = [ORACLE_O] * len(tokens)
-
+    counters: Counter,
+) -> list[list[tuple[str, str]]]:
+    """Each span in turn tags the tokens that start before it ends and end after it starts, if its
+    target has a label: those in the sentence of the first of them, B on the first still O and I on
+    the other O ones. The sentences with a B tag, as (token text, tag) rows; ``counters`` gets the
+    fate of each span and of each sentence."""
+    home = [next((k for k, (a, b) in enumerate(sentences) if a <= t.start < b), None) for t in tokens]
+    tags = ["O"] * len(tokens)
     for span in doc.links:
-        label = labels.get(span.target)
-        if label is None:
+        if span.target not in labels:
             counters["spans_unlabeled"] += 1
             continue
-        overlapping = [
-            i
-            for i, token in enumerate(tokens)
-            if token.start < span.end and token.end > span.start
-        ]
+        overlapping = [i for i, t in enumerate(tokens) if t.start < span.end and t.end > span.start]
         if not overlapping:
             counters["spans_without_tokens"] += 1
             continue
-        home = sentence_of_token[overlapping[0]]
-        in_home = [i for i in overlapping if sentence_of_token[i] == home]
-        if len(in_home) != len(overlapping):
+        kept = [i for i in overlapping if home[i] == home[overlapping[0]]]
+        if kept != overlapping:
             counters["spans_truncated"] += 1
-        untagged = [i for i in in_home if tags[i].prefix == "O"]
+        untagged = [i for i in kept if tags[i] == "O"]
         if not untagged:
             counters["spans_shadowed"] += 1
             continue
-        counters["spans_projected"] += 1  # the one added line: counted as the rewrite does
-        tags[untagged[0]] = OracleTag("B", label)
-        for i in untagged[1:]:
-            tags[i] = OracleTag("I", label)
-
-    result: list[OracleSentence] = []
-    for s_idx in range(len(sentences)):
-        pairs = [
-            (tokens[i], tags[i])
-            for i in range(len(tokens))
-            if sentence_of_token[i] == s_idx
-        ]
-        if not pairs:
-            continue
-        counters["sentences_total"] += 1
-        if any(tag.prefix == "B" for _, tag in pairs):
-            counters["sentences_kept"] += 1
-            result.append(OracleSentence(pairs))
-        else:
-            counters["sentences_dropped"] += 1
-    return result
+        counters["spans_projected"] += 1
+        for i in untagged:
+            tags[i] = ("B-" if i == untagged[0] else "I-") + labels[span.target]
+    rows = [[(t.text, tag) for t, tag, h in zip(tokens, tags, home) if h == k] for k in range(len(sentences))]
+    rows = [row for row in rows if row]
+    kept_rows = [row for row in rows if any(tag.startswith("B-") for _, tag in row)]
+    counters["sentences_total"] += len(rows)
+    counters["sentences_kept"] += len(kept_rows)
+    counters["sentences_dropped"] += len(rows) - len(kept_rows)
+    return kept_rows
 
 
-# ``annotator.tokenize`` and ``annotator.split_sentences`` as they were before
-# the compiled-regex rewrite: one Python loop over every character. Kept
-# verbatim as differential oracles, with the two module-level names they read
-# copied alongside; only the function names gained the prefix.
-
-_TERMINATORS = frozenset(".!?")
-
-
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch)[0] in ("P", "S")
-
-
-def oracle_tokenize(text: str) -> list[Token]:
-    """Whitespace-split, then isolate each punctuation/symbol character.
-
-    Offset-faithful: every token's text equals the source substring at its
-    offsets, so tokens plus the original whitespace reproduce the text.
-    """
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if _is_punct(ch):
-            tokens.append(Token(ch, i, i + 1))
-            i += 1
-            continue
-        j = i + 1
-        while j < n and not text[j].isspace() and not _is_punct(text[j]):
-            j += 1
-        tokens.append(Token(text[i:j], i, j))
-        i = j
-    return tokens
-
-
-def oracle_split_sentences(text: str) -> list[tuple[int, int]]:
-    """Sentence ranges covering all non-whitespace text, in order.
-
-    Boundaries fall after ``.``, ``!``, ``?`` followed by whitespace and an
-    uppercase letter, and at blank lines. Returned ranges are trimmed of
-    surrounding whitespace and never overlap.
-    """
-    n = len(text)
-    breaks: list[int] = []  # positions where a new sentence may start
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINATORS:
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            if j > i + 1 and j < n and text[j].isupper():
-                breaks.append(i + 1)
-        elif ch == "\n":
-            # a blank (whitespace-only) line is an unconditional boundary
-            j = i + 1
-            while j < n and text[j] != "\n" and text[j].isspace():
-                j += 1
-            if j < n and text[j] == "\n":
-                breaks.append(i + 1)
-        i += 1
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for brk in breaks + [n]:
-        piece_start, piece_end = start, brk
-        while piece_start < piece_end and text[piece_start].isspace():
-            piece_start += 1
-        while piece_end > piece_start and text[piece_end - 1].isspace():
-            piece_end -= 1
-        if piece_start < piece_end:
-            ranges.append((piece_start, piece_end))
-        start = brk
-    return ranges
-
-
-# The class-cache loader as it was before equal class fields shared one list
-# and equal class names one string: a fresh list per line. Kept verbatim as a
-# differential oracle; only the name gained its prefix.
+def oracle_tsv_rows(path: str | Path) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) of each row of a TSV table. A blank line is skipped, and so is a
+    comment: past its leading whitespace, tabs included, it starts with ``#`` and holds no tab. A
+    row's key is what its first tab follows, and must not be empty."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.removesuffix("\n")
+            content = line.lstrip()
+            if not content or (content.startswith("#") and "\t" not in content):
+                continue
+            if "\t" not in line:
+                raise DataError(f"{path}:{line_no}: expected two tab-separated columns")
+            key, value = line.split("\t", 1)
+            if not key:
+                raise DataError(f"{path}:{line_no}: empty first column")
+            yield line_no, key, value
 
 
 def oracle_load_catalog(path: str | Path, keep: Collection[str] | None = None) -> ClassCatalog:
-    """Read a ``target<TAB>class1,class2,...`` TSV cache; the class list may be empty.
-
-    With ``keep``, only those targets are stored. Every line is still checked,
-    so a malformed or duplicate line anywhere in the file raises.
-    """
-    # every target seen is a key, for the duplicate check; one outside keep maps to None
-    seen: dict[str, list[str] | None] = {}
-    for line_no, target, classes_field in iter_tsv(path):
+    """Each target of the cache with its class field split at commas, empty names dropped; with
+    ``keep``, only those targets. A duplicate target anywhere in the file is a data error."""
+    entries, seen = {}, set()
+    for line_no, target, classes in oracle_tsv_rows(path):
         if target in seen:
             raise DataError(f"{path}:{line_no}: duplicate target {target!r}")
-        kept = keep is None or target in keep
-        seen[target] = [c for c in classes_field.split(",") if c] if kept else None
-    if keep is None:
-        return ClassCatalog(seen)
-    return ClassCatalog({target: classes for target, classes in seen.items() if classes is not None})
+        seen.add(target)
+        if keep is None or target in keep:
+            entries[target] = [name for name in classes.split(",") if name]
+    return ClassCatalog(entries)
 
 
 # The enrich reference, written from README "Enrichment experiments" and using
@@ -843,14 +780,15 @@ def oracle_enrich(rows: Rows, experiment_ids, kg_map: dict[str, str] | None, equ
     return {base: bases[base] for base in used}, results, counters
 
 
-# Readers that only the tests need, kept as round-trip oracles of the writers
-# they invert: ``enrich.save_dictionary`` and ``linker.build_entity_uri``.
+# Readers that only the tests need, for round trips through the writers they
+# invert: ``enrich.save_dictionary`` (read through ``oracle_tsv_rows``) and
+# ``linker.build_entity_uri``.
 
 
 def load_dictionary(path, provenance: str = "global") -> Dictionary:
     """Read a ``surface<TAB>label`` TSV; ``#`` lines without a tab are comments."""
     entries: dict[str, str] = {}
-    for line_no, surface, label in iter_tsv(path):
+    for line_no, surface, label in oracle_tsv_rows(path):
         if surface in entries:
             raise DataError(f"{path}:{line_no}: duplicate surface {surface!r}")
         if not surface_is_admissible(surface):

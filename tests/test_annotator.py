@@ -320,12 +320,12 @@ def test_annotate_document_end_to_end():
     assert tags.count("B-Name-Location-GPE-City") == 1
 
 
-# Differential gate for the bisection rewrite of project_annotations: the
-# sentences (token text, offsets, tag string) and every counter must equal
-# those of the old scan, kept in helpers as oracle_project_annotations. A
-# projected sentence holds token texts alone, so each token's text is given
-# its source offsets before projection, and the texts of a kept sentence name
-# the source tokens it holds.
+# project_annotations against oracle_project_annotations, which states README
+# "Projection" by scanning every token for each span: the kept sentences (token
+# text, offsets, tag string) and every counter must be equal. A projected
+# sentence holds token texts alone, so each token's text is given its source
+# offsets before projection, and the texts of a kept sentence name the source
+# tokens it holds.
 LABELS = {"P": PERSON, "C": CITY}  # target "U" has no label
 
 
@@ -338,8 +338,7 @@ def project_both(text, links):
     annotated = project_annotations(doc, LABELS, tokens, sentences, counters)
     got = ([list(zip(s.texts, s.tags)) for s in annotated], counters)
     counters = Counter()
-    annotated = oracle_project_annotations(doc, LABELS, tokens, sentences, counters)
-    expected = ([[(t.text, str(tag)) for t, tag in s.tokens] for s in annotated], counters)
+    expected = (oracle_project_annotations(doc, LABELS, tokens, sentences, counters), counters)
     return got, expected
 
 
@@ -353,6 +352,7 @@ PINNED_TEXT = "Ann Bob Cid went home. Dan saw St. Petersburg."
         ([(0, 6, "P")], "spans_projected"),  # ends inside "Bob"
         ([(3, 4, "P")], "spans_without_tokens"),  # whitespace only
         ([(17, 26, "C")], "spans_truncated"),  # "home. Dan" crosses a break
+        ([(17, 26, "C"), (27, 30, "P")], "spans_truncated"),  # "Dan" stays O in a kept sentence
         ([(0, 11, "P"), (4, 7, "C")], "spans_shadowed"),  # fully shadowed
         ([(0, 7, "P"), (4, 11, "C")], "spans_projected"),  # partly shadowed
         ([(4, 7, "C"), (0, 11, "P")], "spans_projected"),  # unsorted

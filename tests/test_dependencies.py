@@ -7,8 +7,9 @@ a function body, so offline and eval runs, which never send a request, never
 pay for their import; a run in a fresh interpreter shows that neither is
 loaded. Every top-level name in ``tests/helpers.py`` is used by a test module,
 directly or through another helper, so no oracle outlives its last test, and
-no oracle uses a name imported from ``enrich``, so the enrich reference is
-written from the README and not from the code it checks.
+no oracle uses a name imported from ``enrich`` or one of the functions the
+other references check, so each reference is written from the README and not
+from the code it checks.
 """
 
 import ast
@@ -163,21 +164,27 @@ def unused_helpers(helpers_source: str, test_sources: list[str]) -> list[str]:
     return sorted(definitions.keys() - reached(definitions, set().union(*map(names_from_helpers, test_sources))))
 
 
-def names_from_enrich(source: str) -> set[str]:
-    """The names ``source`` imports from ``uner_pipeline.enrich``, and ``enrich`` if it imports the module."""
+# the functions that the references outside enrich check
+CHECKED_FUNCTIONS = {"tokenize", "split_sentences", "project_annotations", "load_catalog", "iter_tsv"}
+
+
+def banned_names(source: str) -> set[str]:
+    """The names ``source`` imports from ``uner_pipeline.enrich``, ``enrich`` if it imports the module, and
+    the names it imports one of ``CHECKED_FUNCTIONS`` under from any module of the package."""
     names: set[str] = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.module == f"{PACKAGE}.enrich":
-            names.update(alias.asname or alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module == PACKAGE:
-            names.update(alias.asname or alias.name for alias in node.names if alias.name == "enrich")
+        if not isinstance(node, ast.ImportFrom) or (node.module or "").partition(".")[0] != PACKAGE:
+            continue
+        for alias in node.names:
+            if node.module == f"{PACKAGE}.enrich" or alias.name in {"enrich", *CHECKED_FUNCTIONS}:
+                names.add(alias.asname or alias.name)
     return names
 
 
-def oracles_using_enrich(helpers_source: str) -> dict[str, list[str]]:
-    """The ``oracle_`` helpers that read names from ``enrich``, directly or through other helpers, with the names."""
+def oracles_using_banned_names(helpers_source: str) -> dict[str, list[str]]:
+    """The ``oracle_`` helpers that read a banned name, directly or through other helpers, with the names."""
     definitions = helper_definitions(helpers_source)
-    banned = names_from_enrich(helpers_source)
+    banned = banned_names(helpers_source)
     uses: dict[str, list[str]] = {}
     for name in definitions:
         if name.lower().startswith("oracle_"):
@@ -211,16 +218,25 @@ def test_unused_helpers_follows_uses_through_other_helpers():
     assert unused_helpers(helpers_source, tests[:1]) == ["Record", "UNUSED", "dead_oracle"]
 
 
-def test_no_oracle_uses_a_name_imported_from_enrich():
+def test_no_oracle_uses_a_banned_name():
     source = HELPERS.read_text(encoding="utf-8")
-    assert oracles_using_enrich(source) == {}
-    assert {"oracle_enrich", "oracle_dictionary_pass", "oracle_local_pass"} <= helper_definitions(source).keys()
+    assert oracles_using_banned_names(source) == {}
+    assert {
+        "oracle_enrich",
+        "oracle_dictionary_pass",
+        "oracle_local_pass",
+        "oracle_tokenize",
+        "oracle_split_sentences",
+        "oracle_project_annotations",
+        "oracle_load_catalog",
+    } <= helper_definitions(source).keys()
 
 
-def test_oracles_using_enrich_follows_uses_through_other_helpers():
+def test_oracles_using_banned_names_follows_uses_through_other_helpers():
     helpers_source = (
         "from uner_pipeline.enrich import Dictionary, apply_dictionary as apply\n"
         "from uner_pipeline import enrich, mapping\n"
+        "from uner_pipeline.mapping import iter_tsv as rows, parse_uner_label\n"
         "def _step(corpus):\n"
         "    return apply(corpus)\n"
         "def oracle_pass(corpus):\n"
@@ -229,7 +245,15 @@ def test_oracles_using_enrich_follows_uses_through_other_helpers():
         "    return enrich.application_order(surfaces)\n"
         "def oracle_label(cls):\n"
         "    return mapping.map_to_uner(cls)\n"
+        "def _lines(path):\n"
+        "    return rows(path)\n"
+        "def oracle_catalog(path):\n"
+        "    return {key: parse_uner_label(value) for _, key, value in _lines(path)}\n"
         "def load_dictionary(path):\n"
-        "    return Dictionary()\n"
+        "    return Dictionary(rows(path))\n"
     )
-    assert oracles_using_enrich(helpers_source) == {"oracle_order": ["enrich"], "oracle_pass": ["apply"]}
+    assert oracles_using_banned_names(helpers_source) == {
+        "oracle_catalog": ["rows"],
+        "oracle_order": ["enrich"],
+        "oracle_pass": ["apply"],
+    }

@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
@@ -650,6 +650,10 @@ dictionaries = st.dictionaries(
 
 @settings(max_examples=400, deadline=None)
 @given(corpus=small_corpora(), dictionary=dictionaries)
+@example(  # two surfaces of equal characters and tokens compete for "bb": the lexicographic tie decides
+    corpus=corpus_from_rows([("doc0", [[("Ann", "B-Name-Person-Name"), ("aa", "O"), ("bb", "O"), ("cc", "O")]])]),
+    dictionary=Dictionary({"aa bb": "Name-Location-GPE-City", "bb cc": "Name-Event-Occasion-Game"}),
+)
 def test_apply_dictionary_matches_oracle(corpus, dictionary):
     before = corpus_to_text(corpus)
     got = corpus_to_text(apply_dictionary(corpus, dictionary))

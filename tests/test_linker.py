@@ -304,12 +304,15 @@ class TestCatalogFile:
 
 
 # one cache line: a key (maybe "#"-led, blank or duplicated), a tab, a class field
-# with empty pieces; or a line that is a comment, blank, whitespace or has no tab
+# with empty pieces; or a line that is a comment (maybe after spaces or a tab),
+# blank, whitespace or has no tab
 _CACHE_KEYS = st.sampled_from(["A", "B", "C", "#A", "# B", " A", "A "])
 _CACHE_FIELDS = st.lists(st.sampled_from(["dbo:City", "dbo:Place", "owl:Thing", ""]), max_size=4).map(",".join)
 _CACHE_LINES = st.one_of(
     st.tuples(_CACHE_KEYS, _CACHE_FIELDS).map("\t".join),
-    st.sampled_from(["", "   ", "\t", "# a comment", "  # indented comment", "no tab", "\tdbo:City"]),
+    st.sampled_from(
+        ["", "   ", "\t", "# a comment", "  # indented comment", "\t# a comment", "no tab", "\tdbo:City"]
+    ),
 )
 
 

@@ -213,7 +213,7 @@ class TestTsvLoaders:
     def test_comment_and_blank_lines_skipped(self, tmp_path, name):
         row = TSV_LOADERS[name][1]
         plain = self.load(tmp_path, name, row + "\n")
-        padded = self.load(tmp_path, name, "# header\n\n   \n" + row + "\n  # indented\n")
+        padded = self.load(tmp_path, name, "# header\n\n   \n\t# tab-led\n" + row + "\n  # indented\n")
         assert padded == plain and plain
 
     def test_crlf_loads_like_lf(self, tmp_path, name):

@@ -2,11 +2,11 @@
 line-break rule, rest on, checked over every code point of this
 interpreter's Unicode database.
 
-``annotator`` finds chunks and blank lines with ``re``'s ``\\s``, where the
-old loop called ``str.isspace()``, and keeps an alphanumeric chunk whole,
-where the old loop tested each character for a P or S category. Each Python
-release ships its own Unicode database, so every interpreter the tests run
-under checks it again.
+``annotator`` finds chunks and blank lines with ``re``'s ``\\s``, where README
+"CoNLL output" and its test references say ``str.isspace()``, and keeps an
+alphanumeric chunk whole, where they test each character for a P or S
+category. Each Python release ships its own Unicode database, so every
+interpreter the tests run under checks it again.
 """
 
 from __future__ import annotations
