@@ -48,7 +48,6 @@ log = logging.getLogger(__name__)
 @dataclass
 class RunConfig:
     input: Path | None = None
-    format: str = field(default="json_lines", metadata={"choices": ingest.DUMP_FORMATS})
     out: Path = Path("out")
     equivalence: Path = field(default_factory=mapping.default_equivalence_path)
     priority: Path = field(default_factory=mapping.default_priority_path)
@@ -165,8 +164,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         try:
             values[f.name] = cast(raw)
         except ValueError:
-            raise UsageError(f"bad value for {f.name}: {raw!r}")
-        if "choices" in f.metadata and values[f.name] not in f.metadata["choices"]:
             raise UsageError(f"bad value for {f.name}: {raw!r}")
     config = RunConfig(**values)
     config.endpoint = linker.endpoint_from_environment(config.endpoint)
@@ -293,7 +290,7 @@ def _built_and_written(raws, fh, counters: Counter) -> typing.Iterator[ingest.Do
 def cmd_extract(config: RunConfig, manifest: Manifest) -> None:
     with manifest.stage("extract") as counters:
         with open(config.input, encoding="utf-8") as dump, atomic_output(config.out / "documents.jsonl") as fh:
-            raws = ingest.parse_dump_stream(dump, config.format, counters)
+            raws = ingest.parse_dump_stream(dump, counters)
             targets = ingest.collect_unique_targets(_built_and_written(raws, fh, counters))
         counters["unique_targets"] += len(targets)
         log.info(
@@ -502,7 +499,7 @@ def _build_parser() -> _Parser:
             if CONFIG_CASTS[f.name] is _parse_bool:
                 p.add_argument(flag, dest=f.name, action="store_const", const="true")
             else:
-                p.add_argument(flag, dest=f.name, choices=f.metadata.get("choices"))
+                p.add_argument(flag, dest=f.name)
 
     for name in ("extract", "link", "annotate", "stats", "enrich", "pipeline"):
         add_common(sub.add_parser(name))

@@ -1,7 +1,9 @@
 """Streaming ingestion of extracted dump files.
 
 Recovers each article's plain text plus the character spans of its
-hyperlinks, and collects the sorted set of unique link targets. Two inline
+hyperlinks, and collects the sorted set of unique link targets. The dump is
+read in either extractor layout, JSON lines or ``<doc ...>`` blocks, told
+apart line by line (``parse_dump_stream``). Two inline
 markups are recognized: HTML-style anchors ``<a href="TARGET">SURFACE</a>``
 (href percent-decoded, underscores kept) and wiki brackets
 ``[[TARGET|SURFACE]]`` / ``[[TARGET]]``. Malformed markup never aborts a run;
@@ -21,10 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 from urllib.parse import unquote
-
-from .errors import UsageError
-
-DUMP_FORMATS = ("json_lines", "plain_anchored")
 
 _ANCHOR_OPEN = re.compile(r'<a\s+href="([^"]*)"[^>]*>')
 _MARKUP_START = re.compile(r'<a\s+href="|\[\[')
@@ -71,65 +69,37 @@ class Document:
     links: tuple[LinkSpan, ...]
 
 
-def parse_dump_stream(
-    lines: Iterable[str],
-    fmt: str = "json_lines",
-    counters: Counter | None = None,
-) -> Iterator[RawDocument]:
+def parse_dump_stream(lines: Iterable[str], counters: Counter | None = None) -> Iterator[RawDocument]:
     """Yield documents from the lines of an extracted dump, in file order.
 
-    Malformed lines/blocks are skipped and counted under ``malformed_lines``,
-    among them a JSON record whose id, title or text holds a lone surrogate;
-    documents whose id holds a line break under ``unwritable_doc_id``, and
-    duplicate document ids under ``duplicate_doc_id``. The lines are text:
-    the CLI opens the dump as UTF-8, so a bad byte raises UnicodeDecodeError
-    as it is read, which the CLI reports as a data error (exit 2).
+    The layout is read line by line, so one file may mix both: a line that
+    strips to a ``<doc id=".." url=".." title="..">`` tag opens a block, one
+    that strips to ``</doc>`` closes it, and every line in between is its
+    body. Outside a block a blank line is skipped and any other line is one
+    JSON record with keys ``id``, ``title`` and ``text``.
+
+    Skipped and counted under ``malformed_lines``: a line outside a block
+    that is no such record (or one whose id, title or text holds a lone
+    surrogate), a ``</doc>`` outside a block, a block never closed and a
+    block with no id or title. Documents whose id holds a line break are
+    counted under ``unwritable_doc_id``, and duplicate ids under
+    ``duplicate_doc_id``. The lines are text: the CLI opens the dump as
+    UTF-8, so a bad byte raises UnicodeDecodeError as it is read, which the
+    CLI reports as a data error (exit 2).
     """
-    if fmt not in DUMP_FORMATS:
-        raise UsageError(f"unknown dump format {fmt!r}; expected one of {DUMP_FORMATS}")
     counters = counters if counters is not None else Counter()
-    if fmt == "json_lines":
-        yield from _parse_json_lines(lines, counters)
-    else:
-        yield from _parse_plain_anchored(lines, counters)
-
-
-def _parse_json_lines(lines: Iterable[str], counters: Counter) -> Iterator[RawDocument]:
     seen_ids: set[str] = set()
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            counters["malformed_lines"] += 1
-            continue
-        if not isinstance(obj, dict) or "id" not in obj or "title" not in obj or "text" not in obj:
-            counters["malformed_lines"] += 1
-            continue
-        doc_id, title, text = str(obj["id"]), str(obj["title"]), str(obj["text"])
-        if not doc_id or any(LONE_SURROGATE.search(field) for field in (doc_id, title, text)):
-            counters["malformed_lines"] += 1
-            continue
-        if not _is_new_id(doc_id, seen_ids, counters):
-            continue
-        yield RawDocument(doc_id=doc_id, title=title, markup_text=text)
-
-
-def _parse_plain_anchored(lines: Iterable[str], counters: Counter) -> Iterator[RawDocument]:
-    """Blocks delimited by ``<doc id=".." url=".." title="..">`` ... ``</doc>``."""
-    seen_ids: set[str] = set()
-    attrs: dict[str, str] | None = None
+    attrs: dict[str, str] | None = None  # the open block's attributes
     body: list[str] = []
     for line in lines:
-        open_match = _DOC_OPEN.match(line.strip())
+        stripped = line.strip()
+        open_match = _DOC_OPEN.fullmatch(stripped)
         if open_match:
             if attrs is not None:
                 counters["malformed_lines"] += 1  # previous block never closed
             attrs = dict(_DOC_ATTR.findall(open_match.group(1)))
             body = []
-            continue
-        if line.strip() == "</doc>":
+        elif stripped == "</doc>":
             if attrs is None:
                 counters["malformed_lines"] += 1
                 continue
@@ -137,9 +107,21 @@ def _parse_plain_anchored(lines: Iterable[str], counters: Counter) -> Iterator[R
             if doc is not None:
                 yield doc
             attrs = None
-            continue
-        if attrs is not None:
+        elif attrs is not None:
             body.append(line)
+        elif stripped:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                obj = None
+            if not isinstance(obj, dict) or "id" not in obj or "title" not in obj or "text" not in obj:
+                counters["malformed_lines"] += 1
+                continue
+            doc_id, title, text = str(obj["id"]), str(obj["title"]), str(obj["text"])
+            if not doc_id or any(LONE_SURROGATE.search(field) for field in (doc_id, title, text)):
+                counters["malformed_lines"] += 1
+            elif _is_new_id(doc_id, seen_ids, counters):
+                yield RawDocument(doc_id=doc_id, title=title, markup_text=text)
     if attrs is not None:
         counters["malformed_lines"] += 1
 
@@ -204,12 +186,12 @@ def extract_links(
     """Strip link markup from text, returning plain text plus link spans.
 
     Offsets address the returned text in Unicode code points. Malformed
-    constructs (unclosed or nested markup, empty targets or surfaces) lose
-    their recognized delimiters and keep their content as plain text, counted
-    under ``malformed_markup``; the output never re-parses as markup, so the
-    function is idempotent on its own text output. A link whose target holds
-    a line break or a tab keeps its surface as plain text, counted under
-    ``unwritable_target``.
+    constructs (unclosed or nested markup, empty surfaces, targets that are
+    empty or all whitespace) lose their recognized delimiters and keep their
+    content as plain text, counted under ``malformed_markup``; the output
+    never re-parses as markup, so the function is idempotent on its own text
+    output. A link whose target holds a line break or a tab keeps its surface
+    as plain text, counted under ``unwritable_target``.
     """
     counters = counters if counters is not None else Counter()
     out = _PlainTextBuilder()
@@ -266,9 +248,9 @@ def _consume_wiki(markup_text: str, start: int, out: _PlainTextBuilder, counters
 
 
 def _emit_link(out: _PlainTextBuilder, surface: str, target: str, counters: Counter) -> None:
-    """Emit a link span, or only its surface when the target is empty or
-    holds a line break or a tab."""
-    if not target or not surface:
+    """Emit a link span, or only its surface when the target is empty, all
+    whitespace or holds a line break or a tab."""
+    if not target or target.isspace() or not surface:
         counters["malformed_markup"] += 1
         out.emit(surface)
     elif not _TARGET_BREAKS.isdisjoint(target):

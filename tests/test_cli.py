@@ -258,7 +258,6 @@ class TestPipeline:
             [
                 "pipeline",
                 "--input", str(dump),
-                "--format", "plain_anchored",
                 "--cache", str(CACHE),
                 "--offline",
                 "--out", str(tmp_path / "out"),
@@ -268,6 +267,35 @@ class TestPipeline:
         corpus = (tmp_path / "out" / "corpus.conll").read_text(encoding="utf-8")
         assert "Baku\tB-Name-Location-GPE-City" in corpus
         assert "Plain" not in corpus  # second sentence has no entity
+
+    def test_dump_as_blocks_writes_what_the_json_lines_dump_writes(self, tmp_path):
+        # the fixture dump rendered as <doc> blocks, its malformed line kept as it is
+        blocks = tmp_path / "dump.txt"
+        with open(DUMP, encoding="utf-8") as src, open(blocks, "w", encoding="utf-8") as dst:
+            for line in src:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    dst.write(line)
+                    continue
+                dst.write(
+                    f'<doc id="{record["id"]}" url="{record["url"]}" title="{record["title"]}">\n'
+                    f'{record["text"]}\n</doc>\n'
+                )
+        extra = ("--experiments", "1,2,3,4,5,6,7", "--kg-map", str(KG_MAP))
+        assert run_pipeline(tmp_path / "json", *extra) == 0
+        argv = ["pipeline", "--input", str(blocks), "--cache", str(CACHE), "--offline", *extra]
+        assert cli.main([*argv, "--out", str(tmp_path / "blocks")]) == 0
+        names = sorted(path.name for path in (tmp_path / "json").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "blocks").iterdir())
+        assert len(names) == 17
+        # a block body ends in a newline, so only the documents file and the manifest differ
+        for name in set(names) - {"documents.jsonl", "manifest.json"}:
+            assert (tmp_path / "json" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes(), name
+        extract = [json.loads((tmp_path / run / "manifest.json").read_text())["stages"]["extract"]["counters"]
+                   for run in ("json", "blocks")]
+        assert extract[0] == extract[1]
+        assert extract[0]["malformed_lines"] == 1
 
 
 class TestExitCodes:
@@ -948,8 +976,6 @@ class TestConfigFile:
 # (key, config-file value, expected snapshot value); flags take the same values
 ACCEPTED_VALUES = [
     ("input", "dump.jsonl", "dump.jsonl"),
-    ("format", "plain_anchored", "plain_anchored"),
-    ("format", "", "json_lines"),
     ("out", "results", "results"),
     ("equivalence", "eq.tsv", "eq.tsv"),
     ("priority", "prio.tsv", "prio.tsv"),
@@ -974,7 +1000,7 @@ ACCEPTED_VALUES = [
 
 # (key, config-file value); every one is a usage error, exit code 1
 REJECTED_VALUES = [
-    ("format", "xml"),
+    ("format", "json_lines"),  # no such key: the dump layout is read from the dump
     ("offline", "maybe"),
     ("offline", ""),
     ("batch_size", "x"),

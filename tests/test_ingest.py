@@ -3,10 +3,10 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uner_pipeline.errors import UsageError
+from uner_pipeline import linker
 from uner_pipeline.ingest import (
     LINE_BREAKS,
     Document,
@@ -66,15 +66,11 @@ class TestParseDumpStreamJsonLines:
         stream = io.StringIO(jl(id=12, title="T", text="b") + "\n")
         assert list(parse_dump_stream(stream))[0].doc_id == "12"
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(UsageError):
-            list(parse_dump_stream(io.StringIO(""), fmt="xml"))
-
 
 class TestParseDumpStreamPlainAnchored:
     def test_block(self):
         text = '<doc id="7" url="u" title="Seven">\nSeven\n\nbody line\n</doc>\n'
-        docs = list(parse_dump_stream(io.StringIO(text), fmt="plain_anchored"))
+        docs = list(parse_dump_stream(io.StringIO(text)))
         assert len(docs) == 1
         assert docs[0].doc_id == "7"
         assert docs[0].title == "Seven"
@@ -83,14 +79,72 @@ class TestParseDumpStreamPlainAnchored:
     def test_unclosed_block_counted(self):
         counters = Counter()
         text = '<doc id="7" title="Seven">\nbody\n'
-        assert list(parse_dump_stream(io.StringIO(text), fmt="plain_anchored", counters=counters)) == []
+        assert list(parse_dump_stream(io.StringIO(text), counters=counters)) == []
         assert counters["malformed_lines"] == 1
 
     def test_missing_id_counted(self):
         counters = Counter()
         text = '<doc title="NoId">\nbody\n</doc>\n'
-        assert list(parse_dump_stream(io.StringIO(text), fmt="plain_anchored", counters=counters)) == []
+        assert list(parse_dump_stream(io.StringIO(text), counters=counters)) == []
         assert counters["malformed_lines"] == 1
+
+
+class TestParseDumpStreamLayouts:
+    """Blocks and JSON records are told apart line by line, so one file may hold both."""
+
+    def parse(self, text: str) -> tuple[list[RawDocument], Counter]:
+        counters = Counter()
+        return list(parse_dump_stream(io.StringIO(text), counters=counters)), counters
+
+    def test_mixed_layouts_in_file_order(self):
+        text = (
+            jl(id="1", title="One", text="first") + "\n\n"
+            + '  <doc id="2" url="u" title="Two">  \nsecond\n </doc>\n'
+            + jl(id="3", title="Three", text="third") + "\n"
+        )
+        docs, counters = self.parse(text)
+        assert docs == [RawDocument("1", "One", "first"), RawDocument("2", "Two", "second\n"), RawDocument("3", "Three", "third")]
+        assert counters["documents"] == 3
+        assert counters["malformed_lines"] == 0
+
+    def test_duplicate_id_across_layouts(self):
+        docs, counters = self.parse(jl(id="1", title="A", text="x") + '\n<doc id="1" title="B">\ny\n</doc>\n')
+        assert [d.title for d in docs] == ["A"]
+        assert counters["duplicate_doc_id"] == 1
+
+    def test_stray_line_between_blocks_counted(self):
+        text = '<doc id="1" title="A">\na\n</doc>\nstray text\n\n<doc id="2" title="B">\nb\n</doc>\n'
+        docs, counters = self.parse(text)
+        assert [d.doc_id for d in docs] == ["1", "2"]
+        assert counters["malformed_lines"] == 1
+
+    def test_json_line_inside_a_block_is_body_text(self):
+        record = jl(id="9", title="Nine", text="nine")
+        docs, counters = self.parse(f'<doc id="1" title="A">\n{record}\n\n</doc>\n')
+        assert docs == [RawDocument("1", "A", record + "\n\n")]
+        assert counters["documents"] == 1
+        assert counters["malformed_lines"] == 0
+
+    def test_close_tag_outside_a_block_counted(self):
+        docs, counters = self.parse("</doc>\n" + jl(id="1", title="A", text="x") + "\n  </doc>\n")
+        assert [d.doc_id for d in docs] == ["1"]
+        assert counters["malformed_lines"] == 2
+
+    def test_unclosed_block_at_eof_counted_after_the_documents_before_it(self):
+        text = jl(id="1", title="A", text="x") + '\n<doc id="2" title="B">\nb\n' + jl(id="3", title="C", text="z") + "\n"
+        docs, counters = self.parse(text)
+        assert [d.doc_id for d in docs] == ["1"]  # the record is body text of the open block
+        assert counters["malformed_lines"] == 1
+
+    def test_open_tag_inside_a_block_counts_the_unclosed_one(self):
+        docs, counters = self.parse('<doc id="1" title="A">\na\n<doc id="2" title="B">\nb\n</doc>\n')
+        assert docs == [RawDocument("2", "B", "b\n")]
+        assert counters["malformed_lines"] == 1
+
+    def test_open_tag_must_be_the_whole_line(self):
+        docs, counters = self.parse('<doc id="1" title="A"> text\n<document id="2">\n')
+        assert docs == []
+        assert counters["malformed_lines"] == 2
 
 
 class TestUnwritableIdsAndTargets:
@@ -109,7 +163,7 @@ class TestUnwritableIdsAndTargets:
         # the reader splits only at \n, \r and \r\n, so these reach the id attribute
         counters = Counter()
         text = f'<doc id="7{brk}1" title="Seven">\nbody\n</doc>\n<doc id="8" title="Eight">\nbody\n</doc>\n'
-        docs = list(parse_dump_stream(io.StringIO(text), fmt="plain_anchored", counters=counters))
+        docs = list(parse_dump_stream(io.StringIO(text), counters=counters))
         assert [d.doc_id for d in docs] == ["8"]
         assert counters["unwritable_doc_id"] == 1
 
@@ -196,6 +250,16 @@ class TestExtractLinks:
         assert [l.surface for l in links] == ["b"]
         assert counters["malformed_markup"] == 1
 
+    @pytest.mark.parametrize(
+        "markup,text",
+        [("[[ |Paris]]", "Paris"), ('<a href="%20">x</a>', "x"), ("[[\u3000]]", "\u3000"), ("[[\x1f\xa0#s|y]]", "y")],
+    )
+    def test_all_whitespace_target_degrades(self, markup, text):
+        # saved to the class cache, such a target would be a blank line, which the cache skips
+        counters = Counter()
+        assert extract_links(markup, counters) == (text, [])
+        assert counters["malformed_markup"] == 1
+
     def test_empty_surface_degrades(self):
         counters = Counter()
         text, links = extract_links("[[Target|]]", counters)
@@ -265,6 +329,32 @@ def test_extract_links_properties(pieces):
     text2, links2 = extract_links(text)
     assert text2 == text
     assert links2 == []
+
+
+# pieces of a link target: whitespace, "#" and percent escapes that decode to them
+_TARGET_PIECES = st.sampled_from([" ", "\u3000", "\xa0", "\x1f", "a", "É", "_", "#", "%20", "%23", "%E3%80%80"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            lambda anchor, target, surface: f'<a href="{target}">{surface}</a>' if anchor else f"[[{target}|{surface}]]",
+            st.booleans(),
+            st.lists(_TARGET_PIECES, max_size=4).map("".join),
+            st.sampled_from(["x", " y "]),
+        ),
+        max_size=6,
+    )
+)
+@example(["[[ |Paris]]"])
+@example(['<a href="%E3%80%80">x</a>'])
+def test_every_extracted_target_reads_back_from_the_class_cache(tmp_path_factory, links):
+    _, spans = extract_links(" ".join(links))
+    written = {span.target: [] for span in spans}
+    path = tmp_path_factory.mktemp("cache") / "cache.tsv"
+    linker.save_catalog(linker.ClassCatalog(written), path)
+    assert linker.load_catalog(path).entries == written
 
 
 class TestCollectUniqueTargets:
