@@ -371,11 +371,17 @@ def cmd_annotate(config: RunConfig, manifest: Manifest, documents_path: Path, ca
 
 
 def _targets_path(config: RunConfig) -> Path:
-    """The targets a standalone link reads: a ``.txt`` --input, else targets.txt under --out."""
+    """The targets a standalone link reads: a ``.txt`` --input, else targets.txt under --out.
+
+    Any other --input (a config file shared with extract may name the dump) is
+    ignored with a warning.
+    """
     txt_input = config.input is not None and config.input.suffix == ".txt"
     path = config.input if txt_input else config.out / "targets.txt"
     if not path.is_file():
         raise UsageError(f"targets file not found: {path} (run extract first)")
+    if config.input is not None and not txt_input:
+        log.warning("link ignores --input %s, which is not a .txt file, and reads %s", config.input, path)
     return path
 
 

@@ -106,9 +106,53 @@ def load_catalog(
     With ``keep``, only those targets are stored. Every line is still checked,
     so a malformed or duplicate line anywhere in the file raises. Targets
     whose class fields are equal share one list, and equal class names one
-    string, so memory grows with the targets plus the distinct lists and
-    names; ``cache_class_lists`` counts the lists.
+    string; ``cache_class_lists`` counts the lists.
+
+    A cache in ``save_catalog``'s layout (past any leading blank and comment
+    lines, each line's key starts with no whitespace, a tab follows it, and
+    the keys rise in code-point order) is read in one pass that holds only the
+    kept targets plus their distinct lists and names: a duplicate is the
+    previous key, so no set of every key is needed. The first line out of
+    that layout hands the file to ``_load_catalog_by_lines``, which gives the
+    same entries in the same order and words every error; the manifest then
+    counts ``cache_read_by_lines``.
     """
+    entries: dict[str, list[str]] = {}
+    lists: dict[str, list[str]] = {}  # class field -> its one list
+    names: dict[str, str] = {}  # class name -> its one string
+    with open(path, encoding="utf-8") as fh:
+        previous = ""  # the last key; no key is empty, so "" is before every one
+        for line_no, line in enumerate(fh, start=1):
+            tab = line.find("\t")
+            target = line[:tab]
+            if tab < 1 or target <= previous or line[0].isspace():
+                head = line.lstrip()
+                if previous or (head and (head[0] != "#" or "\t" in head)):
+                    break
+                continue  # a blank or comment line before the first key, which iter_tsv skips too
+            previous = target
+            if keep is not None and target not in keep:
+                continue
+            classes_field = line[tab + 1 :].rstrip("\n")
+            classes = lists.get(classes_field)
+            if classes is None:
+                classes = [names.setdefault(c, c) for c in classes_field.split(",") if c]
+                lists[classes_field] = classes
+            entries[target] = classes
+        else:
+            if counters is not None:
+                counters["cache_class_lists"] += len(lists)
+            return ClassCatalog(entries)
+    log.info("%s:%d is out of the sorted cache layout; reading the cache line by line", path, line_no)
+    if counters is not None:
+        counters["cache_read_by_lines"] = 1
+    return _load_catalog_by_lines(path, keep, counters)
+
+
+def _load_catalog_by_lines(
+    path: str | Path, keep: Collection[str] | None, counters: Counter | None
+) -> ClassCatalog:
+    """``load_catalog`` for a cache in any line order, through ``iter_tsv``."""
     # every target seen is a key, for the duplicate check; one outside keep maps to None
     seen: dict[str, list[str] | None] = {}
     lists: dict[str, list[str]] = {}  # class field -> its one list

@@ -585,6 +585,22 @@ class TestLinkCommand:
         catalog = (tmp_path / "out" / "catalog.tsv").read_text()
         assert "Alpha" not in catalog
 
+    def test_only_a_non_txt_input_is_ignored_with_a_warning(self, tmp_path, caplog):
+        # a config file shared with extract names the dump as input; link reads extract's targets.txt
+        out = tmp_path / "out"
+        assert cli.main(["extract", "--input", str(DUMP), "--out", str(out)]) == 0
+        assert cli.main(["link", "--input", str(DUMP), "--cache", str(CACHE), "--offline", "--out", str(out)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"link ignores --input {DUMP}, which is not a .txt file, and reads {out / 'targets.txt'}"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"]["link"]["counters"]["targets"] == len(EXPECTED_TARGETS.read_text().splitlines())
+        caplog.clear()
+        targets = tmp_path / "one.txt"
+        targets.write_text("Baku\n", encoding="utf-8")
+        for argv in (["--input", str(targets)], []):
+            assert cli.main(["link", *argv, "--cache", str(CACHE), "--offline", "--out", str(out)]) == 0
+        assert [r for r in caplog.records if r.levelname == "WARNING"] == []
+
     def test_cache_grows_and_is_reused(self, tmp_path, monkeypatch):
         # resolve via a fake client once, then rerun fully offline
         from test_linker import FakeSession, make_client
@@ -691,6 +707,33 @@ class TestManifestTelemetry:
         kept = oracle_load_catalog(CACHE, set(targets)).entries.values()
         assert manifest["stages"]["link"]["counters"]["cache_class_lists"] == len({tuple(c) for c in kept}) > 0
         assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
+
+    def test_a_cache_out_of_its_sorted_layout_is_read_by_lines_to_the_same_outputs(self, tmp_path, caplog):
+        header, *lines = CACHE.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(3).shuffle(lines)
+        keys = [line.split("\t")[0] for line in lines]
+        first_unsorted = 2 + next(i for i in range(1, len(keys)) if keys[i] < keys[i - 1])  # the header is line 1
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text(header + "".join(lines), encoding="utf-8")
+        sorted_out, shuffled_out = tmp_path / "sorted", tmp_path / "shuffled"
+        assert run_pipeline(sorted_out) == 0
+        caplog.set_level("INFO", logger=linker.__name__)
+        assert cli.main(["pipeline", "--input", str(DUMP), "--cache", str(shuffled), "--offline",
+                         "--out", str(shuffled_out)]) == 0
+        link = {}
+        for out in (sorted_out, shuffled_out):
+            link[out] = json.loads((out / "manifest.json").read_text())["stages"]["link"]["counters"]
+        assert "cache_read_by_lines" not in link[sorted_out]
+        assert link[shuffled_out].pop("cache_read_by_lines") == 1
+        assert link[shuffled_out] == link[sorted_out]
+        handoffs = [r.getMessage() for r in caplog.records if r.name == linker.__name__]
+        assert handoffs == [
+            f"{shuffled}:{first_unsorted} is out of the sorted cache layout; reading the cache line by line"
+        ]
+        outputs = sorted(path.name for path in sorted_out.iterdir() if path.name != "manifest.json")
+        assert sorted(path.name for path in shuffled_out.iterdir() if path.name != "manifest.json") == outputs
+        for name in outputs:
+            assert (shuffled_out / name).read_bytes() == (sorted_out / name).read_bytes(), name
 
     def test_each_queried_target_adds_a_class_list(self, tmp_path, monkeypatch):
         from test_linker import FakeSession, make_client

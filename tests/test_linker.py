@@ -5,8 +5,10 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import uner_pipeline
 from helpers import oracle_load_catalog, target_from_uri
-from uner_pipeline import cli
+from uner_pipeline import cli, linker
 from uner_pipeline.errors import DataError, QueryError
 from uner_pipeline.linker import (
     ClassCatalog,
@@ -374,6 +376,102 @@ class TestLoadCatalogAgainstOracle:
         save_catalog(cache, path)
         assert load_catalog(path).entries == oracle_load_catalog(path).entries == cache.entries
         assert sorted(cache.entries) == ["# D", "A", "B", "C", "New"]
+
+
+# the faults that take a cache out of save_catalog's layout, each of which hands it to the line reader
+_LAYOUT_FAULTS = ["duplicate", "swap", "inner blank or comment", "no tab", "whitespace key", "trailing blank"]
+
+
+@st.composite
+def written_caches(draw):
+    """A cache file as save_catalog writes it, with at most one layout fault; its newline, its
+    final newline and leading blank or comment lines vary, which keep the layout."""
+    targets = draw(
+        st.lists(
+            st.text("ab Z#\u00a0\u00e9_", min_size=1, max_size=4).filter(lambda t: not t[0].isspace()),
+            min_size=2, max_size=8, unique=True,
+        )
+    )
+    names = st.sampled_from(["dbo:City", "dbo:Place", "owl:Thing", "a name ", "\u00a0"])  # a line may end in spaces
+    classes = st.lists(names, unique=True, max_size=3)
+    order = sorted(targets)
+    lines = [f"{target}\t{','.join(draw(classes))}" for target in order]
+    fault = draw(st.one_of(st.none(), st.sampled_from(_LAYOUT_FAULTS)))
+    if fault == "duplicate":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines.insert(i + 1, f"{order[i]}\t{','.join(draw(classes))}")
+    elif fault == "swap":
+        i, j = sorted(draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2, unique=True)))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif fault == "inner blank or comment":
+        lines.insert(draw(st.integers(1, len(lines) - 1)), draw(st.sampled_from(["", "   ", "# a comment", " \t# x"])))
+    elif fault == "no tab":
+        lines.insert(draw(st.integers(0, len(lines))), "no tab")
+    elif fault == "whitespace key":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from([" ", "\u00a0"])) + lines[i]
+    header = ["# target<TAB>comma-separated classes in canonical order"]
+    header = draw(st.lists(st.sampled_from(["", "  ", "# note", "\t# note"]), max_size=2)) + header
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(header + lines)
+    if fault == "trailing blank":
+        text += newline + newline
+    elif draw(st.booleans()):  # the final newline
+        text += newline
+    keep = draw(st.one_of(st.none(), st.sets(st.sampled_from([*targets, "absent"]))))
+    return text, keep, fault
+
+
+def _catalog_outcome(loader, path, keep):
+    """The entries in order, the counters, and whether there is one list per distinct class list; or the error."""
+    counters = Counter()
+    try:
+        entries = loader(path, keep, counters).entries
+    except DataError as exc:
+        return str(exc)
+    lists = entries.values()
+    shared = len({id(c) for c in lists}) == len({tuple(c) for c in lists}) == counters["cache_class_lists"]
+    return list(entries.items()), counters, shared
+
+
+@settings(max_examples=400, deadline=None)
+@given(written_caches())
+def test_sorted_cache_scan_agrees_with_the_oracle_and_hands_off_only_on_a_fault(tmp_path_factory, case):
+    text, keep, fault = case
+    path = tmp_path_factory.mktemp("cache") / "cache.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    oracle = _load_outcome(oracle_load_catalog, path, keep)
+    with mock.patch.object(linker, "_load_catalog_by_lines", wraps=linker._load_catalog_by_lines) as by_lines:
+        outcome = _catalog_outcome(load_catalog, path, keep)
+    assert by_lines.call_count == (fault is not None)
+    if isinstance(outcome, str):
+        assert outcome == oracle
+    else:
+        entries, counters, shared = outcome
+        assert entries == oracle and shared
+        assert set(counters) == {"cache_class_lists"} | ({"cache_read_by_lines"} if fault else set())
+        assert counters["cache_read_by_lines"] == (fault is not None)
+
+
+def sorted_cache_load_peak_bytes(tmp_path: Path, lines: int) -> int:
+    """Peak traced memory of an offline load of the same 20 targets from a sorted cache of ``lines`` targets."""
+    path = tmp_path / f"cache{lines}.tsv"
+    classes = [["dbo:City", "dbo:Place", "owl:Thing"], ["dbo:Person", "owl:Thing"], ["owl:Thing"], []]
+    save_catalog(ClassCatalog({f"Target {i:07d}": classes[i % 4] for i in range(lines)}), path)
+    keep = {f"Target {i:07d}" for i in range(0, 1000, 50)}
+    tracemalloc.start()
+    try:
+        catalog = load_catalog(path, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(catalog.entries) == 20
+    return peak
+
+
+def test_offline_load_memory_holds_only_its_targets(tmp_path):
+    sorted_cache_load_peak_bytes(tmp_path, 1000)  # warms the caches a first load fills
+    assert sorted_cache_load_peak_bytes(tmp_path, 20000) <= 1.2 * sorted_cache_load_peak_bytes(tmp_path, 5000)
 
 
 class VirtualClock:
