@@ -4,6 +4,8 @@ Subcommands: extract, link, annotate, stats, enrich, eval, pipeline. A plain
 key=value configuration file supplies defaults; flags override it, and the
 UNER_SPARQL_ENDPOINT environment variable overrides the endpoint. Every
 RunConfig field is both a config key and a flag (batch_size is --batch-size).
+RunConfig extends linker.ClientSettings, whose five fields come first, and
+a RunConfig out of range is never built; the SPARQL client takes it whole.
 All output files are written atomically (temp file + rename) and every run
 emits a manifest with per-stage counters and wall times; a stage's wall time
 covers reading its inputs, the work and writing its outputs; a pipeline
@@ -46,7 +48,9 @@ log = logging.getLogger(__name__)
 
 
 @dataclass
-class RunConfig:
+class RunConfig(linker.ClientSettings):
+    """One run's settings, the client's five first; building one out of range raises ValueError."""
+
     input: Path | None = None
     out: Path = Path("out")
     equivalence: Path = field(default_factory=mapping.default_equivalence_path)
@@ -55,25 +59,18 @@ class RunConfig:
     endpoint: str | None = None
     resource_base: str = linker.DEFAULT_RESOURCE_BASE
     offline: bool = False
-    batch_size: int = linker.CLIENT_DEFAULTS["batch_size"]
-    timeout: float = linker.CLIENT_DEFAULTS["timeout"]
-    retries: int = linker.CLIENT_DEFAULTS["retries"]
-    rate_limit: float = linker.CLIENT_DEFAULTS["rate_limit"]
-    concurrency: int = linker.CLIENT_DEFAULTS["concurrency"]
     experiments: tuple[int, ...] = ()
     collapse_depth: int | None = None
     kg_map: Path | None = None
 
+    def __post_init__(self) -> None:
+        if self.collapse_depth is not None and self.collapse_depth < 1:
+            raise ValueError("collapse depth must be >= 1")
+        super().__post_init__()
+
     def snapshot(self) -> dict:
-        data = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Path):
-                value = str(value)
-            elif isinstance(value, tuple):
-                value = list(value)
-            data[f.name] = value
-        return data
+        """The fields as JSON values: a path as its string, the experiments as a list."""
+        return json.loads(json.dumps(dataclasses.asdict(self), default=str))
 
 
 def _parse_bool(value: str) -> bool:
@@ -128,7 +125,7 @@ def read_config_file(path: Path) -> dict[str, str]:
     """Parse ``key = value`` lines; # comments and blank lines ignored."""
     values: dict[str, str] = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is skipped
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -165,22 +162,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values[f.name] = cast(raw)
         except ValueError:
             raise UsageError(f"bad value for {f.name}: {raw!r}")
-    config = RunConfig(**values)
-    config.endpoint = linker.endpoint_from_environment(config.endpoint)
-    if config.collapse_depth is not None and config.collapse_depth < 1:
-        raise UsageError("collapse depth must be >= 1")
-    try:  # an offline run builds no client, so they are checked here too
-        linker.check_settings(**_client_settings(config))
+    values["endpoint"] = linker.endpoint_from_environment(values.get("endpoint"))
+    try:  # also an offline run, which builds no client
+        return RunConfig(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return config
 
 
 def validate_config_paths(config: RunConfig, command: str) -> None:
     """Fail fast: every referenced path is checked before any stage runs."""
     if command in ("extract", "pipeline") and config.input is None:
         raise UsageError("no input file given (use --input or the config file)")
-    if config.input is not None and not config.input.is_file():
+    # eval reads the two files it is given, and no --input
+    if config.input is not None and command != "eval" and not config.input.is_file():
         raise UsageError(f"input file not found: {config.input}")
     if config.cache is not None and config.cache.exists() and not config.cache.is_file():
         raise UsageError(f"class cache is not a file: {config.cache}")
@@ -230,8 +224,9 @@ class Manifest:
         self.data["error"] = f"{type(error).__name__}: {error}"
 
     def write(self, out_dir: Path) -> None:
-        # the process's high-water mark so far; Linux reports it in KiB
-        self.data["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        # the process's high-water mark so far; Linux reports it in KiB, macOS in bytes
+        per_mb = 1024 * 1024 if sys.platform == "darwin" else 1024
+        self.data["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mb, 1)
         with atomic_output(out_dir / "manifest.json") as fh:
             fh.write(json.dumps(self.data, indent=2) + "\n")
 
@@ -301,14 +296,10 @@ def cmd_extract(config: RunConfig, manifest: Manifest) -> None:
             fh.writelines(target + "\n" for target in targets)
 
 
-def _client_settings(config: RunConfig) -> dict:  # what linker.check_settings checks
-    return {name: getattr(config, name) for name in linker.CLIENT_DEFAULTS}
-
-
 def _make_client(config: RunConfig) -> linker.SparqlClient | None:
     if config.offline or not config.endpoint:
         return None
-    return linker.SparqlClient(config.endpoint, resource_base=config.resource_base, **_client_settings(config))
+    return linker.SparqlClient(config.endpoint, config, resource_base=config.resource_base)
 
 
 def cmd_link(config: RunConfig, manifest: Manifest, targets_path: Path) -> None:

@@ -7,6 +7,9 @@ limiting). Response order is the canonical class order and is frozen into
 the cache so reruns are deterministic. Unresolved targets are recorded, not
 fatal. The cache can be loaded restricted to one run's targets, for a run
 that cannot query and so never rewrites it.
+
+``ClientSettings`` holds each client setting's default and range, once;
+``cli.RunConfig`` extends it, and ``SparqlClient`` takes it whole.
 """
 
 from __future__ import annotations
@@ -29,9 +32,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_RESOURCE_BASE = "http://dbpedia.org/resource"
 ENDPOINT_ENV_VAR = "UNER_SPARQL_ENDPOINT"
-
-# the client settings' defaults, RunConfig's too; check_settings holds their ranges
-CLIENT_DEFAULTS = {"timeout": 30.0, "retries": 3, "batch_size": 50, "rate_limit": 2.0, "concurrency": 1}
 
 # rdf:type lookup for one or many entities per request
 QUERY_TEMPLATE = (
@@ -175,19 +175,6 @@ def _load_catalog_by_lines(
     return ClassCatalog({target: classes for target, classes in seen.items() if classes is not None})
 
 
-def check_settings(**settings: float) -> None:
-    """Raise ValueError for a client setting out of its range; NaN is in none."""
-    for name, value in settings.items():
-        if name == "timeout":
-            ok, wanted = 0 < value < float("inf"), "finite and > 0"
-        elif name == "rate_limit":  # 0 is no limit
-            ok, wanted = 0 <= value < float("inf"), "finite and >= 0"
-        else:  # retries, batch_size and concurrency
-            ok, wanted = value >= 1, ">= 1"
-        if not ok:
-            raise ValueError(f"{name} must be {wanted}, got {value!r}")
-
-
 def save_catalog(catalog: ClassCatalog, path: str | Path) -> None:
     """Write the cache atomically, targets sorted, class order preserved."""
     with atomic_output(path) as fh:
@@ -196,15 +183,37 @@ def save_catalog(catalog: ClassCatalog, path: str | Path) -> None:
             fh.write(f"{target}\t{','.join(catalog.entries[target])}\n")
 
 
+@dataclass
+class ClientSettings:
+    """How a ``SparqlClient`` queries; building one out of range (NaN is in none) raises ValueError."""
+
+    timeout: float = 30.0  # seconds per request
+    retries: int = 3  # attempts per query, so 1 means no retry
+    batch_size: int = 50  # targets per VALUES query
+    rate_limit: float = 2.0  # request starts per second; 0 is no limit
+    concurrency: int = 1  # requests in flight
+
+    def __post_init__(self) -> None:
+        for name, ok, wanted in (
+            ("timeout", 0 < self.timeout < float("inf"), "finite and > 0"),
+            ("retries", self.retries >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("rate_limit", 0 <= self.rate_limit < float("inf"), "finite and >= 0"),
+            ("concurrency", self.concurrency >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {wanted}, got {getattr(self, name)!r}")
+
+
 class RateLimiter:
     """Spaces request start times at least 1/per_second apart; thread-safe.
 
-    ``per_second`` is a ``rate_limit`` (``check_settings``). The clock and
-    sleep functions are injectable so tests can drive it with virtual time.
+    ``per_second`` is a ``ClientSettings.rate_limit``, in its range. The clock
+    and sleep functions are injectable so tests can drive it with virtual time.
     """
 
     def __init__(self, per_second: float, clock=time.monotonic, sleep=time.sleep):
-        check_settings(rate_limit=per_second)
+        ClientSettings(rate_limit=per_second)  # raises ValueError out of its range
         self._interval = 1.0 / per_second if per_second else 0.0
         self._clock = clock
         self._sleep = sleep
@@ -232,26 +241,18 @@ class SparqlClient:
     def __init__(
         self,
         endpoint: str,
+        settings: ClientSettings = ClientSettings(),
         *,
         resource_base: str = DEFAULT_RESOURCE_BASE,
-        timeout: float = CLIENT_DEFAULTS["timeout"],
-        retries: int = CLIENT_DEFAULTS["retries"],
-        batch_size: int = CLIENT_DEFAULTS["batch_size"],
-        rate_limit: float = CLIENT_DEFAULTS["rate_limit"],
-        concurrency: int = CLIENT_DEFAULTS["concurrency"],
         backoff: float = 0.5,
         session=None,
         sleep=time.sleep,
         clock=time.monotonic,
     ):
-        check_settings(timeout=timeout, retries=retries, batch_size=batch_size, concurrency=concurrency)
-        self._limiter = RateLimiter(rate_limit, clock=clock, sleep=sleep)  # it checks rate_limit
         self.endpoint = endpoint
+        self.settings = settings
         self.resource_base = resource_base
-        self.timeout = timeout
-        self.retries = retries
-        self.batch_size = batch_size
-        self.concurrency = concurrency
+        self._limiter = RateLimiter(settings.rate_limit, clock=clock, sleep=sleep)
         self._backoff = backoff
         if session is None:
             import requests  # ~0.1 s to import, and offline and eval runs never send a request
@@ -265,7 +266,7 @@ class SparqlClient:
     def _request(self, query: str) -> dict:
         """One query with retries; raises QueryError when attempts run out."""
         last_error: Exception | None = None
-        for attempt in range(self.retries):
+        for attempt in range(self.settings.retries):
             self._limiter.wait()
             with self._count_lock:
                 self.request_count += 1
@@ -274,7 +275,7 @@ class SparqlClient:
                     self.endpoint,
                     data={"query": query, "format": "json"},
                     headers={"Accept": "application/sparql-results+json"},
-                    timeout=self.timeout,
+                    timeout=self.settings.timeout,
                 )
                 if response.status_code != 200:
                     raise QueryError(f"HTTP {response.status_code} from {self.endpoint}")
@@ -282,13 +283,11 @@ class SparqlClient:
                 if "results" not in payload or "bindings" not in payload["results"]:
                     raise QueryError("response is not a SPARQL JSON result")
                 return payload
-            except QueryError as exc:
+            except Exception as exc:  # an HTTP status, a bad payload, and connection, timeout and JSON errors
                 last_error = exc
-            except Exception as exc:  # connection/timeout/JSON errors
-                last_error = exc
-            if attempt + 1 < self.retries:
+            if attempt + 1 < self.settings.retries:
                 self._sleep(self._backoff * (attempt + 1))
-        raise QueryError(f"query failed after {self.retries} attempts: {last_error}")
+        raise QueryError(f"query failed after {self.settings.retries} attempts: {last_error}")
 
     def query_batch(self, targets: list[str]) -> dict[str, list[str]]:
         """Ordered, duplicate-free class lists for many targets in one request.
@@ -362,8 +361,9 @@ def resolve_all(
 
     from concurrent.futures import ThreadPoolExecutor  # imported here, so only a run that queries pays for it
 
-    batches = [misses[i : i + client.batch_size] for i in range(0, len(misses), client.batch_size)]
-    with ThreadPoolExecutor(max_workers=client.concurrency) as executor:
+    size = client.settings.batch_size
+    batches = [misses[i : i + size] for i in range(0, len(misses), size)]
+    with ThreadPoolExecutor(max_workers=client.settings.concurrency) as executor:
         outcomes = list(executor.map(client.resolve_batch, batches))
     for batch, outcome in zip(batches, outcomes):
         for target in batch:

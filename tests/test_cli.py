@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -5,11 +6,15 @@ import json
 import os
 import random
 import re
+import tempfile
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from helpers import oracle_load_catalog
@@ -708,6 +713,14 @@ class TestManifestTelemetry:
         assert manifest["stages"]["link"]["counters"]["cache_class_lists"] == len({tuple(c) for c in kept}) > 0
         assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
 
+    @pytest.mark.parametrize("platform, ru_maxrss", [("linux", 50 * 1024), ("darwin", 50 * 1024 * 1024)])
+    def test_peak_rss_is_in_megabytes_on_linux_and_macos(self, tmp_path, monkeypatch, platform, ru_maxrss):
+        # getrusage reports ru_maxrss in KiB on Linux and in bytes on macOS
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        monkeypatch.setattr(cli.resource, "getrusage", lambda who: types.SimpleNamespace(ru_maxrss=ru_maxrss))
+        cli.Manifest(cli.RunConfig(), "eval").write(tmp_path)
+        assert json.loads((tmp_path / "manifest.json").read_text())["peak_rss_mb"] == 50.0
+
     def test_a_cache_out_of_its_sorted_layout_is_read_by_lines_to_the_same_outputs(self, tmp_path, caplog):
         header, *lines = CACHE.read_text(encoding="utf-8").splitlines(keepends=True)
         random.Random(3).shuffle(lines)
@@ -827,6 +840,73 @@ class TestHostileIdsAndTargets:
         assert (out / "corpus.conll").read_text(encoding="utf-8").startswith("# doc_id = 4\nAsia\t")
 
 
+# pieces that have broken, or could break, a reader of a file the pipeline writes
+HOSTILE_PIECES = [
+    "\t", "\r", "\x0b", "\x85", "\x1c", "\xa0", "\u2028", "\ufeff", " ", "\n",
+    "\n#", "# doc_id = ", "%09", "%0A", "%ED%A0%80", "[[", "]]", "|", '<a href="', "\ud800", "\udfff",
+]
+_piece = st.sampled_from(HOSTILE_PIECES) | st.sampled_from(["Baku", "Asia", "Paris", "is", "a", "city", ".", "_"])
+_hostile = st.lists(_piece, max_size=5).map("".join)
+_href = st.one_of(st.sampled_from(["Baku", "Asia", "Paris"]), _hostile)
+_link = st.one_of(
+    st.builds('<a href="{}">{}</a>'.format, _href, _hostile),
+    st.builds("[[{}|{}]]".format, _href, _hostile),
+    st.builds("[[{}]]".format, _href),
+)
+_text = st.lists(_link | _hostile, min_size=1, max_size=6).map(" ".join)
+_id = st.sampled_from(["1", "2", "10"]) | _hostile
+_record = st.tuples(st.booleans(), _id, st.just("Baku") | _hostile, _text)
+
+
+def _dump_record(as_block: bool, doc_id: str, title: str, text: str) -> str:
+    if as_block:  # a <doc> block is UTF-8 text, which cannot carry a lone surrogate
+        doc_id, title, text = (re.sub("[\ud800-\udfff]", "", value) for value in (doc_id, title, text))
+        return f'<doc id="{doc_id}" url="u" title="{title}">\n{text}\n</doc>\n'
+    return json.dumps({"id": doc_id, "title": title, "text": text}, ensure_ascii=True) + "\n"
+
+
+def _main_quietly(*argv: str) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_record, min_size=1, max_size=4))
+def test_every_file_a_hostile_dump_makes_is_read_back(records):
+    """A dump of hostile records runs to exit 0 or 2, and every reader accepts what a 0 wrote."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        dump = tmp / "dump.txt"
+        dump.write_text("".join(_dump_record(*record) for record in records), encoding="utf-8")
+        out = tmp / "out"
+        enriched = ["--experiments", "1,2,3,4,5,6,7", "--kg-map", str(KG_MAP)]
+        code, err = _main_quietly("pipeline", "--input", str(dump), "--cache", str(CACHE), "--offline",
+                                  *enriched, "--out", str(out))
+        assert code in (0, 2), err
+        if code:
+            return
+        corpus = out / "corpus.conll"
+        assert _main_quietly("stats", "--input", str(corpus), "--out", str(tmp / "stats")) == (0, "")
+        assert _main_quietly("enrich", "--input", str(corpus), *enriched, "--out", str(tmp / "enrich")) == (0, "")
+        annotated = tmp / "annotate"
+        assert _main_quietly("annotate", "--input", str(out / "documents.jsonl"),
+                             "--cache", str(out / "catalog.tsv"), "--out", str(annotated)) == (0, "")
+        assert (annotated / "corpus.conll").read_bytes() == corpus.read_bytes()
+        assert _main_quietly("link", "--input", str(out / "targets.txt"), "--cache", str(CACHE), "--offline",
+                             "--out", str(tmp / "link")) == (0, "")
+        for system in (corpus, out / "corpus_exp6.conll"):
+            code, err = _main_quietly("eval", str(corpus), str(system), "--out", str(tmp / "eval"))
+            if not corpus.stat().st_size:  # no document kept
+                assert (code, err) == (2, "error: nothing to score: empty pair counts\n")
+                continue
+            assert (code, err) == (0, "")
+            if system == corpus:
+                report = json.loads((tmp / "eval" / "eval.json").read_text())
+                assert report["macro"]["f1"] == (100.0 if report["counted_tags"] else 0.0)
+
+
 def extract_peak_bytes(tmp_path: Path, documents: int) -> int:
     """Peak traced memory of an ``extract`` run over long documents that link the same 20 targets."""
     text = " ".join(f'<a href="Target {j}">Surface {j}</a> is named in a sentence of plain words.' for j in range(20))
@@ -890,6 +970,13 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "eval" / "eval.json").read_text())
         assert report["macro"] == {"precision": 100.0, "recall": 100.0, "f1": 100.0}
         assert "macro" in capsys.readouterr().out
+
+    def test_input_is_neither_read_nor_checked(self, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        out = tmp_path / "eval"
+        argv = ["eval", "--input", str(missing), "--out", str(out), str(EXPECTED_CORPUS), str(EXPECTED_CORPUS)]
+        assert cli.main(argv) == 0
+        assert json.loads((out / "eval.json").read_text())["macro"]["f1"] == 100.0
 
     def test_collapse_depth_flag(self, tmp_path):
         run_pipeline(tmp_path / "out")
@@ -998,6 +1085,13 @@ class TestConfigFile:
             == 0
         )
         assert (tmp_path / "flag_out" / "corpus.conll").exists()
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        config_file = tmp_path / "run.cfg"
+        text = f"out = {tmp_path / 'bom_out'}\ninput = {DUMP}\ncache = {CACHE}\noffline = yes\n"
+        config_file.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert cli.main(["pipeline", "--config", str(config_file)]) == 0
+        assert (tmp_path / "bom_out" / "corpus.conll").read_bytes() == EXPECTED_CORPUS.read_bytes()
 
     def test_unknown_key_rejected(self, tmp_path):
         config_file = tmp_path / "run.cfg"

@@ -1,5 +1,3 @@
-import dataclasses
-import inspect
 import json
 import os
 import re
@@ -20,10 +18,10 @@ from uner_pipeline import cli, linker
 from uner_pipeline.errors import DataError, QueryError
 from uner_pipeline.linker import (
     ClassCatalog,
+    ClientSettings,
     RateLimiter,
     SparqlClient,
     build_entity_uri,
-    check_settings,
     compact_class_name,
     load_catalog,
     resolve_all,
@@ -84,10 +82,9 @@ class FakeSession:
         return FakeResponse({"results": {"bindings": bindings}})
 
 
-def make_client(session, **kwargs):
-    defaults = dict(rate_limit=0, retries=2, sleep=lambda s: None)
-    defaults.update(kwargs)
-    return SparqlClient("http://fake/sparql", session=session, **defaults)
+def make_client(session, **settings):
+    settings = dict(rate_limit=0, retries=2) | settings
+    return SparqlClient("http://fake/sparql", ClientSettings(**settings), session=session, sleep=lambda s: None)
 
 
 class TestBuildEntityUri:
@@ -508,10 +505,8 @@ class TestRateLimiter:
         session = FakeSession({"X": WORKED_TYPES})
         client = SparqlClient(
             "http://fake/sparql",
+            ClientSettings(rate_limit=4.0, batch_size=1, retries=1),
             session=session,
-            rate_limit=4.0,
-            batch_size=1,
-            retries=1,
             clock=vc.clock,
             sleep=vc.sleep,
         )
@@ -550,18 +545,14 @@ class TestSettings:
 
     def test_settings_at_the_edge_of_their_range_are_kept(self):
         client = make_client(FakeSession({}), timeout=1e-9, retries=1, batch_size=1, concurrency=1, rate_limit=0)
-        assert (client.timeout, client.retries, client.batch_size, client.concurrency) == (1e-9, 1, 1, 1)
-        check_settings(timeout=0.5, retries=1, batch_size=1, concurrency=1, rate_limit=0.0)
+        settings = client.settings
+        assert (settings.timeout, settings.retries, settings.batch_size, settings.concurrency) == (1e-9, 1, 1, 1)
+        ClientSettings(timeout=0.5, retries=1, batch_size=1, concurrency=1, rate_limit=0.0)
 
     def test_a_client_defaults_to_the_settings_of_a_run(self):
-        # a library client and a CLI run start from the same five settings
-        names = ("timeout", "retries", "batch_size", "rate_limit", "concurrency")
-        parameters = inspect.signature(SparqlClient).parameters
-        fields = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
-        assert {name: parameters[name].default for name in names} == {name: fields[name] for name in names}
-        assert cli._client_settings(cli.RunConfig()) == {name: fields[name] for name in names}
-        client = SparqlClient("http://fake/sparql", session=FakeSession({}))
-        assert (client.timeout, client.retries, client.batch_size, client.concurrency) == (30.0, 3, 50, 1)
+        # a CLI run's config is the settings a library client defaults to, extended
+        assert SparqlClient("http://fake/sparql", session=FakeSession({})).settings == ClientSettings()
+        assert isinstance(cli.RunConfig(), ClientSettings)
 
 
 def test_endpoint_environment_override(monkeypatch):
