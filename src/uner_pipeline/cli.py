@@ -6,8 +6,11 @@ UNER_SPARQL_ENDPOINT environment variable overrides the endpoint. Every
 RunConfig field is both a config key and a flag (batch_size is --batch-size).
 RunConfig extends linker.ClientSettings, whose five fields come first, and
 a RunConfig out of range is never built; the SPARQL client takes it whole.
-All output files are written atomically (temp file + rename) and every run
-emits a manifest with per-stage counters and wall times; a stage's wall time
+resolve_inputs names and checks every file a subcommand reads, and only
+those, before --out is made, so a usage error writes no directory and no
+manifest; each cmd_* takes the resolved paths and checks none. All output
+files are written atomically (temp file + rename) and every run emits a
+manifest with per-stage counters and wall times; a stage's wall time
 covers reading its inputs, the work and writing its outputs; a pipeline
 runs the stages in turn, each reading the files the one before wrote. The
 pipeline itself is free of randomness: documents are processed in input
@@ -169,28 +172,69 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(str(exc)) from exc
 
 
-def validate_config_paths(config: RunConfig, command: str) -> None:
-    """Fail fast: every referenced path is checked before any stage runs."""
+def _file(path: Path, message: str) -> Path:
+    """``path``, when it names a file; else a UsageError saying ``message``."""
+    if not path.is_file():
+        raise UsageError(message)
+    return path
+
+
+def resolve_inputs(config: RunConfig, args: argparse.Namespace) -> tuple[Path | bool, ...]:
+    """The arguments ``cmd_<command>`` takes after the config and the manifest.
+
+    They are the files the command reads, each checked, and for eval also
+    its ``--include-o`` flag.
+
+    A file is checked exactly when the command reads it, before ``--out`` is
+    made, so a missing one, or one that names a directory, is a UsageError
+    that writes nothing. A pipeline checks its dump, the cache and the tables:
+    each later stage reads what the one before wrote.
+    """
+    command, out = args.command, config.out
+    if command == "eval":  # the two files it is given, and no --input
+        files = [Path(args.golden), Path(args.system)]
+        return (*(_file(path, f"file not found: {path}") for path in files), args.include_o)
+    if command == "enrich" and not config.experiments:  # said before the corpus is looked for
+        raise UsageError("no experiments selected (use --experiments, e.g. 1,4,6)")
     if command in ("extract", "pipeline") and config.input is None:
         raise UsageError("no input file given (use --input or the config file)")
-    # eval reads the two files it is given, and no --input
-    if config.input is not None and command != "eval" and not config.input.is_file():
-        raise UsageError(f"input file not found: {config.input}")
-    if config.cache is not None and config.cache.exists() and not config.cache.is_file():
-        raise UsageError(f"class cache is not a file: {config.cache}")
-    if command in ("annotate", "enrich", "pipeline"):
+    # link reads only a .txt --input: a config file shared with extract may name the dump
+    reads_input = config.input is not None and (command != "link" or config.input.suffix == ".txt")
+    if reads_input:
+        _file(config.input, f"input file not found: {config.input}")
+    cache = config.cache
+    reads_cache = command in ("link", "annotate", "pipeline")
+    if reads_cache and cache is not None and cache.exists() and not cache.is_file():
+        raise UsageError(f"class cache is not a file: {cache}")
+    experiments = config.experiments if command in ("enrich", "pipeline") else ()
+    needing_kg = [e for e in experiments if enrich.EXPERIMENTS[e].kg_filter]
+    if command in ("annotate", "pipeline") or needing_kg:
         for path in (config.equivalence, config.priority):
-            if not Path(path).is_file():
-                raise UsageError(f"mapping table not found: {path}")
-    if command in ("enrich", "pipeline"):
-        needing_kg = [e for e in config.experiments if enrich.EXPERIMENTS[e].kg_filter]
-        if needing_kg:
-            if config.kg_map is None:
-                raise ConfigurationError(
-                    f"experiments {needing_kg} need a knowledge-graph map (--kg-map)"
-                )
-            if not config.kg_map.is_file():
-                raise UsageError(f"knowledge-graph map not found: {config.kg_map}")
+            _file(path, f"mapping table not found: {path}")
+    if needing_kg:
+        if config.kg_map is None:
+            raise ConfigurationError(f"experiments {needing_kg} need a knowledge-graph map (--kg-map)")
+        _file(config.kg_map, f"knowledge-graph map not found: {config.kg_map}")
+    if command == "link":
+        if reads_input:
+            return (config.input,)
+        targets = _file(out / "targets.txt", f"targets file not found: {out / 'targets.txt'} (run extract first)")
+        if config.input is not None:
+            log.warning("link ignores --input %s, which is not a .txt file, and reads %s", config.input, targets)
+        return (targets,)
+    if command == "annotate":
+        documents = out / "documents.jsonl"
+        documents = config.input or _file(documents, f"documents file not found: {documents} (run extract first)")
+        catalog = out / "catalog.tsv"
+        if not catalog.is_file():
+            catalog = cache
+        if catalog is None or not catalog.is_file():
+            raise UsageError("no class catalog found (run link first or point --cache at one)")
+        return documents, catalog
+    if command in ("stats", "enrich"):
+        corpus = out / "corpus.conll"
+        return (config.input or _file(corpus, f"corpus file not found: {corpus}"),)
+    return ()  # extract and pipeline read --input through the config
 
 
 class Manifest:
@@ -361,37 +405,7 @@ def cmd_annotate(config: RunConfig, manifest: Manifest, documents_path: Path, ca
                     annotator.emit_conll(annotator.AnnotatedCorpus([(doc.doc_id, sentences)]), out)
 
 
-def _targets_path(config: RunConfig) -> Path:
-    """The targets a standalone link reads: a ``.txt`` --input, else targets.txt under --out.
-
-    Any other --input (a config file shared with extract may name the dump) is
-    ignored with a warning.
-    """
-    txt_input = config.input is not None and config.input.suffix == ".txt"
-    path = config.input if txt_input else config.out / "targets.txt"
-    if not path.is_file():
-        raise UsageError(f"targets file not found: {path} (run extract first)")
-    if config.input is not None and not txt_input:
-        log.warning("link ignores --input %s, which is not a .txt file, and reads %s", config.input, path)
-    return path
-
-
-def _annotate_paths(config: RunConfig) -> tuple[Path, Path]:
-    """The documents and the catalog a standalone annotate reads."""
-    documents_path = config.input if config.input else config.out / "documents.jsonl"
-    if not documents_path.is_file():
-        raise UsageError(f"documents file not found: {documents_path} (run extract first)")
-    catalog_path = config.out / "catalog.tsv"
-    if not catalog_path.is_file():
-        catalog_path = config.cache
-    if catalog_path is None or not catalog_path.is_file():
-        raise UsageError("no class catalog found (run link first or point --cache at one)")
-    return documents_path, catalog_path
-
-
 def cmd_stats(config: RunConfig, manifest: Manifest, corpus_path: Path) -> None:
-    if not corpus_path.is_file():
-        raise UsageError(f"corpus file not found: {corpus_path}")
     with manifest.stage("stats") as counters:
         with open(corpus_path, encoding="utf-8") as fh:
             report, entities = stats.read_stats(fh)
@@ -407,10 +421,6 @@ def cmd_stats(config: RunConfig, manifest: Manifest, corpus_path: Path) -> None:
 
 
 def cmd_enrich(config: RunConfig, manifest: Manifest, corpus_path: Path) -> None:
-    if not config.experiments:
-        raise UsageError("no experiments selected (use --experiments, e.g. 1,4,6)")
-    if not corpus_path.is_file():
-        raise UsageError(f"corpus file not found: {corpus_path}")
     with manifest.stage("enrich") as counters:
         with open(corpus_path, encoding="utf-8") as fh:
             corpus = annotator.parse_conll(fh)
@@ -440,9 +450,6 @@ def cmd_eval(
     system: Path,
     include_o: bool = False,
 ) -> None:
-    for path in (golden, system):
-        if not path.is_file():
-            raise UsageError(f"file not found: {path}")
     with manifest.stage("eval") as counters:
         with open(golden, encoding="utf-8") as g, open(system, encoding="utf-8") as s:
             alignment = evaluation.align(g, s)
@@ -522,23 +529,11 @@ def main(argv: list[str] | None = None) -> int:
     manifest = None
     try:
         config = build_config(args)
-        validate_config_paths(config, args.command)
+        inputs = resolve_inputs(config, args)
         config.out.mkdir(parents=True, exist_ok=True)
         manifest = Manifest(config, args.command)
-        if args.command == "extract":
-            cmd_extract(config, manifest)
-        elif args.command == "link":
-            cmd_link(config, manifest, _targets_path(config))
-        elif args.command == "annotate":
-            cmd_annotate(config, manifest, *_annotate_paths(config))
-        elif args.command == "stats":
-            cmd_stats(config, manifest, config.input or config.out / "corpus.conll")
-        elif args.command == "enrich":
-            cmd_enrich(config, manifest, config.input or config.out / "corpus.conll")
-        elif args.command == "eval":
-            cmd_eval(config, manifest, Path(args.golden), Path(args.system), args.include_o)
-        elif args.command == "pipeline":
-            cmd_pipeline(config, manifest)
+        # looked up at call time, so a cli.cmd_* rebound after import is the one that runs
+        globals()[f"cmd_{args.command}"](config, manifest, *inputs)
         manifest.write(config.out)
         return 0
     except (PipelineError, OSError, UnicodeDecodeError) as exc:

@@ -307,9 +307,6 @@ class TestExitCodes:
     def test_usage_error_is_1(self, tmp_path):
         assert cli.main(["pipeline", "--no-such-flag"]) == 1
 
-    def test_missing_input_is_1(self, tmp_path):
-        assert cli.main(["pipeline", "--offline", "--out", str(tmp_path / "o")]) == 1
-
     def test_data_error_is_2(self, tmp_path):
         bad_cache = tmp_path / "bad.tsv"
         bad_cache.write_text("no tab at all\n", encoding="utf-8")
@@ -454,48 +451,86 @@ class TestExitCodes:
         assert "documents file line 2" in capsys.readouterr().err
         assert not (out / "corpus.conll").exists()
 
+    # a usage error about an input file: (argv before --out, a directory made first or None, its message);
+    # {tmp} is the test's directory, and --out is {tmp}/out
+    USAGE_ERRORS = {
+        "extract-no-input": (["extract"], None, "no input file given (use --input or the config file)"),
+        "extract-input": (["extract", "--input", "{tmp}/dump.jsonl"], None, "input file not found: {tmp}/dump.jsonl"),
+        "link-input": (["link", "--input", "{tmp}/t.txt", "--offline"], None, "input file not found: {tmp}/t.txt"),
+        "link-default": (["link", "--offline"], None,
+                         "targets file not found: {tmp}/out/targets.txt (run extract first)"),
+        "targets": (["link", "--offline"], "out/targets.txt",
+                    "targets file not found: {tmp}/out/targets.txt (run extract first)"),
+        "link-cache": (["link", "--input", str(EXPECTED_TARGETS), "--cache", "{tmp}/in", "--offline"], "in",
+                       "class cache is not a file: {tmp}/in"),
+        "annotate-input": (["annotate", "--input", "{tmp}/d.jsonl", "--cache", str(CACHE)], None,
+                           "input file not found: {tmp}/d.jsonl"),
+        "annotate-default": (["annotate", "--cache", str(CACHE)], None,
+                             "documents file not found: {tmp}/out/documents.jsonl (run extract first)"),
+        "documents": (["annotate", "--cache", str(CACHE)], "out/documents.jsonl",
+                      "documents file not found: {tmp}/out/documents.jsonl (run extract first)"),
+        "annotate-catalog": (["annotate", "--input", str(DUMP)], None,
+                             "no class catalog found (run link first or point --cache at one)"),
+        "annotate-table": (["annotate", "--input", str(DUMP), "--cache", str(CACHE), "--priority", "{tmp}/p.tsv"],
+                           None, "mapping table not found: {tmp}/p.tsv"),
+        "stats-input": (["stats", "--input", "{tmp}/c.conll"], None, "input file not found: {tmp}/c.conll"),
+        "stats-default": (["stats"], None, "corpus file not found: {tmp}/out/corpus.conll"),
+        "corpus": (["stats"], "out/corpus.conll", "corpus file not found: {tmp}/out/corpus.conll"),
+        "enrich-default": (["enrich", "--experiments", "1"], None, "corpus file not found: {tmp}/out/corpus.conll"),
+        "enrich-no-experiments": (["enrich", "--input", str(EXPECTED_CORPUS)], None,
+                                  "no experiments selected (use --experiments, e.g. 1,4,6)"),
+        "enrich-no-kg-map": (["enrich", "--input", str(EXPECTED_CORPUS), "--experiments", "4"], None,
+                             "experiments [4] need a knowledge-graph map (--kg-map)"),
+        "enrich-kg-map": (["enrich", "--input", str(EXPECTED_CORPUS), "--experiments", "4", "--kg-map", "{tmp}/k.tsv"],
+                          None, "knowledge-graph map not found: {tmp}/k.tsv"),
+        "eval-golden-missing": (["eval", "{tmp}/g.conll", str(EXPECTED_CORPUS)], None, "file not found: {tmp}/g.conll"),
+        "eval-system-missing": (["eval", str(EXPECTED_CORPUS), "{tmp}/s.conll"], None, "file not found: {tmp}/s.conll"),
+        "eval-golden": (["eval", "{tmp}/in", str(EXPECTED_CORPUS)], "in", "file not found: {tmp}/in"),
+        "eval-system": (["eval", str(EXPECTED_CORPUS), "{tmp}/in"], "in", "file not found: {tmp}/in"),
+        "pipeline-no-input": (["pipeline", "--offline"], None, "no input file given (use --input or the config file)"),
+        "input": (["pipeline", "--input", "{tmp}/in", "--offline"], "in", "input file not found: {tmp}/in"),
+        "cache": (["pipeline", "--input", str(DUMP), "--cache", "{tmp}/in", "--offline"], "in",
+                  "class cache is not a file: {tmp}/in"),
+        "kg-map": (["pipeline", "--input", str(DUMP), "--cache", str(CACHE), "--offline",
+                    "--experiments", "4", "--kg-map", "{tmp}/in"], "in", "knowledge-graph map not found: {tmp}/in"),
+        "equivalence": (["pipeline", "--input", str(DUMP), "--cache", str(CACHE), "--offline",
+                         "--equivalence", "{tmp}/in"], "in", "mapping table not found: {tmp}/in"),
+    }
+
+    @pytest.mark.parametrize("out_made", [False, True], ids=["no-out", "out"])
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_usage_error_about_an_input_writes_nothing(self, tmp_path, capsys, case, out_made):
+        # found before --out is made: a missing file or a directory exits 1, not with the
+        # OSError of opening it (exit 2), and leaves no directory and no manifest
+        argv, made_dir, message = self.USAGE_ERRORS[case]
+        if out_made:
+            (tmp_path / "out").mkdir()
+        if made_dir:
+            (tmp_path / made_dir).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (1, f"error: {message.format(tmp=tmp_path)}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize(
-        "argv, made_dir",
+        "argv",
         [
-            (["eval", "{dir}", str(EXPECTED_CORPUS)], "in"),
-            (["eval", str(EXPECTED_CORPUS), "{dir}"], "in"),
-            (["pipeline", "--input", "{dir}", "--offline"], "in"),
-            (["pipeline", "--input", str(DUMP), "--cache", "{dir}", "--offline"], "in"),
-            (["pipeline", "--input", str(DUMP), "--cache", str(CACHE), "--offline",
-              "--experiments", "4", "--kg-map", "{dir}"], "in"),
-            (["pipeline", "--input", str(DUMP), "--cache", str(CACHE), "--offline",
-              "--equivalence", "{dir}"], "in"),
-            (["link", "--offline"], "out/targets.txt"),
-            (["annotate", "--cache", str(CACHE)], "out/documents.jsonl"),
-            (["stats"], "out/corpus.conll"),
+            ["extract", "--input", str(DUMP)],
+            ["stats", "--input", str(EXPECTED_CORPUS)],
+            ["enrich", "--input", str(EXPECTED_CORPUS), "--experiments", "1,2,3",
+             "--equivalence", "{tmp}/e.tsv", "--priority", "{tmp}/p.tsv"],
+            ["eval", str(EXPECTED_CORPUS), str(EXPECTED_CORPUS)],
         ],
-        ids=["eval-golden", "eval-system", "input", "cache", "kg-map", "equivalence",
-             "targets", "documents", "corpus"],
+        ids=["extract", "stats", "enrich-without-kg", "eval"],
     )
-    def test_directory_given_as_input_file_is_1(self, tmp_path, capsys, argv, made_dir):
-        directory = tmp_path / made_dir
-        directory.mkdir(parents=True)
-        code = cli.main([arg.format(dir=directory) for arg in argv] + ["--out", str(tmp_path / "out")])
-        assert code == 1  # a usage error, not the OSError of opening a directory (exit 2)
-        assert "Is a directory" not in capsys.readouterr().err
+    def test_a_setting_the_command_does_not_read_is_not_checked(self, tmp_path, argv):
+        # a directory as --cache, and missing tables for an enrich with no kg experiment
+        out = tmp_path / "out"
+        assert cli.main([arg.format(tmp=tmp_path) for arg in argv] + ["--cache", str(tmp_path), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
 
     def test_unknown_experiment_is_1(self, tmp_path):
         code = run_pipeline(tmp_path / "out", "--experiments", "8")
-        assert code == 1
-
-    def test_enrich_without_kg_map_is_1(self, tmp_path):
-        run_pipeline(tmp_path / "out")
-        code = cli.main(
-            [
-                "enrich",
-                "--input",
-                str(tmp_path / "out" / "corpus.conll"),
-                "--out",
-                str(tmp_path / "enrich"),
-                "--experiments",
-                "4",
-            ]
-        )
         assert code == 1
 
     def test_duplicate_experiment_is_1(self, tmp_path):
@@ -591,14 +626,20 @@ class TestLinkCommand:
         assert "Alpha" not in catalog
 
     def test_only_a_non_txt_input_is_ignored_with_a_warning(self, tmp_path, caplog):
-        # a config file shared with extract names the dump as input; link reads extract's targets.txt
+        # a config file shared with extract names the dump as input; link reads extract's targets.txt,
+        # and neither reads nor checks the dump, which need not exist
         out = tmp_path / "out"
         assert cli.main(["extract", "--input", str(DUMP), "--out", str(out)]) == 0
-        assert cli.main(["link", "--input", str(DUMP), "--cache", str(CACHE), "--offline", "--out", str(out)]) == 0
-        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert warnings == [f"link ignores --input {DUMP}, which is not a .txt file, and reads {out / 'targets.txt'}"]
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["stages"]["link"]["counters"]["targets"] == len(EXPECTED_TARGETS.read_text().splitlines())
+        for dump in (DUMP, tmp_path / "nonexistent" / "dump.jsonl"):
+            caplog.clear()
+            argv = ["link", "--input", str(dump), "--cache", str(CACHE), "--offline", "--out", str(out)]
+            assert cli.main(argv) == 0
+            warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+            assert warnings == [
+                f"link ignores --input {dump}, which is not a .txt file, and reads {out / 'targets.txt'}"
+            ]
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["stages"]["link"]["counters"]["targets"] == len(EXPECTED_TARGETS.read_text().splitlines())
         caplog.clear()
         targets = tmp_path / "one.txt"
         targets.write_text("Baku\n", encoding="utf-8")
@@ -872,14 +913,48 @@ def _main_quietly(*argv: str) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+_TABLE_LINES = {name: path.read_text(encoding="utf-8").splitlines(keepends=True)
+                for name, path in (("cache", CACHE), ("kg_map", KG_MAP))}
+# a bad line put after line ``at`` of a copy of the cache or of the kg map: (table, line, at)
+_fault = st.one_of(
+    st.tuples(st.just("cache"), st.sampled_from(["no tab at all\n", "\tdbo:City\n"]),
+              st.integers(1, len(_TABLE_LINES["cache"]))),
+    # a copy of line ``at``, which repeats its key
+    st.integers(2, len(_TABLE_LINES["cache"])).map(lambda at: ("cache", _TABLE_LINES["cache"][at - 1], at)),
+    st.tuples(st.just("kg_map"), st.sampled_from(["no tab at all\n", "\tdbo:City\n", "Baku\t\n"]),
+              st.integers(1, len(_TABLE_LINES["kg_map"]))),
+)
+# what --out holds when the stage that reads the table fails: the earlier stages' outputs and the manifest
+_WRITTEN_BEFORE = {
+    "cache": ["documents.jsonl", "manifest.json", "targets.txt"],
+    "kg_map": ["catalog.tsv", "corpus.conll", "documents.jsonl", "entities.tsv", "manifest.json",
+               "stats.json", "stats.txt", "targets.txt"],
+}
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(_record, min_size=1, max_size=4))
-def test_every_file_a_hostile_dump_makes_is_read_back(records):
-    """A dump of hostile records runs to exit 0 or 2, and every reader accepts what a 0 wrote."""
+@given(st.lists(_record, min_size=1, max_size=4), st.none() | _fault)
+def test_every_file_a_hostile_dump_makes_is_read_back(records, fault):
+    """A dump of hostile records runs to exit 0 or 2, and every reader accepts what a 0 wrote.
+
+    The same dump with a bad table line exits 2 with its ``path:line``, and
+    the stage that reads the table leaves no output and no temp file.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         dump = tmp / "dump.txt"
         dump.write_text("".join(_dump_record(*record) for record in records), encoding="utf-8")
+        if fault is not None:
+            name, bad_line, at = fault
+            lines = _TABLE_LINES[name]
+            tables = {"cache": CACHE, "kg_map": KG_MAP, name: tmp / f"{name}.tsv"}
+            tables[name].write_text("".join(lines[:at] + [bad_line] + lines[at:]), encoding="utf-8")
+            faulted = tmp / "faulted"
+            code, err = _main_quietly("pipeline", "--input", str(dump), "--cache", str(tables["cache"]),
+                                      "--offline", "--experiments", "1,2,3,4,5,6,7",
+                                      "--kg-map", str(tables["kg_map"]), "--out", str(faulted))
+            assert code == 2 and f"{tables[name]}:{at + 1}: " in err, err
+            assert sorted(path.name for path in faulted.iterdir()) == _WRITTEN_BEFORE[name]
         out = tmp / "out"
         enriched = ["--experiments", "1,2,3,4,5,6,7", "--kg-map", str(KG_MAP)]
         code, err = _main_quietly("pipeline", "--input", str(dump), "--cache", str(CACHE), "--offline",

@@ -9,7 +9,9 @@ loaded. Every top-level name in ``tests/helpers.py`` is used by a test module,
 directly or through another helper, so no oracle outlives its last test, and
 no oracle uses a name imported from ``enrich`` or one of the functions the
 other references check, so each reference is written from the README and not
-from the code it checks.
+from the code it checks. No ``cmd_*`` function in ``cli.py`` raises a usage
+error, directly or through a ``cli`` function that raises one, so
+``cli.resolve_inputs`` stays the one place where input files are checked.
 """
 
 import ast
@@ -19,6 +21,7 @@ import sys
 from pathlib import Path
 
 from conftest import FIXTURES
+from uner_pipeline import errors
 
 PACKAGE = "uner_pipeline"
 ROOT = Path(__file__).parent.parent
@@ -257,3 +260,63 @@ def test_oracles_using_banned_names_follows_uses_through_other_helpers():
         "oracle_order": ["enrich"],
         "oracle_pass": ["apply"],
     }
+
+
+CLI = ROOT / "src" / PACKAGE / "cli.py"
+# UsageError and its subclasses: the errors that exit 1
+USAGE_ERRORS = {
+    name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.UsageError)
+}
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    """The class name a ``raise`` names, as ``X``, ``X(...)``, ``m.X`` or ``m.X(...)``."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def usage_checks_in_commands(source: str) -> list[tuple[str, int]]:
+    """(``cmd_*`` function, line) of each usage error it raises, or of each call to a top-level function that
+    raises one itself."""
+    functions = [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+
+    def raises(function: ast.FunctionDef) -> list[ast.Raise]:
+        return [node for node in ast.walk(function)
+                if isinstance(node, ast.Raise) and node.exc is not None and _raised_name(node) in USAGE_ERRORS]
+
+    raising = {function.name for function in functions if raises(function)}
+    found = []
+    for function in functions:
+        if function.name.startswith("cmd_"):
+            calls = [node for node in ast.walk(function) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name) and node.func.id in raising]
+            found.extend((function.name, node.lineno) for node in raises(function) + calls)
+    return sorted(found)
+
+
+def test_no_command_raises_a_usage_error():
+    source = CLI.read_text(encoding="utf-8")
+    assert "def cmd_pipeline(" in source
+    assert usage_checks_in_commands(source) == []
+
+
+def test_usage_checks_in_commands_sees_raises_and_checking_calls():
+    source = (
+        "from .errors import ConfigurationError, UsageError\n"
+        "from . import errors\n"
+        "def _file(path):\n"
+        "    if not path.is_file():\n"
+        "        raise UsageError(path)\n"
+        "    return path\n"
+        "def cmd_stats(config, path):\n"
+        "    _file(path)\n"
+        "def cmd_enrich(config):\n"
+        "    if not config.experiments:\n"
+        "        raise ConfigurationError('none')\n"
+        "    raise errors.UsageError\n"
+        "def cmd_link(config):\n"
+        "    raise NetworkExhaustedError('down')\n"
+    )
+    assert usage_checks_in_commands(source) == [("cmd_enrich", 11), ("cmd_enrich", 12), ("cmd_stats", 8)]
