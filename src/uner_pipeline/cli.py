@@ -7,15 +7,16 @@ RunConfig field is both a config key and a flag (batch_size is --batch-size).
 RunConfig extends linker.ClientSettings, whose five fields come first, and
 a RunConfig out of range is never built; the SPARQL client takes it whole.
 resolve_inputs names and checks every file a subcommand reads, and only
-those, before --out is made, so a usage error writes no directory and no
-manifest; each cmd_* takes the resolved paths and checks none. All output
-files are written atomically (temp file + rename) and every run emits a
-manifest with per-stage counters and wall times; a stage's wall time
-covers reading its inputs, the work and writing its outputs; a pipeline
-runs the stages in turn, each reading the files the one before wrote. The
-pipeline itself is free of randomness: documents are processed in input
-order, and --concurrency only bounds in-flight SPARQL requests, so
-identical inputs produce byte-identical corpora at any concurrency level.
+those, and that mkdir can make --out, before --out is made, so a usage
+error writes no directory and no manifest; each cmd_* takes the resolved
+paths and checks none. All output files are written atomically (temp
+file + rename) and every run emits a manifest with per-stage counters and
+wall times; a stage's wall time covers reading its inputs, the work and
+writing its outputs; a pipeline runs the stages in turn, each reading the
+files the one before wrote. The pipeline itself is free of randomness:
+documents are processed in input order, and --concurrency only bounds
+in-flight SPARQL requests, so identical inputs produce byte-identical
+corpora at any concurrency level.
 
 Exit codes: 0 success, 1 usage/configuration, 2 data error (including input
 that is not valid UTF-8), 3 network exhaustion.
@@ -28,6 +29,7 @@ import contextlib
 import dataclasses
 import json
 import logging
+import os
 import resource
 import sys
 import time
@@ -129,7 +131,7 @@ def read_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is skipped
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -187,10 +189,14 @@ def resolve_inputs(config: RunConfig, args: argparse.Namespace) -> tuple[Path | 
 
     A file is checked exactly when the command reads it, before ``--out`` is
     made, so a missing one, or one that names a directory, is a UsageError
-    that writes nothing. A pipeline checks its dump, the cache and the tables:
-    each later stage reads what the one before wrote.
+    that writes nothing, as is an ``--out`` that mkdir could not make: a file,
+    a dangling link, or a path under one. A pipeline checks its dump, the
+    cache and the tables: each later stage reads what the one before wrote.
     """
     command, out = args.command, config.out
+    existing = next((path for path in (out, *out.parents) if os.path.lexists(path)), None)
+    if existing is not None and not existing.is_dir():
+        raise UsageError(f"cannot make output directory {out}: {existing} is not a directory")
     if command == "eval":  # the two files it is given, and no --input
         files = [Path(args.golden), Path(args.system)]
         return (*(_file(path, f"file not found: {path}") for path in files), args.include_o)

@@ -6,6 +6,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -51,6 +53,41 @@ def run_pipeline(out: Path, *extra: str) -> int:
             *extra,
         ]
     )
+
+
+def assert_same_files(a: Path, b: Path, *skip: str) -> None:
+    """``a`` and ``b`` hold the same file names, and the same bytes but in the manifest and ``skip``.
+
+    The manifest alone holds timings and memory.
+    """
+    names = sorted(path.name for path in a.iterdir())
+    assert sorted(path.name for path in b.iterdir()) == names, (a, b)
+    for name in set(names) - {"manifest.json", *skip}:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), (a, b, name)
+
+
+def write_dump_as_blocks(path: Path) -> Path:
+    """Write the fixture dump to ``path`` as ``<doc>`` blocks, its malformed line kept as it is."""
+    with open(DUMP, encoding="utf-8") as src, open(path, "w", encoding="utf-8") as dst:
+        for line in src:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                dst.write(line)
+                continue
+            dst.write(
+                f'<doc id="{record["id"]}" url="{record["url"]}" title="{record["title"]}">\n'
+                f'{record["text"]}\n</doc>\n'
+            )
+    return path
+
+
+def write_shuffled_cache(path: Path) -> list[str]:
+    """Write the fixture cache to ``path`` in a seeded shuffle, its header line first; the keys in file order."""
+    header, *lines = CACHE.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(3).shuffle(lines)
+    path.write_text(header + "".join(lines), encoding="utf-8")
+    return [line.split("\t")[0] for line in lines]
 
 
 class TestPipeline:
@@ -119,10 +156,7 @@ class TestPipeline:
             assert cli.main([*argv, "--out", str(staged)]) == 0
             manifest = json.loads((staged / "manifest.json").read_text())
             stage_counters.update({name: stage["counters"] for name, stage in manifest["stages"].items()})
-        outputs = sorted(path.name for path in piped.iterdir() if path.name != "manifest.json")
-        assert sorted(path.name for path in staged.iterdir() if path.name != "manifest.json") == outputs
-        for name in outputs:
-            assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
+        assert_same_files(piped, staged)
         piped_stages = json.loads((piped / "manifest.json").read_text())["stages"]
         for name in ("stats", "enrich"):
             assert stage_counters[name] == piped_stages[name]["counters"], name
@@ -274,33 +308,109 @@ class TestPipeline:
         assert "Plain" not in corpus  # second sentence has no entity
 
     def test_dump_as_blocks_writes_what_the_json_lines_dump_writes(self, tmp_path):
-        # the fixture dump rendered as <doc> blocks, its malformed line kept as it is
-        blocks = tmp_path / "dump.txt"
-        with open(DUMP, encoding="utf-8") as src, open(blocks, "w", encoding="utf-8") as dst:
-            for line in src:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    dst.write(line)
-                    continue
-                dst.write(
-                    f'<doc id="{record["id"]}" url="{record["url"]}" title="{record["title"]}">\n'
-                    f'{record["text"]}\n</doc>\n'
-                )
+        blocks = write_dump_as_blocks(tmp_path / "dump.txt")
         extra = ("--experiments", "1,2,3,4,5,6,7", "--kg-map", str(KG_MAP))
         assert run_pipeline(tmp_path / "json", *extra) == 0
         argv = ["pipeline", "--input", str(blocks), "--cache", str(CACHE), "--offline", *extra]
         assert cli.main([*argv, "--out", str(tmp_path / "blocks")]) == 0
-        names = sorted(path.name for path in (tmp_path / "json").iterdir())
-        assert names == sorted(path.name for path in (tmp_path / "blocks").iterdir())
-        assert len(names) == 17
+        assert len(list((tmp_path / "json").iterdir())) == 17
         # a block body ends in a newline, so only the documents file and the manifest differ
-        for name in set(names) - {"documents.jsonl", "manifest.json"}:
-            assert (tmp_path / "json" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes(), name
+        assert_same_files(tmp_path / "json", tmp_path / "blocks", "documents.jsonl")
         extract = [json.loads((tmp_path / run / "manifest.json").read_text())["stages"]["extract"]["counters"]
                    for run in ("json", "blocks")]
         assert extract[0] == extract[1]
         assert extract[0]["malformed_lines"] == 1
+
+
+# a child that runs every command of a table in one interpreter, one cli.main call each;
+# one interpreter per command took about 5 s for the two seeds on 2 cores, and this takes about 0.25 s
+_RUN_COMMANDS = """
+import json, sys
+from uner_pipeline import cli
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    if code:
+        sys.exit(f"exit {code}: {argv}")
+"""
+
+
+def test_no_output_depends_on_the_hash_seed(tmp_path):
+    """Set and dict order leak into no output: the fixture runs write the same files under hash seeds 0 and 1.
+
+    Each run also writes what its twin writes: a dump as blocks or as JSON
+    lines, a sorted or a shuffled cache, a corpus with or without doubled
+    blank lines, the staged stages or a pipeline, a config file or flags.
+    """
+    blocks = write_dump_as_blocks(tmp_path / "dump-blocks.txt")
+    shuffled = tmp_path / "shuffled_cache.tsv"
+    write_shuffled_cache(shuffled)
+    seven_way = str(SEVEN_WAY / "corpus.conll")
+    doubled = tmp_path / "doubled.conll"  # documents the reader goes through line by line
+    doubled.write_bytes(re.sub(rb"(?m)^\n", b"\n\n", (SEVEN_WAY / "corpus.conll").read_bytes()))
+    # every setting of the fixture run, the five client settings off their defaults;
+    # --out is relative, so each child writes under its own directory
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(
+        f"input = {DUMP}\ncache = {CACHE}\noffline = yes\nexperiments = 1,2,3,4,5,6,7\nkg_map = {KG_MAP}\n"
+        "timeout = 5\nretries = 2\nbatch_size = 7\nrate_limit = 0\nconcurrency = 3\nout = config\n",
+        encoding="utf-8",
+    )
+    experiments = ["--experiments", "1,2,3,4,5,6,7", "--kg-map", str(KG_MAP)]
+    offline = ["--cache", str(CACHE), "--offline"]
+    fixture = ["pipeline", "--input", str(DUMP), *offline, *experiments]
+    commands = [
+        [*fixture, "--out", "fixture"],
+        ["pipeline", "--input", str(blocks), *offline, *experiments, "--out", "blocks"],
+        ["pipeline", "--input", str(DUMP), "--cache", str(shuffled), "--offline", *experiments, "--out", "shuffled"],
+        ["enrich", "--input", seven_way, "--experiments", "1,2,3,4,5,6,7", "--kg-map", str(SEVEN_WAY / "kg_map.tsv"),
+         "--out", "experiments"],
+        ["eval", "--collapse-depth", "2", "--include-o", str(EXPECTED_CORPUS), "fixture/corpus_exp1.conll",
+         "--out", "eval"],
+        ["stats", "--input", seven_way, "--out", "stats"],
+        ["stats", "--input", str(doubled), "--out", "doubled-stats"],
+        ["eval", seven_way, seven_way, "--out", "self-eval"],
+        ["eval", seven_way, str(doubled), "--out", "doubled-eval"],
+        # the stages one by one, each reading the files the last one wrote
+        ["extract", "--input", str(DUMP), "--out", "staged"],
+        ["link", *offline, "--out", "staged"],
+        ["annotate", *offline, "--out", "staged"],
+        ["stats", "--out", "staged"],
+        ["enrich", *experiments, "--out", "staged"],
+        ["pipeline", "--config", str(config_file)],
+        [*fixture, "--timeout", "5", "--retries", "2", "--batch-size", "7", "--rate-limit", "0",
+         "--concurrency", "3", "--out", "flags"],
+    ]
+    env = {name: value for name, value in os.environ.items() if name != linker.ENDPOINT_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    runs = [tmp_path / "seed0", tmp_path / "seed1"]
+    children = []
+    for seed, run in enumerate(runs):  # both at once
+        run.mkdir()
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)], cwd=run,
+            env={**env, "PYTHONHASHSEED": str(seed)}, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        ))
+    for child in children:
+        err = child.communicate()[1]
+        assert (child.returncode, err) == (0, "")
+    for run in runs:
+        link = json.loads((run / "shuffled" / "manifest.json").read_text())["stages"]["link"]["counters"]
+        assert link["cache_read_by_lines"] == 1
+        assert_same_files(run / "fixture", run / "shuffled")
+        # a block body ends in a newline, so only the documents file differs
+        assert_same_files(run / "fixture", run / "blocks", "documents.jsonl")
+        assert_same_files(run / "stats", run / "doubled-stats")
+        assert_same_files(run / "self-eval", run / "doubled-eval")
+        assert_same_files(run / "fixture", run / "staged")
+        assert_same_files(run / "config", run / "flags")
+        configs = [json.loads((run / name / "manifest.json").read_text())["config"] for name in ("config", "flags")]
+        assert [config.pop("out") for config in configs] == ["config", "flags"]
+        assert configs[0] == configs[1]
+    assert (runs[0] / "eval" / "eval.json").read_bytes() == EXPECTED_EVAL_JSON.read_bytes()
+    names = sorted(path.name for path in runs[0].iterdir())
+    assert sorted(path.name for path in runs[1].iterdir()) == names
+    for name in names:
+        assert_same_files(runs[0] / name, runs[1] / name)
 
 
 class TestExitCodes:
@@ -511,6 +621,19 @@ class TestExitCodes:
         code = cli.main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")])
         assert (code, capsys.readouterr().err) == (1, f"error: {message.format(tmp=tmp_path)}\n")
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("out", ["f", "f/sub", "f/sub/deeper", "link", "link/sub"])
+    def test_out_that_is_a_file_or_lies_under_one_is_1_and_writes_nothing(self, tmp_path, capsys, out):
+        # mkdir cannot make it, which the resolver finds first, as it finds a bad input
+        (tmp_path / "f").write_text("a file\n", encoding="utf-8")
+        (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main(["stats", "--input", str(EXPECTED_CORPUS), "--out", str(tmp_path / out)])
+        blocker = tmp_path / out.split("/")[0]
+        message = f"cannot make output directory {tmp_path / out}: {blocker} is not a directory"
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "f").read_text(encoding="utf-8") == "a file\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -763,12 +886,9 @@ class TestManifestTelemetry:
         assert json.loads((tmp_path / "manifest.json").read_text())["peak_rss_mb"] == 50.0
 
     def test_a_cache_out_of_its_sorted_layout_is_read_by_lines_to_the_same_outputs(self, tmp_path, caplog):
-        header, *lines = CACHE.read_text(encoding="utf-8").splitlines(keepends=True)
-        random.Random(3).shuffle(lines)
-        keys = [line.split("\t")[0] for line in lines]
-        first_unsorted = 2 + next(i for i in range(1, len(keys)) if keys[i] < keys[i - 1])  # the header is line 1
         shuffled = tmp_path / "shuffled.tsv"
-        shuffled.write_text(header + "".join(lines), encoding="utf-8")
+        keys = write_shuffled_cache(shuffled)
+        first_unsorted = 2 + next(i for i in range(1, len(keys)) if keys[i] < keys[i - 1])  # the header is line 1
         sorted_out, shuffled_out = tmp_path / "sorted", tmp_path / "shuffled"
         assert run_pipeline(sorted_out) == 0
         caplog.set_level("INFO", logger=linker.__name__)
@@ -784,10 +904,7 @@ class TestManifestTelemetry:
         assert handoffs == [
             f"{shuffled}:{first_unsorted} is out of the sorted cache layout; reading the cache line by line"
         ]
-        outputs = sorted(path.name for path in sorted_out.iterdir() if path.name != "manifest.json")
-        assert sorted(path.name for path in shuffled_out.iterdir() if path.name != "manifest.json") == outputs
-        for name in outputs:
-            assert (shuffled_out / name).read_bytes() == (sorted_out / name).read_bytes(), name
+        assert_same_files(sorted_out, shuffled_out)
 
     def test_each_queried_target_adds_a_class_list(self, tmp_path, monkeypatch):
         from test_linker import FakeSession, make_client
@@ -1172,6 +1289,25 @@ class TestConfigFile:
         config_file = tmp_path / "run.cfg"
         config_file.write_text("bogus = 1\n", encoding="utf-8")
         assert cli.main(["pipeline", "--config", str(config_file)]) == 1
+
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda path: path.write_bytes(b"out = x\xff\n"),
+             "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+            (Path.mkdir, "[Errno 21] Is a directory: '{path}'"),
+        ],
+        ids=["not-utf8", "directory"],
+    )
+    def test_a_config_file_that_cannot_be_read_is_1_and_writes_nothing(self, tmp_path, capsys, make, reason):
+        config_file = tmp_path / "run.cfg"
+        make(config_file)
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main(["stats", "--config", str(config_file), "--input", str(EXPECTED_CORPUS),
+                         "--out", str(tmp_path / "out")])
+        message = f"cannot read config file {config_file}: {reason.format(path=config_file)}"
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_endpoint_env_override(self, tmp_path, monkeypatch):
         from uner_pipeline.linker import ENDPOINT_ENV_VAR
